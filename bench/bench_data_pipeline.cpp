@@ -199,7 +199,7 @@ int main(int argc, char** argv) {
                    ms(best.stages.io.sum), ms(best.stages.shuffle.sum),
                    ms(best.stages.decode.sum), ms(best.stall_s)});
   }
-  bench::emit(options, table);
+  bench::emit(options, table, bench::Clock::kMeasured);
 
   // --- table 2: end-to-end training, memory vs shards ---
   std::printf("\n");
@@ -235,6 +235,6 @@ int main(int argc, char** argv) {
                          ms(report.load_stall_seconds), fmt("%.4f", overlap),
                          fmt("%.6f", report.final_cost)});
   }
-  bench::emit(options, train_table);
+  bench::emit(options, train_table, bench::Clock::kMeasured);
   return 0;
 }

@@ -81,6 +81,6 @@ int main(int argc, char** argv) {
     baseline::naive_gemm(la::Trans::kNo, la::Trans::kNo, 1.0f, a, b, 0.0f, c);
     table.add_row({"naive triple loop", "-", util::Table::cell(flops / t.seconds() / 1e9)});
   }
-  bench::emit(options, table);
+  bench::emit(options, table, bench::Clock::kMeasured);
   return 0;
 }

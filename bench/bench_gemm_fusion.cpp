@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
                    util::Table::cell(fused * 1e3),
                    util::Table::cell(unfused / fused)});
   }
-  bench::emit(options, table);
+  bench::emit(options, table, bench::Clock::kMeasured);
 
   // Second table: the same fused forward pass pinned to each SIMD tier this
   // CPU can run, with the scalar tier of the same shape as the baseline.
@@ -110,6 +110,6 @@ int main(int argc, char** argv) {
                           util::Table::cell(scalar_s / fused)});
     }
   }
-  bench::emit(options, tier_table);
+  bench::emit(options, tier_table, bench::Clock::kMeasured);
   return 0;
 }

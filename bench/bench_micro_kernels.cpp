@@ -201,7 +201,7 @@ void emit_tier_table(const util::Options& options) {
                      util::Table::cell(scalar_s / sec)});
     }
   }
-  bench::emit(options, table);
+  bench::emit(options, table, bench::Clock::kMeasured);
 }
 
 }  // namespace

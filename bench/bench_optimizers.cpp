@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
                    util::Table::cell(timer.seconds())});
   }
 
-  bench::emit(options, table);
+  bench::emit(options, table, bench::Clock::kMeasured);
   std::printf("note: SGD-family evals are mini-batch gradients (cheap); batch-\n"
               "method evals are full-dataset gradients (grad_evals x dataset).\n");
   return 0;

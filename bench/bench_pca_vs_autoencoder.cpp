@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
                    util::Table::cell(pca.explained_variance_ratio()),
                    util::Table::cell(core::reconstruction_error(sae, patches))});
   }
-  bench::emit(options, recon);
+  bench::emit(options, recon, bench::Clock::kDeterministic);
   std::printf("(PCA is the optimal linear codec, so it wins pure "
               "reconstruction;\n the question is what the features buy "
               "downstream.)\n\n");
@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
   cls.add_row({"SAE codes", util::Table::cell(static_cast<long long>(code_dim)),
                util::Table::cell(static_cast<long long>(n_labeled)),
                util::Table::cell(head_accuracy(sae_train, labeled_y, sae_test, test_y) * 100)});
-  bench::emit(options, cls);
+  bench::emit(options, cls, bench::Clock::kDeterministic);
   std::printf(
       "honest finding: on these easy synthetic strokes the optimal-linear\n"
       "PCA baseline is strong — it wins reconstruction by construction and\n"

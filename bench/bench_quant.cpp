@@ -143,6 +143,6 @@ int main(int argc, char** argv) {
                 mean_abs);
   }
   std::printf("\n");
-  bench::emit(options, table);
+  bench::emit(options, table, bench::Clock::kMeasured);
   return 0;
 }

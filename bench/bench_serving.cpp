@@ -152,7 +152,7 @@ int main(int argc, char** argv) {
                    util::Table::cell(p.stats.latency.p95_s * 1e3),
                    util::Table::cell(p.throughput / base)});
   }
-  bench::emit(options, table);
+  bench::emit(options, table, bench::Clock::kMeasured);
 
   // Moderate load: a quarter of the batched saturation capacity, capped so
   // the probe stays far from overload even on a slow machine.
@@ -171,6 +171,6 @@ int main(int argc, char** argv) {
                  util::Table::cell(m.latency.p50_s * 1e3),
                  util::Table::cell(m.latency.p95_s * 1e3),
                  util::Table::cell(bound_ms)});
-  bench::emit(options, probe);
+  bench::emit(options, probe, bench::Clock::kMeasured);
   return 0;
 }

@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   }
   double overlapped = 0;
   for (const auto& [level, t] : level_max) overlapped += t;
-  bench::emit(options, node_table);
+  bench::emit(options, node_table, bench::Clock::kSimulated);
 
   util::Table summary({"execution", "sim_ms_per_step", "speedup"});
   summary.add_row({"serialized (no graph)", util::Table::cell(serialized * 1e3),
@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
   summary.add_row({"task graph (level overlap)",
                    util::Table::cell(overlapped * 1e3),
                    util::Table::cell(serialized / overlapped)});
-  bench::emit(options, summary);
+  bench::emit(options, summary, bench::Clock::kSimulated);
   std::printf("observed pool concurrency during the measured run: %d\n",
               step.last_max_concurrency());
   std::printf("critical path: %zu of %zu nodes\n",
