@@ -1,5 +1,7 @@
 #include "baseline/matlab_like.hpp"
 
+#include <algorithm>
+
 namespace deepphi::baseline {
 
 namespace {
@@ -15,8 +17,9 @@ KernelStats matlab_elementwise(la::Index n, double flops_per_elem,
 }
 }  // namespace
 
-phi::KernelStats matlab_sae_batch_stats(const core::SaeShape& s) {
-  const la::Index b = s.batch, v = s.visible, h = s.hidden;
+phi::KernelStats matlab_sae_batch_stats(la::Index batch, la::Index visible,
+                                        la::Index hidden) {
+  const la::Index b = batch, v = visible, h = hidden;
   KernelStats k;
   // forward
   k += phi::gemm_contribution(b, h, v);
@@ -58,16 +61,12 @@ phi::KernelStats matlab_sae_batch_stats(const core::SaeShape& s) {
   return k;
 }
 
-phi::KernelStats matlab_sae_train_stats(const core::TrainShape& run,
-                                        const core::SaeShape& shape) {
+phi::KernelStats matlab_sae_train_stats(la::Index examples, la::Index batch,
+                                        la::Index visible, la::Index hidden) {
   KernelStats k;
-  for (int epoch = 0; epoch < run.epochs; ++epoch) {
-    for (la::Index begin = 0; begin < run.examples; begin += run.batch) {
-      core::SaeShape s = shape;
-      s.batch = std::min(run.batch, run.examples - begin);
-      k += matlab_sae_batch_stats(s);
-    }
-  }
+  for (la::Index begin = 0; begin < examples; begin += batch)
+    k += matlab_sae_batch_stats(std::min(batch, examples - begin), visible,
+                                hidden);
   return k;
 }
 

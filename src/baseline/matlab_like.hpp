@@ -13,22 +13,25 @@
 //               efficiency, software_overhead ≈ 3 and dispatch_us per kernel.
 //
 // matlab_sae_batch_stats builds the work bundle; benches evaluate it on the
-// matlab_host MachineSpec.
+// matlab_host MachineSpec. This stays analytic: it models a Matlab program
+// that this repository does not contain, so there is no code to run dry.
 #pragma once
 
-#include "core/cost_accounting.hpp"
+#include "la/matrix.hpp"
+#include "phi/kernel_stats.hpp"
 
 namespace deepphi::baseline {
 
-/// KernelStats of one Matlab-style SAE gradient + SGD update at the given
-/// shape: the unfused matrix-form sequence with an extra temporary-copy pass
-/// per elementwise kernel.
-phi::KernelStats matlab_sae_batch_stats(const core::SaeShape& shape);
+/// KernelStats of one Matlab-style SAE gradient + SGD update of a
+/// visible×hidden network on `batch` examples: the unfused matrix-form
+/// sequence with an extra temporary-copy pass per elementwise kernel.
+phi::KernelStats matlab_sae_batch_stats(la::Index batch, la::Index visible,
+                                        la::Index hidden);
 
-/// Full-run Matlab-style stats (chunking is irrelevant on the host — data is
-/// local — but batching matters; mirrors core::sae_train_stats structure
-/// with zero transfer traffic).
-phi::KernelStats matlab_sae_train_stats(const core::TrainShape& run,
-                                        const core::SaeShape& shape);
+/// One pass over `examples` in batches of `batch` (the last one short).
+/// Chunking is irrelevant on the host — data is local — so there is no
+/// transfer traffic.
+phi::KernelStats matlab_sae_train_stats(la::Index examples, la::Index batch,
+                                        la::Index visible, la::Index hidden);
 
 }  // namespace deepphi::baseline

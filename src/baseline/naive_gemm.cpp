@@ -18,6 +18,7 @@ void naive_gemm(la::Trans trans_a, la::Trans trans_b, float alpha,
   DEEPPHI_CHECK_MSG(c.rows() == m && c.cols() == n,
                     "naive_gemm C must be " << m << "x" << n);
   phi::record(phi::naive_gemm_contribution(m, n, ka));
+  if (phi::dry_run()) return;
 
   auto av = [&](Index i, Index p) {
     return trans_a == Trans::kNo ? a(i, p) : a(p, i);

@@ -22,6 +22,7 @@ using la::simd::sigmoid_scalar;
 // operands (the forward products x·W1ᵀ, y·W2ᵀ).
 void matmul_nt(const Matrix& a, const Matrix& b, Matrix& out, bool parallel) {
   phi::record(phi::naive_gemm_contribution(a.rows(), b.rows(), a.cols()));
+  if (phi::dry_run()) return;
   const Index rows = a.rows(), cols = b.rows(), k = a.cols();
 #pragma omp parallel for if (parallel) schedule(static)
   for (Index r = 0; r < rows; ++r) {
@@ -41,6 +42,7 @@ void matmul_nt(const Matrix& a, const Matrix& b, Matrix& out, bool parallel) {
 void matmul_tn(const Matrix& a, const Matrix& b, float scale, Matrix& out,
                bool parallel) {
   phi::record(phi::naive_gemm_contribution(a.cols(), b.cols(), a.rows()));
+  if (phi::dry_run()) return;
   const Index m = a.cols(), n = b.cols(), batch = a.rows();
 #pragma omp parallel for if (parallel) schedule(static)
   for (Index r = 0; r < m; ++r) {
@@ -58,6 +60,7 @@ void matmul_tn(const Matrix& a, const Matrix& b, float scale, Matrix& out,
 // out(B×n) = a(B×m) · b(m×n) — the back-propagation product delta2·W2.
 void matmul_nn(const Matrix& a, const Matrix& b, Matrix& out, bool parallel) {
   phi::record(phi::naive_gemm_contribution(a.rows(), b.cols(), a.cols()));
+  if (phi::dry_run()) return;
   const Index rows = a.rows(), cols = b.cols(), k = a.cols();
 #pragma omp parallel for if (parallel) schedule(static)
   for (Index r = 0; r < rows; ++r) {
@@ -74,6 +77,7 @@ void matmul_nn(const Matrix& a, const Matrix& b, Matrix& out, bool parallel) {
 
 void add_bias_loop(Matrix& m, const Vector& bias, bool parallel) {
   phi::record(phi::naive_loop_contribution(m.size(), 1.0, 1.0, 1.0));
+  if (phi::dry_run()) return;
   const Index rows = m.rows(), cols = m.cols();
 #pragma omp parallel for if (parallel) schedule(static)
   for (Index r = 0; r < rows; ++r) {
@@ -84,6 +88,7 @@ void add_bias_loop(Matrix& m, const Vector& bias, bool parallel) {
 
 void sigmoid_loop(Matrix& m, bool parallel) {
   phi::record(phi::naive_loop_contribution(m.size(), 400.0, 1.0, 1.0));
+  if (phi::dry_run()) return;
   float* p = m.data();
   const Index n = m.size();
 #pragma omp parallel for if (parallel) schedule(static)
@@ -92,6 +97,7 @@ void sigmoid_loop(Matrix& m, bool parallel) {
 
 void col_mean_loop(const Matrix& m, Vector& out, bool parallel) {
   phi::record(phi::naive_loop_contribution(m.size(), 1.0, 1.0, 0.0));
+  if (phi::dry_run()) return;
   const Index rows = m.rows(), cols = m.cols();
   const float inv = 1.0f / static_cast<float>(rows);
 #pragma omp parallel for if (parallel) schedule(static)
@@ -104,6 +110,7 @@ void col_mean_loop(const Matrix& m, Vector& out, bool parallel) {
 
 double sum_sq_diff_loop(const Matrix& a, const Matrix& b, bool parallel) {
   phi::record(phi::naive_loop_contribution(a.size(), 3.0, 2.0, 0.0));
+  if (phi::dry_run()) return 0.0;
   const Index n = a.size();
   const float* ap = a.data();
   const float* bp = b.data();
@@ -118,6 +125,7 @@ double sum_sq_diff_loop(const Matrix& a, const Matrix& b, bool parallel) {
 
 double nrm2sq_loop(const Matrix& m, bool parallel) {
   phi::record(phi::naive_loop_contribution(m.size(), 2.0, 1.0, 0.0));
+  if (phi::dry_run()) return 0.0;
   const Index n = m.size();
   const float* p = m.data();
   double acc = 0.0;
@@ -128,6 +136,7 @@ double nrm2sq_loop(const Matrix& m, bool parallel) {
 
 double kl_loop(float rho, const Vector& rho_hat) {
   phi::record(phi::naive_loop_contribution(rho_hat.size(), 12.0, 1.0, 0.0));
+  if (phi::dry_run()) return 0.0;
   double acc = 0.0;
   for (Index j = 0; j < rho_hat.size(); ++j) {
     const double q = std::min(std::max(static_cast<double>(rho_hat[j]), 1e-6),
@@ -139,6 +148,7 @@ double kl_loop(float rho, const Vector& rho_hat) {
 
 void sub_loop(const Matrix& a, const Matrix& b, Matrix& out, bool parallel) {
   phi::record(phi::naive_loop_contribution(a.size(), 1.0, 2.0, 1.0));
+  if (phi::dry_run()) return;
   const Index n = a.size();
   const float* ap = a.data();
   const float* bp = b.data();
@@ -149,6 +159,7 @@ void sub_loop(const Matrix& a, const Matrix& b, Matrix& out, bool parallel) {
 
 void dsigmoid_mul_loop(Matrix& delta, const Matrix& act, bool parallel) {
   phi::record(phi::naive_loop_contribution(delta.size(), 3.0, 2.0, 1.0));
+  if (phi::dry_run()) return;
   const Index n = delta.size();
   float* dp = delta.data();
   const float* yp = act.data();
@@ -158,6 +169,7 @@ void dsigmoid_mul_loop(Matrix& delta, const Matrix& act, bool parallel) {
 
 void axpy_loop(float alpha, const Matrix& a, Matrix& b, bool parallel) {
   phi::record(phi::naive_loop_contribution(a.size(), 2.0, 2.0, 1.0));
+  if (phi::dry_run()) return;
   const Index n = a.size();
   const float* ap = a.data();
   float* bp = b.data();
@@ -167,6 +179,7 @@ void axpy_loop(float alpha, const Matrix& a, Matrix& b, bool parallel) {
 
 void axpy_loop(float alpha, const Vector& a, Vector& b, bool parallel) {
   phi::record(phi::naive_loop_contribution(a.size(), 2.0, 2.0, 1.0));
+  if (phi::dry_run()) return;
   const Index n = a.size();
   const float* ap = a.data();
   float* bp = b.data();
@@ -177,6 +190,7 @@ void axpy_loop(float alpha, const Vector& a, Vector& b, bool parallel) {
 void col_sum_scaled_loop(const Matrix& m, float scale, Vector& out,
                          bool parallel) {
   phi::record(phi::naive_loop_contribution(m.size(), 1.0, 1.0, 0.0));
+  if (phi::dry_run()) return;
   const Index rows = m.rows(), cols = m.cols();
 #pragma omp parallel for if (parallel) schedule(static)
   for (Index c = 0; c < cols; ++c) {
@@ -188,6 +202,7 @@ void col_sum_scaled_loop(const Matrix& m, float scale, Vector& out,
 
 void sparsity_loop(float rho, float beta, const Vector& rho_hat, Vector& out) {
   phi::record(phi::naive_loop_contribution(rho_hat.size(), 6.0, 1.0, 1.0));
+  if (phi::dry_run()) return;
   for (Index j = 0; j < rho_hat.size(); ++j) {
     const float q =
         std::min(std::max(rho_hat[j], 1e-6f), 1.0f - 1e-6f);

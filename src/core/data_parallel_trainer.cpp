@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/cost_accounting.hpp"
 #include "core/train_loop.hpp"
 #include "data/chunk_stream.hpp"
 #include "la/blas1.hpp"
@@ -56,9 +55,6 @@ struct SaeOps {
   static double model_bytes(const SparseAutoencoder& m) {
     return 4.0 * static_cast<double>(m.param_count());
   }
-  static std::vector<la::Index> buffer_sizes(const SparseAutoencoder& m) {
-    return {m.w1().size(), m.b1().size(), m.w2().size(), m.b2().size()};
-  }
 };
 
 struct RbmOps {
@@ -91,10 +87,29 @@ struct RbmOps {
     return 4.0 * static_cast<double>(m.w().size() + m.b().size() +
                                      m.c().size());
   }
-  static std::vector<la::Index> buffer_sizes(const Rbm& m) {
-    return {m.w().size(), m.b().size(), m.c().size()};
-  }
 };
+
+// Dry run of a card's combine share (see card_combine_stats in the header).
+template <typename Ops, typename Model>
+phi::KernelStats combine_stats(Model& model, int card_live_slots,
+                               int global_live_slots, bool root,
+                               const OptimizerConfig& opt_config) {
+  phi::KernelStats stats;
+  phi::StatsScope scope(stats);
+  phi::DryRun dry;
+  typename Ops::Grads sum, slot;
+  Ops::ensure(sum, model);
+  Ops::ensure(slot, model);
+  for (int edge = 0; edge + 1 < card_live_slots; ++edge)
+    Ops::combine(sum, slot);
+  if (root) {
+    if (global_live_slots > 1)
+      Ops::scale(sum, 1.0f / static_cast<float>(global_live_slots));
+    Optimizer optimizer(opt_config);
+    Ops::update(optimizer, model, sum);
+  }
+  return stats;
+}
 
 template <typename Ops, typename Model>
 TrainReport run_dp(const TrainerConfig& config, Model& model,
@@ -137,7 +152,6 @@ TrainReport run_dp(const TrainerConfig& config, Model& model,
   // gradient per optimizer update, with the algorithm resolved ONCE for the
   // run from the gradient message size and the active interconnect (the
   // functional combine below never changes with it — docs/cluster.md).
-  const std::vector<la::Index> buffer_sizes = Ops::buffer_sizes(model);
   par::CollectiveSchedule comm_schedule;
   double comm_step_s = 0.0;
   if (C > 1) {
@@ -154,6 +168,7 @@ TrainReport run_dp(const TrainerConfig& config, Model& model,
   std::vector<phi::KernelStats> worker_stats(static_cast<std::size_t>(C * R));
   std::vector<int> live;
   live.reserve(static_cast<std::size_t>(S));
+  const bool dry = phi::dry_run();
 
   return detail::run_train_loop(
       config, dataset, dim, arena_model_bytes, workspace_bytes,
@@ -174,6 +189,7 @@ TrainReport run_dp(const TrainerConfig& config, Model& model,
           std::fill(worker_stats.begin(), worker_stats.end(),
                     phi::KernelStats{});
           group.run([&](int r) {
+            phi::DryRun worker_mode(dry);  // replicas run as their caller
             auto& batch = staging[static_cast<std::size_t>(r)];
             auto& workspace = ws[static_cast<std::size_t>(r)];
             // Replica r sweeps the cards in order, computing slot
@@ -238,10 +254,10 @@ TrainReport run_dp(const TrainerConfig& config, Model& model,
           }
           if (cluster) {
             // Charge the step to the cards: card c's timeline gets its
-            // replicas' measured gradient work plus its analytic combine
-            // share (cost_accounting keeps this equal to what the flat tree
-            // really ran), its shards' h2d bytes, and — per update — the
-            // resolved collective schedule on the interconnect.
+            // replicas' measured gradient work plus its share of the
+            // combine (a dry run of the flat tree's own Ops calls), its
+            // shards' h2d bytes, and — per update — the resolved collective
+            // schedule on the interconnect.
             for (int c = 0; c < C; ++c) {
               auto& card = outcome.card_stats[static_cast<std::size_t>(c)];
               for (int r = 0; r < R; ++r)
@@ -254,9 +270,9 @@ TrainReport run_dp(const TrainerConfig& config, Model& model,
                 if (shard.rows > 0) ++card_live;
                 card_rows += shard.rows;
               }
-              card += cluster_card_combine_stats(
-                  buffer_sizes, card_live, static_cast<int>(live.size()),
-                  /*root=*/c == 0, config.optimizer.kind);
+              card += combine_stats<Ops>(model, card_live,
+                                         static_cast<int>(live.size()),
+                                         /*root=*/c == 0, config.optimizer);
               outcome.card_h2d_bytes[static_cast<std::size_t>(c)] +=
                   4.0 * static_cast<double>(card_rows) *
                   static_cast<double>(dim);
@@ -306,6 +322,21 @@ TrainReport DataParallelTrainer::train(SparseAutoencoder& model,
 TrainReport DataParallelTrainer::train(Rbm& model,
                                        const data::StreamingSource& dataset) {
   return run_dp<RbmOps>(config_, model, dataset);
+}
+
+phi::KernelStats card_combine_stats(SparseAutoencoder& model,
+                                    int card_live_slots, int global_live_slots,
+                                    bool root,
+                                    const OptimizerConfig& optimizer) {
+  return combine_stats<SaeOps>(model, card_live_slots, global_live_slots, root,
+                               optimizer);
+}
+
+phi::KernelStats card_combine_stats(Rbm& model, int card_live_slots,
+                                    int global_live_slots, bool root,
+                                    const OptimizerConfig& optimizer) {
+  return combine_stats<RbmOps>(model, card_live_slots, global_live_slots, root,
+                               optimizer);
 }
 
 }  // namespace deepphi::core

@@ -57,4 +57,19 @@ class DataParallelTrainer {
   TrainerConfig config_;
 };
 
+/// One card's share of a global step's combine under the cluster charging
+/// model, run dry (phi::DryRun) through the same combine / scale / update
+/// calls the flat tree makes: the card folds its `card_live_slots` with a
+/// local tree; the root card also applies the mean scale (when the step
+/// combined more than one slot) and the optimizer update. With one card,
+/// card_live_slots == global_live_slots and root, this is the whole combine
+/// and update of a data-parallel step. `model` is not modified.
+phi::KernelStats card_combine_stats(SparseAutoencoder& model,
+                                    int card_live_slots, int global_live_slots,
+                                    bool root,
+                                    const OptimizerConfig& optimizer);
+phi::KernelStats card_combine_stats(Rbm& model, int card_live_slots,
+                                    int global_live_slots, bool root,
+                                    const OptimizerConfig& optimizer);
+
 }  // namespace deepphi::core

@@ -12,6 +12,7 @@ void mask_corrupt(const la::Matrix& clean, la::Matrix& corrupted,
   if (corrupted.rows() != clean.rows() || corrupted.cols() != clean.cols())
     corrupted = la::Matrix::uninitialized(clean.rows(), clean.cols());
   phi::record(phi::loop_contribution(clean.size(), 12.0, 1.0, 1.0));
+  if (phi::dry_run()) return;
   const la::Index rows = clean.rows();
   const la::Index cols = clean.cols();
 #pragma omp parallel for if (clean.size() >= (1 << 14)) schedule(static)

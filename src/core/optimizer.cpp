@@ -34,12 +34,14 @@ void Optimizer::update_raw(float* p, const float* g, la::Index n) {
   switch (config_.kind) {
     case OptimizerKind::kSgd: {
       phi::record(phi::loop_contribution(n, 2.0, 2.0, 1.0));
+      if (phi::dry_run()) return;
 #pragma omp simd
       for (la::Index i = 0; i < n; ++i) p[i] -= lr * g[i];
       break;
     }
     case OptimizerKind::kMomentum: {
       phi::record(phi::loop_contribution(n, 4.0, 3.0, 2.0));
+      if (phi::dry_run()) return;  // before the state keyed by p
       auto& v = state_[p];
       if (v.size() != static_cast<std::size_t>(n))
         v.assign(static_cast<std::size_t>(n), 0.0f);
@@ -54,6 +56,7 @@ void Optimizer::update_raw(float* p, const float* g, la::Index n) {
     }
     case OptimizerKind::kAdagrad: {
       phi::record(phi::loop_contribution(n, 6.0, 3.0, 2.0));
+      if (phi::dry_run()) return;  // before the state keyed by p
       auto& a = state_[p];
       if (a.size() != static_cast<std::size_t>(n))
         a.assign(static_cast<std::size_t>(n), 0.0f);

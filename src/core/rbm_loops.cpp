@@ -22,6 +22,7 @@ using la::simd::sigmoid_scalar;
 // out(B×h) = v(B×n) · wᵀ(h×n): the hidden pre-activation product.
 void matmul_nt(const Matrix& a, const Matrix& b, Matrix& out, bool parallel) {
   phi::record(phi::naive_gemm_contribution(a.rows(), b.rows(), a.cols()));
+  if (phi::dry_run()) return;
   const Index rows = a.rows(), cols = b.rows(), k = a.cols();
 #pragma omp parallel for if (parallel) schedule(static)
   for (Index r = 0; r < rows; ++r) {
@@ -39,6 +40,7 @@ void matmul_nt(const Matrix& a, const Matrix& b, Matrix& out, bool parallel) {
 // out(B×n) = h(B×m) · w(m×n): the visible pre-activation product.
 void matmul_nn(const Matrix& a, const Matrix& b, Matrix& out, bool parallel) {
   phi::record(phi::naive_gemm_contribution(a.rows(), b.cols(), a.cols()));
+  if (phi::dry_run()) return;
   const Index rows = a.rows(), cols = b.cols(), k = a.cols();
 #pragma omp parallel for if (parallel) schedule(static)
   for (Index r = 0; r < rows; ++r) {
@@ -58,6 +60,7 @@ void matmul_nn(const Matrix& a, const Matrix& b, Matrix& out, bool parallel) {
 void matmul_tn_acc(const Matrix& a, const Matrix& b, float scale_a,
                    float scale_out, Matrix& out, bool parallel) {
   phi::record(phi::naive_gemm_contribution(a.cols(), b.cols(), a.rows()));
+  if (phi::dry_run()) return;
   const Index m = a.cols(), n = b.cols(), batch = a.rows();
 #pragma omp parallel for if (parallel) schedule(static)
   for (Index r = 0; r < m; ++r) {
@@ -73,6 +76,7 @@ void matmul_tn_acc(const Matrix& a, const Matrix& b, float scale_a,
 
 void add_bias_loop(Matrix& m, const Vector& bias, bool parallel) {
   phi::record(phi::naive_loop_contribution(m.size(), 1.0, 1.0, 1.0));
+  if (phi::dry_run()) return;
   const Index rows = m.rows(), cols = m.cols();
 #pragma omp parallel for if (parallel) schedule(static)
   for (Index r = 0; r < rows; ++r) {
@@ -83,6 +87,7 @@ void add_bias_loop(Matrix& m, const Vector& bias, bool parallel) {
 
 void sigmoid_loop(Matrix& m, bool parallel) {
   phi::record(phi::naive_loop_contribution(m.size(), 400.0, 1.0, 1.0));
+  if (phi::dry_run()) return;
   float* p = m.data();
   const Index n = m.size();
 #pragma omp parallel for if (parallel) schedule(static)
@@ -94,6 +99,7 @@ void sigmoid_loop(Matrix& m, bool parallel) {
 void sample_loop(const Matrix& mean, Matrix& out, const util::Rng& base,
                  bool parallel) {
   phi::record(phi::naive_loop_contribution(mean.size(), 100.0, 1.0, 1.0));
+  if (phi::dry_run()) return;
   const Index rows = mean.rows(), cols = mean.cols();
 #pragma omp parallel for if (parallel) schedule(static)
   for (Index r = 0; r < rows; ++r) {
@@ -109,6 +115,7 @@ void sample_loop(const Matrix& mean, Matrix& out, const util::Rng& base,
 // optimized path's two col_sums + axpy as three separate loops.
 void col_sum_loop(const Matrix& m, Vector& out, bool parallel) {
   phi::record(phi::naive_loop_contribution(m.size(), 1.0, 1.0, 0.0));
+  if (phi::dry_run()) return;
   const Index rows = m.rows(), cols = m.cols();
 #pragma omp parallel for if (parallel) schedule(static)
   for (Index c = 0; c < cols; ++c) {
@@ -121,6 +128,7 @@ void col_sum_loop(const Matrix& m, Vector& out, bool parallel) {
 void diff_scale_loop(const Vector& pos, Vector& neg_into_out, float scale,
                      bool parallel) {
   phi::record(phi::naive_loop_contribution(pos.size(), 2.0, 2.0, 1.0));
+  if (phi::dry_run()) return;
   const Index n = pos.size();
 #pragma omp parallel for if (parallel) schedule(static)
   for (Index i = 0; i < n; ++i)
@@ -129,6 +137,7 @@ void diff_scale_loop(const Vector& pos, Vector& neg_into_out, float scale,
 
 double sum_sq_diff_loop(const Matrix& a, const Matrix& b, bool parallel) {
   phi::record(phi::naive_loop_contribution(a.size(), 3.0, 2.0, 0.0));
+  if (phi::dry_run()) return 0.0;
   const Index n = a.size();
   const float* ap = a.data();
   const float* bp = b.data();
@@ -143,6 +152,7 @@ double sum_sq_diff_loop(const Matrix& a, const Matrix& b, bool parallel) {
 
 void axpy_loop(float alpha, const Matrix& a, Matrix& b, bool parallel) {
   phi::record(phi::naive_loop_contribution(a.size(), 2.0, 2.0, 1.0));
+  if (phi::dry_run()) return;
   const Index n = a.size();
   const float* ap = a.data();
   float* bp = b.data();
@@ -152,6 +162,7 @@ void axpy_loop(float alpha, const Matrix& a, Matrix& b, bool parallel) {
 
 void axpy_loop(float alpha, const Vector& a, Vector& b, bool parallel) {
   phi::record(phi::naive_loop_contribution(a.size(), 2.0, 2.0, 1.0));
+  if (phi::dry_run()) return;
   const Index n = a.size();
   const float* ap = a.data();
   float* bp = b.data();

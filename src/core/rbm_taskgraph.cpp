@@ -27,7 +27,8 @@ RbmTaskGraphStep::RbmTaskGraphStep(const Rbm& model, par::ThreadPool& pool)
 
 void RbmTaskGraphStep::build_graph() {
   // Wraps a node body so its kernel stats land in node_stats_[id] (each pool
-  // thread gets its own StatsScope; totals merge under the mutex).
+  // thread gets its own StatsScope, and runs dry when the caller does;
+  // totals merge under the mutex).
   auto add = [this](const std::string& name, std::function<void()> body) {
     node_names_.push_back(name);
     const std::size_t idx = node_names_.size() - 1;
@@ -35,6 +36,7 @@ void RbmTaskGraphStep::build_graph() {
       phi::KernelStats local;
       {
         phi::StatsScope scope(local);
+        phi::DryRun mode(dry_);
         body();
       }
       std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -117,6 +119,7 @@ double RbmTaskGraphStep::run(const la::Matrix& v1, Rbm::Workspace& ws,
   ws_ = &ws;
   grads_ = &grads;
   rng_ = rng;
+  dry_ = phi::dry_run();
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     node_stats_.assign(node_names_.size(), phi::KernelStats{});

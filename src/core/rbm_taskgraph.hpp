@@ -70,6 +70,7 @@ class RbmTaskGraphStep {
   Rbm::Workspace* ws_ = nullptr;
   RbmGradients* grads_ = nullptr;
   util::Rng rng_{0};
+  bool dry_ = false;  // the caller's phi::DryRun mode, for the pool threads
   double recon_error_ = 0;
 
   // Phase-statistic buffers (positive/negative parts kept separate so nodes

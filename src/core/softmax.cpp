@@ -21,6 +21,7 @@ namespace {
 // kernel (exp + normalize ≈ 12 flops/element).
 void softmax_rows(la::Matrix& m) {
   phi::record(phi::loop_contribution(m.size(), 12.0, 1.0, 1.0));
+  if (phi::dry_run()) return;
   const la::Index rows = m.rows();
   const la::Index cols = m.cols();
 #pragma omp parallel for if (m.size() >= (1 << 14)) schedule(static)

@@ -35,6 +35,7 @@ inline void slice_batch(const la::Matrix& chunk, la::Index begin,
                         la::Index count, la::Matrix& batch) {
   if (batch.rows() != count || batch.cols() != chunk.cols())
     batch = la::Matrix::uninitialized(count, chunk.cols());
+  if (phi::dry_run()) return;  // shape-only rows
   std::memcpy(batch.data(), chunk.row(begin),
               sizeof(float) * static_cast<std::size_t>(count * chunk.cols()));
 }
@@ -164,14 +165,15 @@ TrainReport run_train_loop(const TrainerConfig& config,
       cluster, model_bytes, workspace_bytes,
       cluster ? ring_bytes / cluster->cards() : 0.0);
   const bool async_loading = config.policy == ExecPolicy::kPhiOffload;
-  std::vector<double> slot_free(config.ring_chunks, 0.0);
-  double last_compute_end = 0.0;
+  phi::ChunkRing ring(static_cast<int>(config.ring_chunks), async_loading);
 
   bool stop = false;
   for (int epoch = 0; epoch < config.epochs && !stop; ++epoch) {
     data::ChunkStreamConfig stream_cfg;
     stream_cfg.chunk_examples = config.chunk_examples;
-    stream_cfg.background = async_loading;
+    // A dry run stages its shape-only chunks inline: the loader thread would
+    // not run dry. Loading records no kernel work, so the stats are the same.
+    stream_cfg.background = async_loading && !phi::dry_run();
     stream_cfg.ring_chunks = config.ring_chunks;
     stream_cfg.shuffle_window = config.shuffle_window;
     // A fresh shuffle per epoch, derived only from (config.seed, epoch), so
@@ -197,15 +199,10 @@ TrainReport run_train_loop(const TrainerConfig& config,
       const double chunk_bytes = 4.0 * static_cast<double>(chunk->size());
       phi::record(phi::h2d_contribution(chunk_bytes));
       double transfer_end = 0.0;
-      if (device) {
-        const std::size_t slot =
-            static_cast<std::size_t>(report.chunks) % config.ring_chunks;
-        double ready = slot_free[slot];
-        if (!async_loading) ready = std::max(ready, last_compute_end);
+      if (device)
         transfer_end = device->submit_transfer(
             "chunk[" + std::to_string(report.chunks) + "] h2d", chunk_bytes,
-            ready);
-      }
+            ring.transfer_ready(report.chunks));
 
       ChunkOutcome outcome;
       phi::KernelStats chunk_stats;
@@ -216,29 +213,22 @@ TrainReport run_train_loop(const TrainerConfig& config,
       phi::record(chunk_stats);  // merge the chunk's work into report.stats
       stream.recycle(std::move(*chunk));  // buffer returns to the decode pool
       report.final_cost = outcome.final_cost;
-      if (device) {
-        const double compute_end = device->submit_compute(
-            "chunk[" + std::to_string(report.chunks) + "] train", chunk_stats,
-            transfer_end);
-        slot_free[static_cast<std::size_t>(report.chunks) %
-                  config.ring_chunks] = compute_end;
-        last_compute_end = compute_end;
-      }
+      if (device)
+        ring.trained(report.chunks,
+                     device->submit_compute(
+                         "chunk[" + std::to_string(report.chunks) + "] train",
+                         chunk_stats, transfer_end));
       if (cluster) {
         // The cluster analogue of the device branch: each card DMAs its
         // shards and computes its share, then the chunk's collectives occupy
         // the interconnect; the step barrier frees the ring slot.
-        const std::size_t slot =
-            static_cast<std::size_t>(report.chunks) % config.ring_chunks;
-        double ready = slot_free[slot];
-        if (!async_loading) ready = std::max(ready, last_compute_end);
-        const double barrier = cluster->submit_step(
-            "chunk[" + std::to_string(report.chunks) + "]", outcome.card_stats,
-            outcome.card_h2d_bytes, outcome.comm_seconds,
-            outcome.comm_wire_bytes, outcome.comm_rounds,
-            outcome.comm_collectives, ready);
-        slot_free[slot] = barrier;
-        last_compute_end = barrier;
+        ring.trained(report.chunks,
+                     cluster->submit_step(
+                         "chunk[" + std::to_string(report.chunks) + "]",
+                         outcome.card_stats, outcome.card_h2d_bytes,
+                         outcome.comm_seconds, outcome.comm_wire_bytes,
+                         outcome.comm_rounds, outcome.comm_collectives,
+                         ring.transfer_ready(report.chunks)));
       }
 
       report.batches += outcome.batches;

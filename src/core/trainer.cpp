@@ -160,6 +160,20 @@ TrainReport Trainer::train(Rbm& model, const data::StreamingSource& dataset) {
   return run_loop(dataset, model.visible(), model_bytes, step);
 }
 
+TrainReport dry_train(const SaeConfig& model, const TrainerConfig& config,
+                      la::Index rows) {
+  phi::DryRun dry;
+  SparseAutoencoder shape_only(model, /*seed=*/0);
+  return Trainer(config).train(shape_only, data::Dataset(rows, model.visible));
+}
+
+TrainReport dry_train(const RbmConfig& model, const TrainerConfig& config,
+                      la::Index rows) {
+  phi::DryRun dry;
+  Rbm shape_only(model, /*seed=*/0);
+  return Trainer(config).train(shape_only, data::Dataset(rows, model.visible));
+}
+
 SimulatedTime simulate(const TrainReport& report, phi::Device& device,
                        int ring_chunks) {
   SimulatedTime out;

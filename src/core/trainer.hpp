@@ -11,7 +11,8 @@
 // ladder level (core/levels.hpp). All work is recorded as KernelStats, so a
 // finished TrainReport can be replayed on any simulated machine via
 // simulate() — that replay is how the benches obtain Phi/CPU/Matlab times on
-// hardware that no longer exists.
+// hardware that no longer exists. dry_train() runs the same trainer under
+// phi::DryRun ("model mode") for configurations too large to execute.
 #pragma once
 
 #include <cstdint>
@@ -167,6 +168,20 @@ class Trainer {
 
   TrainerConfig config_;
 };
+
+/// Model mode: trains a freshly built model over a shape-only dataset of
+/// `rows` examples under phi::DryRun, so every chunk, batch, ragged tail,
+/// shard, combine and update is counted by the code that performs it while
+/// no kernel computes and no matrix allocates. The report's stats, batches,
+/// chunks and updates equal those of a real run of the same configuration;
+/// its costs are zero. A device or cluster in `config` is driven as in a
+/// real run. Per-step stats: a dry run of one chunk holding one batch
+/// (rows == batch_size == chunk_examples), read through
+/// per_chunk_compute_stats().
+TrainReport dry_train(const SaeConfig& model, const TrainerConfig& config,
+                      la::Index rows);
+TrainReport dry_train(const RbmConfig& model, const TrainerConfig& config,
+                      la::Index rows);
 
 /// Simulated end-to-end time of a finished training run on `device`
 /// (threads already set on the device):

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "phi/kernel_stats.hpp"
+
 namespace deepphi::data {
 
 Dataset::Dataset(Index n, Index dim) : data_(n, dim) {}
@@ -16,6 +18,7 @@ void Dataset::copy_batch(Index begin, Index count, la::Matrix& out) const {
   DEEPPHI_CHECK_MSG(out.rows() == count && out.cols() == dim(),
                     "batch target must be " << count << "x" << dim() << ", got "
                                             << out.rows() << "x" << out.cols());
+  if (phi::dry_run()) return;  // shape-only rows
   if (count > 0)
     std::memcpy(out.data(), data_.row(begin),
                 sizeof(float) * static_cast<std::size_t>(count * dim()));
@@ -27,6 +30,7 @@ void Dataset::copy_batch(const std::vector<Index>& indices, la::Matrix& out) con
                     "batch target must be " << indices.size() << "x" << dim()
                                             << ", got " << out.rows() << "x"
                                             << out.cols());
+  if (phi::dry_run()) return;  // shape-only rows
   for (std::size_t r = 0; r < indices.size(); ++r) {
     const Index i = indices[r];
     DEEPPHI_CHECK_MSG(i >= 0 && i < size(), "example index " << i << " out of "

@@ -31,83 +31,79 @@ void scal_raw(float alpha, float* x, Index n) {
   for (Index i = 0; i < n; ++i) x[i] *= alpha;
 }
 
-// Deterministic parallel dot: the array is cut into fixed-size chunks (the
-// size depends only on n, never on the thread count), each chunk is reduced
-// by the dispatched 8-lane dot8 — bit-identical on every tier — and the
-// partials are combined serially in chunk order. Same bits for any thread
-// count and any DEEPPHI_ISA tier.
-constexpr Index kMaxDotChunks = 256;
-
+// Each chunk is reduced by the dispatched 8-lane dot8 — bit-identical on
+// every tier — so together with ordered_sum the result is the same for any
+// thread count and any DEEPPHI_ISA tier.
 double dot_raw(const float* x, const float* y, Index n) {
-  if (n == 0) return 0.0;
   const simd::KernelTable& tab = simd::active();
-  const Index chunk = std::max<Index>(kParallelThreshold,
-                                      (n + kMaxDotChunks - 1) / kMaxDotChunks);
-  const Index chunks = (n + chunk - 1) / chunk;
-  double partials[kMaxDotChunks];
-#pragma omp parallel for if (chunks > 1) schedule(static)
-  for (Index c = 0; c < chunks; ++c) {
-    const Index b = c * chunk;
-    partials[c] = tab.dot8(x + b, y + b, std::min(chunk, n - b));
-  }
-  double acc = 0.0;
-  for (Index c = 0; c < chunks; ++c) acc += partials[c];
-  return acc;
+  return ordered_sum(n, [&](Index b, Index len) {
+    return tab.dot8(x + b, y + b, len);
+  });
 }
 }  // namespace
 
 void axpy(float alpha, const Vector& x, Vector& y) {
   DEEPPHI_CHECK_MSG(x.size() == y.size(), "axpy size mismatch");
   phi::record(phi::loop_contribution(x.size(), 2.0, 2.0, 1.0));
+  if (phi::dry_run()) return;
   axpy_raw(alpha, x.data(), y.data(), x.size());
 }
 
 void axpy(float alpha, const Matrix& a, Matrix& b) {
   DEEPPHI_CHECK_MSG(a.rows() == b.rows() && a.cols() == b.cols(), "axpy shape mismatch");
   phi::record(phi::loop_contribution(a.size(), 2.0, 2.0, 1.0));
+  if (phi::dry_run()) return;
   axpy_raw(alpha, a.data(), b.data(), a.size());
 }
 
 void scal(float alpha, Vector& x) {
   phi::record(phi::loop_contribution(x.size(), 1.0, 1.0, 1.0));
+  if (phi::dry_run()) return;
   scal_raw(alpha, x.data(), x.size());
 }
 
 void scal(float alpha, Matrix& a) {
   phi::record(phi::loop_contribution(a.size(), 1.0, 1.0, 1.0));
+  if (phi::dry_run()) return;
   scal_raw(alpha, a.data(), a.size());
 }
 
 double dot(const Vector& x, const Vector& y) {
   DEEPPHI_CHECK_MSG(x.size() == y.size(), "dot size mismatch");
   phi::record(phi::loop_contribution(x.size(), 2.0, 2.0, 0.0));
+  if (phi::dry_run()) return 0.0;
   return dot_raw(x.data(), y.data(), x.size());
 }
 
 double dot(const Matrix& a, const Matrix& b) {
   DEEPPHI_CHECK_MSG(a.rows() == b.rows() && a.cols() == b.cols(), "dot shape mismatch");
   phi::record(phi::loop_contribution(a.size(), 2.0, 2.0, 0.0));
+  if (phi::dry_run()) return 0.0;
   return dot_raw(a.data(), b.data(), a.size());
 }
 
 double nrm2sq(const Vector& x) {
   phi::record(phi::loop_contribution(x.size(), 2.0, 1.0, 0.0));
+  if (phi::dry_run()) return 0.0;
   return dot_raw(x.data(), x.data(), x.size());
 }
 
 double nrm2sq(const Matrix& a) {
   phi::record(phi::loop_contribution(a.size(), 2.0, 1.0, 0.0));
+  if (phi::dry_run()) return 0.0;
   return dot_raw(a.data(), a.data(), a.size());
 }
 
 double asum(const Vector& x) {
   phi::record(phi::loop_contribution(x.size(), 1.0, 1.0, 0.0));
-  double acc = 0.0;
+  if (phi::dry_run()) return 0.0;
   const float* p = x.data();
-  const Index n = x.size();
-#pragma omp parallel for if (n >= kParallelThreshold) schedule(static) reduction(+ : acc)
-  for (Index i = 0; i < n; ++i) acc += std::fabs(static_cast<double>(p[i]));
-  return acc;
+  return ordered_sum(x.size(), [p](Index b, Index len) {
+    double acc = 0.0;
+    for (Index i = b; i < b + len; ++i)
+      acc += std::fabs(static_cast<double>(p[i]));
+    return acc;
+  });
 }
 
 }  // namespace deepphi::la

@@ -13,6 +13,7 @@ void gemv(float alpha, const Matrix& a, const Vector& x, float beta, Vector& y) 
                     "gemv shapes: A " << a.rows() << "x" << a.cols() << ", x "
                                       << x.size() << ", y " << y.size());
   phi::record(phi::loop_contribution(a.size(), 2.0, 1.0, 0.0));
+  if (phi::dry_run()) return;
   const Index m = a.rows();
   const Index n = a.cols();
   const float* xp = x.data();
@@ -31,6 +32,7 @@ void gemv_t(float alpha, const Matrix& a, const Vector& x, float beta, Vector& y
                     "gemv_t shapes: A " << a.rows() << "x" << a.cols() << ", x "
                                         << x.size() << ", y " << y.size());
   phi::record(phi::loop_contribution(a.size(), 2.0, 1.0, 0.0));
+  if (phi::dry_run()) return;
   const Index m = a.rows();
   const Index n = a.cols();
   // Column-reduction written row-wise for streaming access: scale y, then
@@ -50,6 +52,7 @@ void ger(float alpha, const Vector& x, const Vector& y, Matrix& a) {
                     "ger shapes: A " << a.rows() << "x" << a.cols() << ", x "
                                      << x.size() << ", y " << y.size());
   phi::record(phi::loop_contribution(a.size(), 2.0, 2.0, 1.0));
+  if (phi::dry_run()) return;
   const Index m = a.rows();
   const Index n = a.cols();
   const float* yp = y.data();

@@ -24,6 +24,7 @@ constexpr Index kUniformChunk = 256;
 
 void sigmoid_inplace(Matrix& m) {
   phi::record(phi::naive_loop_contribution(m.size(), 400.0, 1.0, 1.0));
+  if (phi::dry_run()) return;
   const simd::KernelTable& tab = simd::active();
   float* p = m.data();
   const Index n = m.size();
@@ -39,6 +40,7 @@ void add_row_broadcast(Matrix& m, const Vector& bias) {
   DEEPPHI_CHECK_MSG(bias.size() == m.cols(), "bias size " << bias.size()
                                                           << " != cols " << m.cols());
   phi::record(phi::naive_loop_contribution(m.size(), 1.0, 1.0, 1.0));
+  if (phi::dry_run()) return;
   const Index rows = m.rows();
   const Index cols = m.cols();
   const float* bp = bias.data();
@@ -55,6 +57,7 @@ void sub(const Matrix& a, const Matrix& b, Matrix& out) {
                         a.rows() == out.rows() && a.cols() == out.cols(),
                     "sub shape mismatch");
   phi::record(phi::naive_loop_contribution(a.size(), 1.0, 2.0, 1.0));
+  if (phi::dry_run()) return;
   const float* ap = a.data();
   const float* bp = b.data();
   float* op = out.data();
@@ -68,6 +71,7 @@ void hadamard(const Matrix& a, const Matrix& b, Matrix& out) {
                         a.rows() == out.rows() && a.cols() == out.cols(),
                     "hadamard shape mismatch");
   phi::record(phi::naive_loop_contribution(a.size(), 1.0, 2.0, 1.0));
+  if (phi::dry_run()) return;
   const float* ap = a.data();
   const float* bp = b.data();
   float* op = out.data();
@@ -80,6 +84,7 @@ void dsigmoid_mul_inplace(Matrix& delta, const Matrix& act) {
   DEEPPHI_CHECK_MSG(delta.rows() == act.rows() && delta.cols() == act.cols(),
                     "dsigmoid shape mismatch");
   phi::record(phi::naive_loop_contribution(delta.size(), 3.0, 2.0, 1.0));
+  if (phi::dry_run()) return;
   const simd::KernelTable& tab = simd::active();
   float* dp = delta.data();
   const float* yp = act.data();
@@ -96,6 +101,7 @@ void sample_bernoulli(const Matrix& mean, Matrix& out, const util::Rng& base) {
   DEEPPHI_CHECK_MSG(mean.rows() == out.rows() && mean.cols() == out.cols(),
                     "sample shape mismatch");
   phi::record(phi::naive_loop_contribution(mean.size(), 100.0, 1.0, 1.0));
+  if (phi::dry_run()) return;
   const simd::KernelTable& tab = simd::active();
   const Index rows = mean.rows();
   const Index cols = mean.cols();
@@ -117,6 +123,7 @@ void bias_sigmoid(Matrix& m, const Vector& bias) {
   DEEPPHI_CHECK_MSG(bias.size() == m.cols(), "bias size " << bias.size()
                                                           << " != cols " << m.cols());
   phi::record(phi::loop_contribution(m.size(), 9.0, 1.0, 1.0));
+  if (phi::dry_run()) return;
   const simd::KernelTable& tab = simd::active();
   const Index rows = m.rows();
   const Index cols = m.cols();
@@ -130,6 +137,7 @@ void output_delta(const Matrix& z, const Matrix& x, Matrix& delta) {
                         z.rows() == delta.rows() && z.cols() == delta.cols(),
                     "output_delta shape mismatch");
   phi::record(phi::loop_contribution(z.size(), 4.0, 2.0, 1.0));
+  if (phi::dry_run()) return;
   const float* zp = z.data();
   const float* xp = x.data();
   float* dp = delta.data();
@@ -144,6 +152,7 @@ void hidden_delta(Matrix& back, const Vector& sparse, const Matrix& y) {
                         sparse.size() == back.cols(),
                     "hidden_delta shape mismatch");
   phi::record(phi::loop_contribution(back.size(), 4.0, 2.0, 1.0));
+  if (phi::dry_run()) return;
   const Index rows = back.rows();
   const Index cols = back.cols();
   const float* sp = sparse.data();
@@ -163,6 +172,7 @@ void bias_sigmoid_sample(Matrix& m, const Vector& bias, Matrix& sample,
                         sample.cols() == m.cols(),
                     "bias_sigmoid_sample shape mismatch");
   phi::record(phi::loop_contribution(m.size(), 20.0, 1.0, 2.0));
+  if (phi::dry_run()) return;
   const simd::KernelTable& tab = simd::active();
   const Index rows = m.rows();
   const Index cols = m.cols();
@@ -185,6 +195,7 @@ void add_row_broadcast_vec(Matrix& m, const Vector& bias) {
   DEEPPHI_CHECK_MSG(bias.size() == m.cols(), "bias size " << bias.size()
                                                           << " != cols " << m.cols());
   phi::record(phi::loop_contribution(m.size(), 1.0, 1.0, 1.0));
+  if (phi::dry_run()) return;
   const Index rows = m.rows();
   const Index cols = m.cols();
   const float* bp = bias.data();
@@ -198,6 +209,7 @@ void add_row_broadcast_vec(Matrix& m, const Vector& bias) {
 
 void add_gaussian_noise(Matrix& m, float sigma, const util::Rng& base) {
   phi::record(phi::loop_contribution(m.size(), 15.0, 1.0, 1.0));
+  if (phi::dry_run()) return;
   const Index rows = m.rows();
   const Index cols = m.cols();
 #pragma omp parallel for if (m.size() >= kParallelThreshold) schedule(static)

@@ -148,8 +148,7 @@ void apply_beta_epilogue(Matrix& c, float beta, const GemmEpilogue& ep) {
   }
 }
 
-// Per-element loop-class cost of a *fused* epilogue, mirrored exactly by
-// core/cost_accounting (the model==measure contract). Fused epilogues carry
+// Per-element loop-class cost of a *fused* epilogue. Fused epilogues carry
 // no C traffic — the tile is cache-hot at write-back — only the flops and
 // the streamed reads of `act`. Recorded only when run_blocked actually fuses;
 // the degenerate path records record_beta_epilogue_pass instead.
@@ -306,8 +305,10 @@ void gemm_blocked(Trans trans_a, Trans trans_b, float alpha, const Matrix& a,
   }
   if (ep.op == EpilogueOp::kDsigmoidMul ||
       ep.op == EpilogueOp::kBiasDsigmoidMul) {
+    // A Matrix owns its storage exclusively, so distinct objects never
+    // alias — and under phi::DryRun neither has a data pointer to compare.
     DEEPPHI_CHECK_MSG(ep.act != nullptr && ep.act->rows() == m &&
-                          ep.act->cols() == n && ep.act->data() != c.data(),
+                          ep.act->cols() == n && ep.act != &c,
                       "epilogue act must be a distinct " << m << "x" << n
                                                          << " matrix");
   }
@@ -316,11 +317,13 @@ void gemm_blocked(Trans trans_a, Trans trans_b, float alpha, const Matrix& a,
 
   if (ka == 0 || alpha == 0.0f) {
     record_beta_epilogue_pass(ep, beta, m, n);
+    if (phi::dry_run()) return;
     apply_beta_epilogue(c, beta, ep);
     return;
   }
 
   record_epilogue(ep, m, n);
+  if (phi::dry_run()) return;
   run_blocked(trans_a, trans_b, alpha, a, b, beta, c, bl, ep, m, n, ka);
 }
 

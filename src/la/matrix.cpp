@@ -5,17 +5,31 @@
 #include <cstring>
 #include <sstream>
 
+#include "phi/kernel_stats.hpp"
+
 namespace deepphi::la {
 
 namespace {
 bool elem_close(float a, float b, float rtol, float atol) {
   return std::fabs(a - b) <= atol + rtol * std::fabs(b);
 }
+
+// Storage for n floats — none under phi::DryRun, where a Matrix or Vector
+// is a shape only. Every member below that touches elements skips a missing
+// buffer, so shape-only objects construct, copy and fill safely.
+util::AlignedBuffer<float> storage(Index n) {
+  if (phi::dry_run()) return {};
+  return util::make_aligned<float>(static_cast<std::size_t>(n));
+}
+
+void copy_floats(float* dst, const float* src, Index n) {
+  if (dst && src && n > 0) std::memcpy(dst, src, sizeof(float) * n);
+}
 }  // namespace
 
 Matrix::Matrix(Index rows, Index cols) : rows_(rows), cols_(cols) {
   DEEPPHI_CHECK_MSG(rows >= 0 && cols >= 0, "negative shape " << rows << "x" << cols);
-  data_ = util::make_aligned<float>(static_cast<std::size_t>(rows * cols));
+  data_ = storage(rows * cols);
   fill(0.0f);
 }
 
@@ -24,7 +38,7 @@ Matrix Matrix::uninitialized(Index rows, Index cols) {
   DEEPPHI_CHECK_MSG(rows >= 0 && cols >= 0, "negative shape " << rows << "x" << cols);
   m.rows_ = rows;
   m.cols_ = cols;
-  m.data_ = util::make_aligned<float>(static_cast<std::size_t>(rows * cols));
+  m.data_ = storage(rows * cols);
   return m;
 }
 
@@ -50,18 +64,16 @@ Matrix Matrix::from_rows(std::initializer_list<std::initializer_list<float>> row
 }
 
 Matrix::Matrix(const Matrix& o) : rows_(o.rows_), cols_(o.cols_) {
-  data_ = util::make_aligned<float>(static_cast<std::size_t>(size()));
-  if (size() > 0) std::memcpy(data_.get(), o.data_.get(), sizeof(float) * size());
+  data_ = storage(size());
+  copy_floats(data_.get(), o.data_.get(), size());
 }
 
 Matrix& Matrix::operator=(const Matrix& o) {
   if (this == &o) return *this;
-  if (size() != o.size()) {
-    data_ = util::make_aligned<float>(static_cast<std::size_t>(o.size()));
-  }
+  if (size() != o.size() || !data_) data_ = storage(o.size());
   rows_ = o.rows_;
   cols_ = o.cols_;
-  if (size() > 0) std::memcpy(data_.get(), o.data_.get(), sizeof(float) * size());
+  copy_floats(data_.get(), o.data_.get(), size());
   return *this;
 }
 
@@ -91,14 +103,14 @@ float Matrix::at(Index r, Index c) const {
 }
 
 void Matrix::fill(float value) {
-  std::fill_n(data_.get(), static_cast<std::size_t>(size()), value);
+  if (data_) std::fill_n(data_.get(), static_cast<std::size_t>(size()), value);
 }
 
 void Matrix::copy_from(const Matrix& o) {
   DEEPPHI_CHECK_MSG(rows_ == o.rows_ && cols_ == o.cols_,
                     "copy_from shape mismatch: " << rows_ << "x" << cols_ << " vs "
                                                  << o.rows_ << "x" << o.cols_);
-  if (size() > 0) std::memcpy(data_.get(), o.data_.get(), sizeof(float) * size());
+  copy_floats(data_.get(), o.data_.get(), size());
 }
 
 void Matrix::reshape(Index rows, Index cols) {
@@ -135,7 +147,7 @@ std::string Matrix::to_string(Index max_rows, Index max_cols) const {
 
 Vector::Vector(Index n) : n_(n) {
   DEEPPHI_CHECK_MSG(n >= 0, "negative size " << n);
-  data_ = util::make_aligned<float>(static_cast<std::size_t>(n));
+  data_ = storage(n);
   fill(0.0f);
 }
 
@@ -143,7 +155,7 @@ Vector Vector::uninitialized(Index n) {
   Vector v;
   DEEPPHI_CHECK_MSG(n >= 0, "negative size " << n);
   v.n_ = n;
-  v.data_ = util::make_aligned<float>(static_cast<std::size_t>(n));
+  v.data_ = storage(n);
   return v;
 }
 
@@ -160,15 +172,15 @@ Vector Vector::from(std::initializer_list<float> values) {
 }
 
 Vector::Vector(const Vector& o) : n_(o.n_) {
-  data_ = util::make_aligned<float>(static_cast<std::size_t>(n_));
-  if (n_ > 0) std::memcpy(data_.get(), o.data_.get(), sizeof(float) * n_);
+  data_ = storage(n_);
+  copy_floats(data_.get(), o.data_.get(), n_);
 }
 
 Vector& Vector::operator=(const Vector& o) {
   if (this == &o) return *this;
-  if (n_ != o.n_) data_ = util::make_aligned<float>(static_cast<std::size_t>(o.n_));
+  if (n_ != o.n_ || !data_) data_ = storage(o.n_);
   n_ = o.n_;
-  if (n_ > 0) std::memcpy(data_.get(), o.data_.get(), sizeof(float) * n_);
+  copy_floats(data_.get(), o.data_.get(), n_);
   return *this;
 }
 
@@ -192,12 +204,12 @@ float Vector::at(Index i) const {
 }
 
 void Vector::fill(float value) {
-  std::fill_n(data_.get(), static_cast<std::size_t>(n_), value);
+  if (data_) std::fill_n(data_.get(), static_cast<std::size_t>(n_), value);
 }
 
 void Vector::copy_from(const Vector& o) {
   DEEPPHI_CHECK_MSG(n_ == o.n_, "copy_from size mismatch: " << n_ << " vs " << o.n_);
-  if (n_ > 0) std::memcpy(data_.get(), o.data_.get(), sizeof(float) * n_);
+  copy_floats(data_.get(), o.data_.get(), n_);
 }
 
 bool Vector::approx_equal(const Vector& o, float rtol, float atol) const {

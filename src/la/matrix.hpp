@@ -5,7 +5,8 @@
 // rows*cols floats — the data pipeline and offload engine rely on that.
 // These are deliberately plain owning containers: all math lives in the
 // free-function kernels (blas1/blas2/gemm/elementwise/reduce) so each kernel
-// can report its KernelStats contribution.
+// can report its KernelStats contribution. Objects created under a
+// phi::DryRun scope carry a shape but no storage (data() is null).
 #pragma once
 
 #include <cstdint>

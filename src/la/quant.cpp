@@ -132,6 +132,10 @@ void QuantizedActivations::quantize(const Matrix& x, Index group) {
   cols_ = x.cols();
   group_ = group;
   groups_ = groups_for(cols_, group);
+  // ~4 scalar ops per element (range scan + divide/round/clamp), one float
+  // read, one code byte written.
+  phi::record(phi::loop_contribution(rows_ * cols_, 4.0, 1.0, 0.25));
+  if (phi::dry_run()) return;
   const Index ncodes = rows_ * padded_cols();
   if (ncodes > code_capacity_) {
     codes_ = util::make_aligned<std::uint8_t>(static_cast<std::size_t>(ncodes));
@@ -142,9 +146,6 @@ void QuantizedActivations::quantize(const Matrix& x, Index group) {
     zps_ = util::make_aligned<std::int32_t>(static_cast<std::size_t>(rows_));
     row_capacity_ = rows_;
   }
-  // ~4 scalar ops per element (range scan + divide/round/clamp), one float
-  // read, one code byte written.
-  phi::record(phi::loop_contribution(rows_ * cols_, 4.0, 1.0, 0.25));
   const Index pad = padded_cols();
   for (Index r = 0; r < rows_; ++r) {
     const float* src = x.row(r);
@@ -194,6 +195,10 @@ void encode_sigmoid(const QuantizedActivations& xq, const QuantizedWeights& w,
   // epilogue.
   phi::record(phi::gemm_contribution(batch, units, w.cols()));
   phi::record(phi::epilogue_contribution(batch * units, 1.0, 0.0));
+  if (phi::dry_run()) {
+    bias_sigmoid(out, bias);  // records its own pass, then returns dry
+    return;
+  }
 
   const simd::KernelTable& tab = simd::active();
   const Index groups = w.groups();

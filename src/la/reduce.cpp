@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "la/blas1.hpp"
 #include "phi/kernel_stats.hpp"
 
 namespace deepphi::la {
@@ -19,6 +20,7 @@ void col_sum(const Matrix& m, Vector& out) {
                                                                 << " != cols "
                                                                 << m.cols());
   phi::record(phi::loop_contribution(m.size(), 1.0, 1.0, 0.0));
+  if (phi::dry_run()) return;
   const Index rows = m.rows();
   const Index cols = m.cols();
   std::vector<double> acc(static_cast<std::size_t>(cols), 0.0);
@@ -35,6 +37,7 @@ void col_sum(const Matrix& m, Vector& out) {
 void col_mean(const Matrix& m, Vector& out) {
   DEEPPHI_CHECK_MSG(m.rows() > 0, "col_mean of empty matrix");
   col_sum(m, out);
+  if (phi::dry_run()) return;
   const float inv = 1.0f / static_cast<float>(m.rows());
   for (Index c = 0; c < out.size(); ++c) out[c] *= inv;
 }
@@ -44,6 +47,7 @@ void row_sum(const Matrix& m, Vector& out) {
                                                                 << " != rows "
                                                                 << m.rows());
   phi::record(phi::loop_contribution(m.size(), 1.0, 1.0, 0.0));
+  if (phi::dry_run()) return;
   const Index rows = m.rows();
   const Index cols = m.cols();
 #pragma omp parallel for if (m.size() >= kParallelThreshold) schedule(static)
@@ -58,32 +62,35 @@ void row_sum(const Matrix& m, Vector& out) {
 
 double sum(const Matrix& m) {
   phi::record(phi::loop_contribution(m.size(), 1.0, 1.0, 0.0));
+  if (phi::dry_run()) return 0.0;
   const float* p = m.data();
-  const Index n = m.size();
-  double acc = 0.0;
-#pragma omp parallel for if (n >= kParallelThreshold) schedule(static) reduction(+ : acc)
-  for (Index i = 0; i < n; ++i) acc += p[i];
-  return acc;
+  return ordered_sum(m.size(), [p](Index b, Index len) {
+    double acc = 0.0;
+    for (Index i = b; i < b + len; ++i) acc += p[i];
+    return acc;
+  });
 }
 
 double sum_sq_diff(const Matrix& a, const Matrix& b) {
   DEEPPHI_CHECK_MSG(a.rows() == b.rows() && a.cols() == b.cols(),
                     "sum_sq_diff shape mismatch");
   phi::record(phi::loop_contribution(a.size(), 3.0, 2.0, 0.0));
+  if (phi::dry_run()) return 0.0;
   const float* ap = a.data();
   const float* bp = b.data();
-  const Index n = a.size();
-  double acc = 0.0;
-#pragma omp parallel for if (n >= kParallelThreshold) schedule(static) reduction(+ : acc)
-  for (Index i = 0; i < n; ++i) {
-    const double d = static_cast<double>(ap[i]) - bp[i];
-    acc += d * d;
-  }
-  return acc;
+  return ordered_sum(a.size(), [ap, bp](Index begin, Index len) {
+    double acc = 0.0;
+    for (Index i = begin; i < begin + len; ++i) {
+      const double d = static_cast<double>(ap[i]) - bp[i];
+      acc += d * d;
+    }
+    return acc;
+  });
 }
 
 double kl_divergence(float rho, const Vector& rho_hat, float eps) {
   phi::record(phi::loop_contribution(rho_hat.size(), 12.0, 1.0, 0.0));
+  if (phi::dry_run()) return 0.0;
   double acc = 0.0;
   for (Index j = 0; j < rho_hat.size(); ++j) {
     const double q = clampf(rho_hat[j], eps, 1.0f - eps);
@@ -96,6 +103,7 @@ void sparsity_delta(float rho, float beta, const Vector& rho_hat, Vector& out,
                     float eps) {
   DEEPPHI_CHECK_MSG(out.size() == rho_hat.size(), "sparsity_delta size mismatch");
   phi::record(phi::loop_contribution(rho_hat.size(), 6.0, 1.0, 1.0));
+  if (phi::dry_run()) return;
   for (Index j = 0; j < rho_hat.size(); ++j) {
     const float q = clampf(rho_hat[j], eps, 1.0f - eps);
     out[j] = beta * (-rho / q + (1.0f - rho) / (1.0f - q));

@@ -25,8 +25,8 @@
 // deterministic across tiers: a 1-ulp mean difference could flip a sample.
 //
 // KernelStats recording stays in the la:: wrappers and is shape-only, so
-// accounting is identical on every tier and model==measure holds regardless
-// of what the dispatcher picked.
+// accounting — wet or dry (phi::DryRun) — is identical on every tier,
+// regardless of what the dispatcher picked.
 //
 // Override for testing/debugging: DEEPPHI_ISA=scalar|avx2|avx512 forces a
 // tier at startup (unavailable tiers fall back to the best runnable one

@@ -1,9 +1,10 @@
 // Lock-free log-bucketed latency histograms (HDR-style) — the live-quantile
 // substrate the serving tier reports through.
 //
-// Why not LatencyRecorder's raw-sample buffer: sorting 2^20 samples under the
-// same mutex record() needs stalls every worker behind any summary poll. A
-// histogram inverts the costs: record() is a handful of relaxed atomic
+// Why not a raw-sample buffer (the serving tier's first recorder): sorting
+// 2^20 samples under the mutex record() needs stalls every worker behind
+// any summary poll. A histogram inverts the costs: record() is a handful of
+// relaxed atomic
 // operations on fixed storage (no mutex, no allocation — safe in the
 // per-request hot path), and quantiles become an O(buckets) scan over a
 // snapshot, so a 1 Hz stats poller observes tails without perturbing them.

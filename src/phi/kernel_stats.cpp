@@ -8,6 +8,7 @@ namespace deepphi::phi {
 
 namespace {
 thread_local KernelStats* t_current = nullptr;
+thread_local bool t_dry = false;
 
 bool close(double a, double b, double rtol) {
   const double scale = std::max({1.0, std::fabs(a), std::fabs(b)});
@@ -96,6 +97,12 @@ void record(const KernelStats& contribution) {
 }
 
 KernelStats* current_stats() { return t_current; }
+
+DryRun::DryRun(bool dry) : prev_(t_dry) { t_dry = dry; }
+
+DryRun::~DryRun() { t_dry = prev_; }
+
+bool dry_run() { return t_dry; }
 
 KernelStats gemm_contribution(std::int64_t m, std::int64_t n, std::int64_t k) {
   KernelStats s;

@@ -6,9 +6,12 @@
 //
 // Recording is scope-based: a StatsScope installs a thread-local collector;
 // kernels call record(...) once per invocation with stat contributions
-// computed purely from their shapes. That purity is what makes the analytic
-// "model" mode (core/cost_accounting) reproduce measured stats exactly —
-// a property pinned by tests.
+// computed purely from their shapes. Because a contribution needs only
+// shapes, a kernel can record it without computing anything: under a DryRun
+// scope every kernel records and returns, and la::Matrix / la::Vector carry
+// a shape but no storage. Running the real training code dry ("model mode",
+// core::dry_train) therefore yields exactly the stats a real run records,
+// at paper scales that could never execute here.
 #pragma once
 
 #include <cstdint>
@@ -68,8 +71,12 @@ struct KernelStats {
   double total_bytes() const { return bytes_read + bytes_written; }
 
   /// True when all fields match within a relative tolerance (flops/bytes) and
-  /// exactly (counters). Used by model==measure property tests.
+  /// exactly (counters).
   bool approx_equal(const KernelStats& o, double rtol = 1e-9) const;
+
+  /// Exact equality. Every field is an integer-valued sum below 2^53, so two
+  /// runs of the same work compare equal whatever order they recorded in.
+  bool operator==(const KernelStats& o) const = default;
 
   std::string to_string() const;
 };
@@ -94,7 +101,27 @@ void record(const KernelStats& contribution);
 /// Returns the active collector or nullptr.
 KernelStats* current_stats();
 
-// --- Shape-only stat builders shared by kernels and the analytic model. ---
+/// Runs the current thread dry for the scope lifetime: kernels record their
+/// contribution exactly as when they execute, then return without touching
+/// data, and la::Matrix / la::Vector allocate no storage. DryRun(false)
+/// turns it off; scopes nest and restore the previous mode on destruction.
+/// Threads that run kernels on behalf of a dry caller (replica workers,
+/// task-graph nodes) install the caller's mode themselves.
+class DryRun {
+ public:
+  explicit DryRun(bool dry = true);
+  ~DryRun();
+  DryRun(const DryRun&) = delete;
+  DryRun& operator=(const DryRun&) = delete;
+
+ private:
+  bool prev_;
+};
+
+/// True while a DryRun scope is active on this thread.
+bool dry_run();
+
+// --- Shape-only stat builders used by the kernels. ---
 
 /// C(m×n) += op(A)·op(B) with inner dimension k: 2mnk flops in GEMM class.
 KernelStats gemm_contribution(std::int64_t m, std::int64_t n, std::int64_t k);

@@ -14,6 +14,26 @@ double OffloadReport::exposed_transfer_fraction() const {
   return std::max(0.0, total_s - compute_busy_s) / total_s;
 }
 
+ChunkRing::ChunkRing(int ring_chunks, bool async_loading)
+    : async_loading_(async_loading) {
+  DEEPPHI_CHECK_MSG(ring_chunks >= 1,
+                    "ring_chunks must be >= 1, got " << ring_chunks);
+  slot_free_.assign(static_cast<std::size_t>(ring_chunks), 0.0);
+}
+
+double ChunkRing::transfer_ready(std::int64_t i) const {
+  const double slot_free = slot_free_[static_cast<std::size_t>(i) %
+                                      slot_free_.size()];
+  // No loading thread: the host only starts feeding the next chunk once
+  // training of the previous one finished.
+  return async_loading_ ? slot_free : std::max(slot_free, last_trained_s_);
+}
+
+void ChunkRing::trained(std::int64_t i, double end_s) {
+  slot_free_[static_cast<std::size_t>(i) % slot_free_.size()] = end_s;
+  last_trained_s_ = end_s;
+}
+
 Offload::Offload(Device& device, OffloadConfig config)
     : device_(device), config_(config) {
   DEEPPHI_CHECK_MSG(config_.ring_chunks >= 1,
@@ -39,28 +59,15 @@ OffloadReport Offload::process_chunks(int n_chunks, double chunk_bytes,
   OffloadReport report;
   report.chunks.reserve(static_cast<std::size_t>(n_chunks));
 
-  // slot_free[s]: simulated time at which ring slot s may be overwritten
-  // (its previous occupant has been consumed by training).
-  std::vector<double> slot_free(static_cast<std::size_t>(config_.ring_chunks), 0.0);
-  double last_compute_end = 0.0;
-
+  ChunkRing ring(config_.ring_chunks, config_.async_loading);
   for (int i = 0; i < n_chunks; ++i) {
-    const std::size_t slot =
-        static_cast<std::size_t>(i % config_.ring_chunks);
-    double transfer_ready = slot_free[slot];
-    if (!config_.async_loading) {
-      // No loading thread: the host only starts feeding the next chunk once
-      // training of the previous one finished.
-      transfer_ready = std::max(transfer_ready, last_compute_end);
-    }
     const std::string tag = "chunk[" + std::to_string(i) + "]";
-    const double t_end =
-        device_.submit_transfer(tag + " h2d", chunk_bytes, transfer_ready,
-                                /*use_chunk_path=*/true);
+    const double t_end = device_.submit_transfer(
+        tag + " h2d", chunk_bytes, ring.transfer_ready(i),
+        /*use_chunk_path=*/true);
     const double c_end = device_.submit_compute(tag + " train", per_chunk_stats,
                                                 /*ready_at_s=*/t_end);
-    last_compute_end = c_end;
-    slot_free[slot] = c_end;
+    ring.trained(i, c_end);
 
     const auto& events = device_.trace().events();
     const auto& dma_event = events[events.size() - 2];

@@ -12,6 +12,7 @@
 // by tests to assert the overlap really happens).
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,27 @@ struct OffloadReport {
   double transfer_busy_s = 0;  // total DMA-resource busy time
   /// Fraction of end-to-end time that is transfer not hidden by compute.
   double exposed_transfer_fraction() const;
+};
+
+/// The Fig. 5 chunk ring on a simulated timeline: chunk i's transfer may
+/// start once ring slot i % ring_chunks is free again (the slot's previous
+/// chunk has trained) and, without the loading thread, only after the
+/// previous chunk finished training. The one home of this arithmetic:
+/// Offload::process_chunks and the trainers' device and cluster timelines
+/// all step through it.
+class ChunkRing {
+ public:
+  ChunkRing(int ring_chunks, bool async_loading);
+
+  /// Earliest simulated time chunk `i`'s transfer may start.
+  double transfer_ready(std::int64_t i) const;
+  /// Chunk `i` finished training at `end_s`; its slot frees then.
+  void trained(std::int64_t i, double end_s);
+
+ private:
+  std::vector<double> slot_free_;
+  double last_trained_s_ = 0.0;
+  bool async_loading_;
 };
 
 class Offload {

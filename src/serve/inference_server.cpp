@@ -50,7 +50,7 @@ struct InferenceServer::Lane {
         policy(BatchPolicy{lane_cfg.min_batch, lane_cfg.max_batch,
                            lane_cfg.max_delay_s, lane_cfg.delay_cap_s, budget,
                            lane_cfg.adaptive}),
-        e2e_window(latency.histogram(), window_interval_s, window_intervals),
+        e2e_window(latency, window_interval_s, window_intervals),
         compute_window(compute_src, window_interval_s, window_intervals),
         latency_hist(obs::histogram("serve.model." + name + ".latency")),
         compute_hist(obs::histogram("serve.model." + name + ".compute")),
@@ -82,7 +82,7 @@ struct InferenceServer::Lane {
   // Per-instance recorders: `latency` feeds stats(name) and the e2e window;
   // `compute_src` exists only to drive the compute window. Both also mirror
   // into the registered serve.model.<name>.* histograms below.
-  LatencyRecorder latency;
+  obs::Histogram latency;
   obs::Histogram compute_src;
   // Windows are advanced and read only by this lane's batcher thread
   // (RollingWindow is not thread-safe).
@@ -536,7 +536,7 @@ ServerStats InferenceServer::stats(const std::string& model) const {
   s.peak_queue_depth = l.queue.peak_size();
   s.total_compute_s = l.compute_s.load(std::memory_order_relaxed);
   s.total_queue_wait_s = l.queue_wait_s.load(std::memory_order_relaxed);
-  s.latency = l.latency.summary();
+  s.latency = summarize(l.latency.snapshot());
   return s;
 }
 
@@ -557,7 +557,7 @@ ServerStats InferenceServer::stats() const {
       s.batches > 0
           ? static_cast<double>(s.completed) / static_cast<double>(s.batches)
           : 0;
-  s.latency = latency_.summary();
+  s.latency = summarize(latency_.snapshot());
   return s;
 }
 
@@ -583,6 +583,17 @@ BatchDecision InferenceServer::last_decision(const std::string& model) const {
   const Lane& l = lane(model);
   std::lock_guard<std::mutex> lock(l.decision_mutex);
   return l.last_decision;
+}
+
+LatencySummary summarize(const obs::HistogramSnapshot& snapshot) {
+  LatencySummary s;
+  s.count = snapshot.count;
+  s.mean_s = snapshot.mean();
+  s.p50_s = snapshot.quantile(0.50);
+  s.p95_s = snapshot.quantile(0.95);
+  s.p99_s = snapshot.quantile(0.99);
+  s.max_s = snapshot.max;
+  return s;
 }
 
 }  // namespace deepphi::serve

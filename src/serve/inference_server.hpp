@@ -58,8 +58,8 @@
 #include "core/encoder.hpp"
 #include "obs/telemetry.hpp"
 #include "parallel/thread_pool.hpp"
+#include "obs/histogram.hpp"
 #include "serve/adaptive_batcher.hpp"
-#include "serve/latency_recorder.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/request_queue.hpp"
 
@@ -116,6 +116,21 @@ struct ServeConfig {
   /// The ModelServeConfig the top-level fields imply.
   ModelServeConfig lane_defaults() const;
 };
+
+/// Latency summary of an obs::Histogram snapshot: p50/p95/p99 are histogram
+/// quantiles (≤ ~1% relative error); count/mean/max are exact.
+struct LatencySummary {
+  std::int64_t count = 0;
+  double mean_s = 0;
+  double p50_s = 0;
+  double p95_s = 0;
+  double p99_s = 0;
+  double max_s = 0;
+};
+
+/// Summary of any latency snapshot — the server's stats(), the serving CLI's
+/// per-stage shutdown report and the stats endpoint all go through it.
+LatencySummary summarize(const obs::HistogramSnapshot& snapshot);
 
 /// Aggregate view of a server's (or one lane's) lifetime, cheap to snapshot
 /// at any point.
@@ -213,7 +228,7 @@ class InferenceServer {
   const ServeConfig config_;
   std::map<std::string, std::unique_ptr<Lane>> lanes_;
   par::ThreadPool pool_;
-  LatencyRecorder latency_;  // aggregate end-to-end, all lanes
+  obs::Histogram latency_;  // aggregate end-to-end, all lanes
 
   // In-flight batch throttle: collection stops while `max_inflight_` batches
   // are queued or running on the pool, bounding the memory pinned by

@@ -3,12 +3,13 @@
 // contract — single-slot runs reproduce core::Trainer bit for bit, and any
 // (replicas, accumulation_steps) factorization of the same slot count S
 // trains bit-identical parameters regardless of replica thread budgets —
-// plus the model==measure accounting of the new dp_* analytic stats.
+// plus dry == wet: model mode (core::dry_train) counts exactly the work a
+// real data-parallel run records.
 #include <gtest/gtest.h>
 
+#include <type_traits>
 #include <vector>
 
-#include "core/cost_accounting.hpp"
 #include "core/data_parallel_trainer.hpp"
 #include "core/trainer.hpp"
 #include "data/chunk_stream.hpp"
@@ -224,12 +225,14 @@ TEST(DataParallel, UpdateCountMatchesAccounting) {
   const data::Dataset data = ragged_patches();
   TrainReport report;
   train_sae_dp(dp_config(2, 2), data, &report);
-  const TrainShape run{330, 24, 128, 2};
-  const DataParallelShape dp{2, 2};
-  EXPECT_EQ(report.updates, dp_train_updates(run, dp));
-  // Every update consumes at least one and at most S micro-batches.
-  EXPECT_GE(report.batches, report.updates);
-  EXPECT_LE(report.batches, report.updates * dp.slots());
+  // S = 4 slots of 24 rows: chunks of 128, 128, 74 rows take 2, 2 and 1
+  // groups, every group fills all four slots; two epochs.
+  EXPECT_EQ(report.updates, 10);
+  EXPECT_EQ(report.batches, 40);
+  const TrainReport dry =
+      dry_train(SaeConfig{data.dim(), 8}, dp_config(2, 2), data.rows());
+  EXPECT_EQ(dry.updates, report.updates);
+  EXPECT_EQ(dry.batches, report.batches);
 }
 
 TEST(DataParallel, LearnsOnPatches) {
@@ -242,45 +245,72 @@ TEST(DataParallel, LearnsOnPatches) {
   EXPECT_LT(report.chunk_mean_costs.back(), report.chunk_mean_costs.front());
 }
 
-// --- model == measure for the dp accounting ---
+// --- dry == wet for data-parallel runs ---
+
+void expect_dry_equals_wet(const TrainReport& dry, const TrainReport& wet) {
+  EXPECT_TRUE(dry.stats == wet.stats) << "dry: " << dry.stats.to_string()
+                                      << "\nwet: " << wet.stats.to_string();
+  EXPECT_EQ(dry.chunks, wet.chunks);
+  EXPECT_EQ(dry.batches, wet.batches);
+  EXPECT_EQ(dry.updates, wet.updates);
+}
+
+// Replicas × accum × cards splits of S up to 6 slots, ragged chunk and group
+// tails included, in both execution policies.
+template <typename ModelConfig>
+void expect_dry_equals_wet_for_every_split(const ModelConfig& model) {
+  const data::Dataset data = ragged_patches();
+  const int splits[][3] = {{1, 1, 1}, {2, 2, 1}, {4, 1, 1}, {1, 3, 1},
+                           {3, 2, 1}, {2, 1, 2}, {1, 2, 3}, {1, 1, 5}};
+  for (const auto& [replicas, accum, cards] : splits) {
+    for (const ExecPolicy policy :
+         {ExecPolicy::kHost, ExecPolicy::kPhiOffload}) {
+      SCOPED_TRACE(testing::Message() << replicas << "x" << accum << "x"
+                                      << cards);
+      TrainerConfig cfg = dp_config(replicas, accum);
+      cfg.cards = cards;
+      cfg.policy = policy;
+      TrainReport wet;
+      if constexpr (std::is_same_v<ModelConfig, SaeConfig>)
+        train_sae_dp(cfg, data, &wet);
+      else
+        train_rbm_dp(cfg, data, &wet);
+      expect_dry_equals_wet(dry_train(model, cfg, data.rows()), wet);
+    }
+  }
+}
 
 TEST(DataParallel, ModelEqualsMeasureSae) {
-  const data::Dataset data = ragged_patches();
-  TrainReport report;
-  train_sae_dp(dp_config(2, 2), data, &report);
-  const phi::KernelStats modeled = sae_dp_train_stats(
-      TrainShape{330, 24, 128, 2}, SaeShape{24, 16, 8}, DataParallelShape{2, 2},
-      OptLevel::kImproved);
-  EXPECT_TRUE(report.stats.approx_equal(modeled, 1e-6));
+  expect_dry_equals_wet_for_every_split(SaeConfig{16, 8});
 }
 
 TEST(DataParallel, ModelEqualsMeasureRbm) {
-  const data::Dataset data = ragged_patches();
-  TrainReport report;
-  train_rbm_dp(dp_config(4, 1), data, &report);
-  const phi::KernelStats modeled = rbm_dp_train_stats(
-      TrainShape{330, 24, 128, 2}, RbmShape{24, 16, 8}, DataParallelShape{4, 1},
-      OptLevel::kImproved);
-  EXPECT_TRUE(report.stats.approx_equal(modeled, 1e-6));
+  expect_dry_equals_wet_for_every_split(RbmConfig{16, 8});
 }
 
 TEST(DataParallel, SingleSlotAccountingEqualsTrainStats) {
-  const TrainShape run{330, 24, 128, 2};
-  const phi::KernelStats dp = sae_dp_train_stats(
-      run, SaeShape{24, 16, 8}, DataParallelShape{1, 1}, OptLevel::kImproved);
-  const phi::KernelStats flat =
-      sae_train_stats(run, SaeShape{24, 16, 8}, OptLevel::kImproved);
-  EXPECT_TRUE(dp.approx_equal(flat, 1e-9));
+  // The single-slot data-parallel path runs the flat trainer's kernels and
+  // no combine: the recorded work is identical, not just the parameters.
+  const data::Dataset data = ragged_patches();
+  TrainReport dp;
+  train_sae_dp(dp_config(1, 1), data, &dp);
+  SparseAutoencoder model(SaeConfig{data.dim(), 8}, 7);
+  const TrainReport flat = Trainer(dp_config(1, 1)).train(model, data);
+  expect_dry_equals_wet(dp, flat);
 }
 
 TEST(DataParallel, CombineStatsZeroForSingleLiveSlot) {
-  const phi::KernelStats none = dp_combine_stats({128, 8, 128, 16}, 1);
+  phi::DryRun dry;
+  SparseAutoencoder model(SaeConfig{16, 8}, 7);
+  const phi::KernelStats none = card_combine_stats(model, 1, 1, false, {});
   EXPECT_EQ(none.loop_flops, 0.0);
   EXPECT_EQ(none.kernel_launches, 0);
-  const phi::KernelStats some = dp_combine_stats({128, 8, 128, 16}, 4);
+  const phi::KernelStats some = card_combine_stats(model, 4, 4, false, {});
   EXPECT_GT(some.loop_flops, 0.0);
-  // 3 tree edges + 1 scal per buffer.
-  EXPECT_EQ(some.kernel_launches, 4 * 4);
+  // 3 tree edges per buffer; the root adds the mean scal and the update.
+  EXPECT_EQ(some.kernel_launches, 3 * 4);
+  EXPECT_EQ(card_combine_stats(model, 4, 4, true, {}).kernel_launches,
+            (3 + 1 + 1) * 4);
 }
 
 // --- configuration validation ---

@@ -9,11 +9,16 @@
 #include <omp.h>
 #endif
 
+#include <algorithm>
+#include <array>
+
 #include "core/rbm.hpp"
 #include "core/trainer.hpp"
 #include "data/patches.hpp"
+#include "la/blas1.hpp"
 #include "la/elementwise.hpp"
 #include "la/gemm.hpp"
+#include "la/reduce.hpp"
 #include "util/rng.hpp"
 
 namespace deepphi {
@@ -95,6 +100,35 @@ TEST(Determinism, RbmGradientAcrossThreadCounts) {
   }
   EXPECT_TRUE(g1.g_w.approx_equal(g4.g_w, 0.0f, 0.0f));
   EXPECT_TRUE(g1.g_b.approx_equal(g4.g_b, 0.0f, 0.0f));
+}
+
+TEST(Determinism, ReductionsBitIdenticalAcrossThreadCounts) {
+  // A 1000×576 batch (Fig. 7's first network) spans many reduction chunks.
+  const la::Matrix a = random_matrix(1000, 576, 10);
+  const la::Matrix b = random_matrix(1000, 576, 11);
+  la::Vector v = la::Vector::uninitialized(a.size());
+  std::copy(a.data(), a.data() + a.size(), v.data());
+  auto reduce = [&](int threads) {
+    OmpThreadGuard guard(threads);
+    return std::array<double, 3>{la::sum(a), la::sum_sq_diff(a, b),
+                                 la::asum(v)};
+  };
+  EXPECT_EQ(reduce(1), reduce(4));
+}
+
+TEST(Determinism, ChunkMeanCostsBitIdenticalAcrossThreadCounts) {
+  // Batches of 1024 × 64 = 65536 elements: each cost reduction spans chunks.
+  const data::Dataset patches = data::make_digit_patch_dataset(4096, 8, 12);
+  auto costs = [&patches](int threads) {
+    OmpThreadGuard guard(threads);
+    core::SparseAutoencoder model(core::SaeConfig{patches.dim(), 32}, 13);
+    core::TrainerConfig tcfg;
+    tcfg.batch_size = 1024;
+    tcfg.chunk_examples = 2048;
+    tcfg.policy = core::ExecPolicy::kHost;
+    return core::Trainer(tcfg).train(model, patches).chunk_mean_costs;
+  };
+  EXPECT_EQ(costs(1), costs(4));
 }
 #endif  // _OPENMP
 

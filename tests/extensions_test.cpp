@@ -12,7 +12,6 @@
 #include "core/denoising.hpp"
 #include "core/metrics.hpp"
 #include "core/model_io.hpp"
-#include "core/cost_accounting.hpp"
 #include "la/reduce.hpp"
 #include "la/transpose.hpp"
 #include "core/online_sgd.hpp"
@@ -243,26 +242,25 @@ TEST(GaussianRbm, TaskGraphRejected) {
 TEST(GaussianRbm, AccountingModelEqualsMeasure) {
   RbmConfig cfg = gaussian_config();
   cfg.sample_visible = true;
-  Rbm model(cfg, 26);
-  la::Matrix v1 = random_batch(7, 8, 27);
-  Rbm::Workspace ws;
-  RbmGradients grads;
-  OptimizerConfig ocfg;
-  ocfg.lr = 0.1f;
-  Optimizer opt(ocfg);
-  phi::KernelStats measured;
-  {
-    phi::StatsScope scope(measured);
+  // One gradient + update; run on real data, then dry on a shape-only batch.
+  auto step = [&cfg](const la::Matrix& v1) {
+    Rbm model(cfg, 26);
+    Rbm::Workspace ws;
+    RbmGradients grads;
+    Optimizer opt(OptimizerConfig{});
+    phi::KernelStats stats;
+    phi::StatsScope scope(stats);
     model.gradient(v1, ws, grads, util::Rng(28), true);
     opt.update(model.w(), grads.g_w);
     opt.update(model.b(), grads.g_b);
     opt.update(model.c(), grads.g_c);
-  }
-  const phi::KernelStats modeled = rbm_batch_stats(
-      RbmShape{7, 8, 6, 1, true, true}, OptLevel::kImproved);
-  EXPECT_TRUE(measured.approx_equal(modeled, 1e-6))
-      << "measured: " << measured.to_string()
-      << "\nmodeled:  " << modeled.to_string();
+    return stats;
+  };
+  const phi::KernelStats measured = step(random_batch(7, 8, 27));
+  phi::DryRun dry;
+  const phi::KernelStats modeled = step(la::Matrix(7, 8));
+  EXPECT_TRUE(measured == modeled) << "measured: " << measured.to_string()
+                                   << "\nmodeled:  " << modeled.to_string();
 }
 
 TEST(GaussianRbm, DbnAppliesGaussianToBottomOnly) {
@@ -386,27 +384,26 @@ TEST(TiedWeights, LoopFormRejected) {
 }
 
 TEST(TiedWeights, AccountingModelEqualsMeasure) {
-  SparseAutoencoder model(tied_config(), 72);
-  la::Matrix x = random_batch(9, 10, 73);
-  SparseAutoencoder::Workspace ws;
-  AeGradients grads;
-  OptimizerConfig ocfg;
-  ocfg.lr = 0.1f;
-  Optimizer opt(ocfg);
-  phi::KernelStats measured;
-  {
-    phi::StatsScope scope(measured);
+  // One gradient + update; run on real data, then dry on a shape-only batch.
+  auto step = [](const la::Matrix& x) {
+    SparseAutoencoder model(tied_config(), 72);
+    SparseAutoencoder::Workspace ws;
+    AeGradients grads;
+    Optimizer opt(OptimizerConfig{});
+    phi::KernelStats stats;
+    phi::StatsScope scope(stats);
     model.gradient(x, ws, grads, true);
     opt.update(model.w1(), grads.g_w1);
     opt.update(model.b1(), grads.g_b1);
     opt.update(model.w2(), grads.g_w2);
     opt.update(model.b2(), grads.g_b2);
-  }
-  const phi::KernelStats modeled =
-      sae_batch_stats(SaeShape{9, 10, 6, true}, OptLevel::kImproved);
-  EXPECT_TRUE(measured.approx_equal(modeled, 1e-6))
-      << "measured: " << measured.to_string()
-      << "\nmodeled:  " << modeled.to_string();
+    return stats;
+  };
+  const phi::KernelStats measured = step(random_batch(9, 10, 73));
+  phi::DryRun dry;
+  const phi::KernelStats modeled = step(la::Matrix(9, 10));
+  EXPECT_TRUE(measured == modeled) << "measured: " << measured.to_string()
+                                   << "\nmodeled:  " << modeled.to_string();
 }
 
 TEST(TiedWeights, CheckpointRoundTrip) {
@@ -775,13 +772,17 @@ TEST(Tuning, ExplicitCandidatesRespected) {
   EXPECT_EQ(result.curve.size(), 2u);
 }
 
+// One Improved-level SAE step on `rows` examples, from a dry run.
+phi::KernelStats sae_step(la::Index rows, la::Index visible, la::Index hidden) {
+  return dry_train(SaeConfig{visible, hidden},
+                   {.batch_size = rows, .chunk_examples = rows}, rows)
+      .per_chunk_compute_stats();
+}
+
 TEST(Tuning, HybridNeverWorseThanEitherAlone) {
   const phi::CostModel phi_model(phi::xeon_phi_5110p());
   const phi::CostModel host_model(phi::xeon_e5620());
-  auto batch_stats = [](long long rows) {
-    return sae_batch_stats(SaeShape{static_cast<la::Index>(rows), 256, 512},
-                           OptLevel::kImproved);
-  };
+  auto batch_stats = [](long long rows) { return sae_step(rows, 256, 512); };
   const auto result = phi::tune_hybrid_split(phi_model, 240, host_model, 8,
                                              batch_stats, 1000, 1e6);
   EXPECT_LE(result.best_time_s, result.phi_only_s + 1e-12);
@@ -797,10 +798,7 @@ TEST(Tuning, HybridDegeneratesToPhiWhenHostUseless) {
   weak.loop_efficiency = 1e-6;
   const phi::CostModel phi_model(phi::xeon_phi_5110p());
   const phi::CostModel host_model(weak);
-  auto batch_stats = [](long long rows) {
-    return sae_batch_stats(SaeShape{static_cast<la::Index>(rows), 64, 128},
-                           OptLevel::kImproved);
-  };
+  auto batch_stats = [](long long rows) { return sae_step(rows, 64, 128); };
   const auto result = phi::tune_hybrid_split(phi_model, 240, host_model, 1,
                                              batch_stats, 1000, 1e6);
   EXPECT_DOUBLE_EQ(result.best_fraction, 1.0);

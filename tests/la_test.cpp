@@ -20,6 +20,7 @@
 #include "la/pack_arena.hpp"
 #include "la/reduce.hpp"
 #include "la/transpose.hpp"
+#include "phi/kernel_stats.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -48,6 +49,19 @@ Vector random_vector(Index n, std::uint64_t seed) {
 TEST(Matrix, ZeroInitialized) {
   Matrix m(3, 4);
   for (Index i = 0; i < m.size(); ++i) EXPECT_EQ(m.data()[i], 0.0f);
+}
+
+TEST(Matrix, DryRunHoldsShapeOnlyAndKernelsOnlyRecord) {
+  phi::KernelStats stats;
+  phi::StatsScope scope(stats);
+  phi::DryRun dry;
+  const la::Matrix a(1 << 20, 1 << 12);  // 16 GiB if it were stored
+  la::Matrix c = a;
+  EXPECT_EQ(a.data(), nullptr);
+  EXPECT_EQ(c.size(), a.size());
+  la::axpy(1.0f, a, c);
+  EXPECT_EQ(stats.loop_flops, 2.0 * static_cast<double>(a.size()));
+  EXPECT_EQ(stats.kernel_launches, 1);
 }
 
 TEST(Matrix, FromRowsAndAccess) {

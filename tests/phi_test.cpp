@@ -100,6 +100,20 @@ TEST(StatsScope, CurrentStatsReflectsScope) {
   EXPECT_EQ(current_stats(), &sink);
 }
 
+TEST(DryRun, ScopesNestAndRestore) {
+  EXPECT_FALSE(dry_run());
+  {
+    DryRun dry;
+    EXPECT_TRUE(dry_run());
+    {
+      DryRun wet(false);
+      EXPECT_FALSE(dry_run());
+    }
+    EXPECT_TRUE(dry_run());
+  }
+  EXPECT_FALSE(dry_run());
+}
+
 // --- MachineSpec ---
 
 TEST(MachineSpec, Phi5110pShape) {

@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "core/cost_accounting.hpp"
 #include "core/model_io.hpp"
 #include "core/quantized_encoder.hpp"
 #include "core/sparse_autoencoder.hpp"
@@ -69,14 +68,6 @@ la::Matrix random_matrix(la::Index rows, la::Index cols, std::uint64_t seed,
   for (la::Index i = 0; i < m.size(); ++i)
     m.data()[i] = static_cast<float>(rng.uniform(lo, hi));
   return m;
-}
-
-la::Vector random_vector(la::Index n, std::uint64_t seed) {
-  util::Rng rng(seed);
-  la::Vector v = la::Vector::uninitialized(n);
-  for (la::Index i = 0; i < n; ++i)
-    v[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
-  return v;
 }
 
 /// Reference for the dispatched kernel: int64 accumulation (a superset of
@@ -492,38 +483,42 @@ TEST_F(QuantIoTest, UnknownMagicListsEveryKnownOne) {
 }
 
 // ---------------------------------------------------------------------------
-// Accounting: model == measure for the quantized forward pass.
+// Accounting: model == measure — encode() run dry on a shape-only batch
+// records exactly the work of a real encode.
+
+phi::KernelStats encode_stats(const core::QuantizedEncoder& q,
+                              const la::Matrix& x) {
+  la::Matrix out;
+  phi::KernelStats stats;
+  phi::StatsScope scope(stats);
+  q.encode(x, out);
+  return stats;
+}
 
 TEST(QuantAccounting, ModelEqualsMeasureSingleLayer) {
   const core::SparseAutoencoder sae(core::SaeConfig{96, 40}, 11);
   const auto q = core::QuantizedEncoder::from(sae);
-  const la::Matrix x = random_matrix(24, 96, 47, 0.0f, 1.0f);
-  la::Matrix out;
-  phi::KernelStats measured;
-  {
-    phi::StatsScope scope(measured);
-    q->encode(x, out);
-  }
-  const phi::KernelStats modeled = core::quant_encode_stats(24, 96, 40);
-  EXPECT_TRUE(measured.approx_equal(modeled))
+  const phi::KernelStats measured =
+      encode_stats(*q, random_matrix(24, 96, 47, 0.0f, 1.0f));
+  phi::DryRun dry;
+  const phi::KernelStats modeled = encode_stats(*q, la::Matrix(24, 96));
+  EXPECT_TRUE(measured == modeled)
       << "measured:\n" << measured.to_string() << "\nmodeled:\n"
       << modeled.to_string();
+  EXPECT_EQ(measured.gemm_flops, 2.0 * 24 * 40 * 96);
 }
 
 TEST(QuantAccounting, ModelEqualsMeasureLayerChain) {
   const core::StackedAutoencoder stack({80, 48, 24}, core::SaeConfig{}, 13);
   const auto q = core::QuantizedEncoder::from(stack);
-  const la::Matrix x = random_matrix(16, 80, 53, 0.0f, 1.0f);
-  la::Matrix out;
-  phi::KernelStats measured;
-  {
-    phi::StatsScope scope(measured);
-    q->encode(x, out);
-  }
-  const phi::KernelStats modeled = core::quant_encode_stats(16, {80, 48, 24});
-  EXPECT_TRUE(measured.approx_equal(modeled))
+  const phi::KernelStats measured =
+      encode_stats(*q, random_matrix(16, 80, 53, 0.0f, 1.0f));
+  phi::DryRun dry;
+  const phi::KernelStats modeled = encode_stats(*q, la::Matrix(16, 80));
+  EXPECT_TRUE(measured == modeled)
       << "measured:\n" << measured.to_string() << "\nmodeled:\n"
       << modeled.to_string();
+  EXPECT_EQ(measured.gemm_flops, 2.0 * 16 * (48 * 80 + 24 * 48));
 }
 
 }  // namespace

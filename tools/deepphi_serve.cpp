@@ -46,7 +46,6 @@
 #include "obs/profiler.hpp"
 #include "obs/telemetry.hpp"
 #include "serve/inference_server.hpp"
-#include "serve/latency_recorder.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/stats_server.hpp"
 #include "util/options.hpp"
