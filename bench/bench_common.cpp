@@ -1,10 +1,17 @@
 #include "bench_common.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <vector>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 #include "la/simd/dispatch.hpp"
 #include "util/error.hpp"
@@ -81,7 +88,89 @@ void write_json(const std::string& path) {
   DEEPPHI_CHECK_MSG(out.good(), "write to --json path '" << path << "' failed");
 }
 
+// Independent FMA chains, enough to cover FMA latency on two ports. Each
+// returns a value derived from every accumulator so nothing is elided. The
+// unroll pragmas keep the chains in registers at -O2.
+constexpr int kChains = 12;
+
+#if defined(__x86_64__) || defined(__i386__)
+__attribute__((target("avx512f"))) float fma_chains_avx512(std::int64_t iters) {
+  __m512 acc[kChains];
+  for (int j = 0; j < kChains; ++j) acc[j] = _mm512_set1_ps(0.01f * j);
+  const __m512 a = _mm512_set1_ps(0.5f), b = _mm512_set1_ps(0.5f);
+  for (std::int64_t i = 0; i < iters; ++i)
+#pragma GCC unroll 12
+    for (int j = 0; j < kChains; ++j) acc[j] = _mm512_fmadd_ps(acc[j], a, b);
+  __m512 s = acc[0];
+  for (int j = 1; j < kChains; ++j) s = _mm512_add_ps(s, acc[j]);
+  alignas(64) float out[16];
+  _mm512_store_ps(out, s);
+  float total = 0;
+  for (float v : out) total += v;
+  return total;
+}
+
+__attribute__((target("avx2,fma"))) float fma_chains_avx2(std::int64_t iters) {
+  __m256 acc[kChains];
+  for (int j = 0; j < kChains; ++j) acc[j] = _mm256_set1_ps(0.01f * j);
+  const __m256 a = _mm256_set1_ps(0.5f), b = _mm256_set1_ps(0.5f);
+  for (std::int64_t i = 0; i < iters; ++i)
+#pragma GCC unroll 12
+    for (int j = 0; j < kChains; ++j) acc[j] = _mm256_fmadd_ps(acc[j], a, b);
+  __m256 s = acc[0];
+  for (int j = 1; j < kChains; ++j) s = _mm256_add_ps(s, acc[j]);
+  alignas(32) float out[8];
+  _mm256_store_ps(out, s);
+  float total = 0;
+  for (float v : out) total += v;
+  return total;
+}
+#endif
+
+float fma_chains_scalar(std::int64_t iters) {
+  float acc[kChains];
+  for (int j = 0; j < kChains; ++j) acc[j] = 0.01f * j;
+  for (std::int64_t i = 0; i < iters; ++i)
+#pragma GCC unroll 12
+    for (int j = 0; j < kChains; ++j) acc[j] = std::fma(acc[j], 0.5f, 0.5f);
+  float s = 0;
+  for (float v : acc) s += v;
+  return s;
+}
+
+// One thread's chains at a vector width of `lanes` floats.
+float fma_chains(int lanes, std::int64_t iters) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (lanes == 16) return fma_chains_avx512(iters);
+  if (lanes == 8) return fma_chains_avx2(iters);
+#endif
+  return fma_chains_scalar(iters);
+}
+
 }  // namespace
+
+double fma_peak_gflops(int threads) {
+  const la::simd::Tier tier = la::simd::active_tier();
+  const int lanes = tier == la::simd::Tier::kAvx512 ? 16
+                    : tier == la::simd::Tier::kAvx2 ? 8
+                                                    : 1;
+  const std::int64_t iters = lanes == 1 ? 2'000'000 : 4'000'000;
+  double best = 0;
+  volatile float sink = 0;
+  for (int rep = 0; rep < 5; ++rep) {
+    util::Timer t;
+#pragma omp parallel num_threads(threads)
+    {
+      const float v = fma_chains(lanes, iters);
+      if (v == 12345.0f) sink = v;
+    }
+    const double flops =
+        2.0 * kChains * lanes * static_cast<double>(iters) * threads;
+    best = std::max(best, flops / t.seconds() / 1e9);
+  }
+  (void)sink;
+  return best;
+}
 
 void banner(const std::string& title, const std::string& description) {
   g_bench_title = title;

@@ -72,6 +72,12 @@ void set_precision(const std::string& precision);
 /// validate().
 void declare_common_flags(util::Options& options);
 
+/// Peak fp32 GF/s of `threads` threads on this host at the vector width of
+/// the active SIMD tier (the width the GEMM micro-kernels run at): 12
+/// independent FMA chains per thread, best of 5. The denominator of every
+/// measured table's pct_peak column.
+double fma_peak_gflops(int threads);
+
 /// Best-of-N wall-clock timing for the real (non-simulated) kernel benches:
 /// one untimed warm-up call (also sizes the packing arenas), then the
 /// minimum of `reps` timed calls.

@@ -18,6 +18,10 @@
 #include <string>
 #include <vector>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "baseline/naive_gemm.hpp"
 #include "bench_common.hpp"
 #include "la/elementwise.hpp"
@@ -162,7 +166,8 @@ BENCHMARK(BM_ColSum)->Arg(256)->Arg(2048);
 // Times the dispatched GEMM forward product y = x*W^T per SIMD tier at the
 // paper's Fig. 7 layer shapes and emits a table with a speedup_vs_scalar
 // column (the scalar tier row of the same shape is the baseline; the row
-// whose tier equals the startup dispatch gets dispatched=yes).
+// whose tier equals the startup dispatch gets dispatched=yes) and each
+// tier's share of this host's FMA peak at that tier's vector width.
 void emit_tier_table(const util::Options& options) {
   const la::Index batch = options.get_int("batch");
   const int reps = static_cast<int>(options.get_int("reps"));
@@ -173,9 +178,22 @@ void emit_tier_table(const util::Options& options) {
   const Shape shapes[] = {
       {576, 1024}, {1024, 2048}, {1024, 4096}, {2048, 8192}, {4096, 16384}};
 
+  int threads = 1;
+#ifdef _OPENMP
+  threads = omp_get_max_threads();
+#endif
+  double peak[la::simd::kNumTiers] = {};
+  for (int t = 0; t < la::simd::kNumTiers; ++t) {
+    const auto tier = static_cast<la::simd::Tier>(t);
+    if (!la::simd::force_tier(tier)) continue;
+    peak[t] = bench::fma_peak_gflops(threads);
+  }
+  la::simd::reset_tier();
+
   const la::simd::Tier dispatched = la::simd::active_tier();
   util::Table table({"tier", "dispatched", "visible", "hidden", "gemm_ms",
-                     "GF_s", "speedup_vs_scalar"});
+                     "GF_s", "speedup_vs_scalar", "peak_gflops",
+                     "pct_peak"});
   for (const Shape& s : shapes) {
     if (s.hidden > max_hidden) continue;
     la::Matrix x = random_matrix(batch, s.visible, 1);
@@ -193,12 +211,14 @@ void emit_tier_table(const util::Options& options) {
           bench::best_of(reps, [&] { la::gemm_nt(1.0f, x, w, 0.0f, y); });
       la::simd::reset_tier();
       if (tier == la::simd::Tier::kScalar) scalar_s = sec;
+      const double gflops = flops / sec / 1e9;
       table.add_row({la::simd::tier_name(tier),
                      tier == dispatched ? "yes" : "no",
                      std::to_string(s.visible), std::to_string(s.hidden),
-                     util::Table::cell(sec * 1e3),
-                     util::Table::cell(flops / sec / 1e9),
-                     util::Table::cell(scalar_s / sec)});
+                     util::Table::cell(sec * 1e3), util::Table::cell(gflops),
+                     util::Table::cell(scalar_s / sec),
+                     util::Table::cell(peak[t]),
+                     util::Table::cell(100.0 * gflops / peak[t])});
     }
   }
   bench::emit(options, table, bench::Clock::kMeasured);

@@ -18,64 +18,85 @@ namespace deepphi::la {
 
 namespace {
 
-constexpr Index MR = simd::kMR;
-constexpr Index NR = simd::kNR;
+// Packing. A kc×width block of op(A)ᵀ or op(B) is stored as w-wide panels
+// (w = the tile's MR for A, NR for B): panel p holds columns [p·w, p·w+w) of
+// the block k-major — element (kk, j) at kk·w + j — zero-padded past width.
+// The four transpose cases come down to two source layouts, each read
+// contiguously: a source row runs either along the panel width (op(A) = Aᵀ,
+// op(B) = B) or along k (op(A) = A, op(B) = Bᵀ). `src` points at the block's
+// first element and `ld` is the source's leading dimension.
 
-// op(M)(i, j) under the trans flag. Only used in packing; the micro-kernel
-// reads packed panels.
-inline float op_elem(const Matrix& m, Trans t, Index i, Index j) {
-  return t == Trans::kNo ? m(i, j) : m(j, i);
-}
-
-// Packs the mc×kc block of op(A) starting at (ic, pc) into MR-row panels:
-// panel p holds rows [p·MR, p·MR+MR) stored k-major, zero-padded past mc.
-void pack_a(const Matrix& a, Trans ta, Index ic, Index pc, Index mc, Index kc,
-            float* buf) {
-  const Index panels = (mc + MR - 1) / MR;
-  for (Index p = 0; p < panels; ++p) {
-    const Index i0 = p * MR;
-    float* dst = buf + p * kc * MR;
+// Source element (kk, j) at src[kk·ld + j]: each k step of a panel is one
+// contiguous run of a source row.
+void pack_rows_along_width(const float* src, Index ld, Index kc, Index width,
+                           Index w, float* buf) {
+  for (Index j0 = 0; j0 < width; j0 += w) {
+    const Index cols = std::min(w, width - j0);
+    float* dst = buf + j0 * kc;
     for (Index kk = 0; kk < kc; ++kk) {
-      for (Index i = 0; i < MR; ++i) {
-        const Index ii = i0 + i;
-        dst[kk * MR + i] =
-            ii < mc ? op_elem(a, ta, ic + ii, pc + kk) : 0.0f;
-      }
+      const float* s = src + kk * ld + j0;
+      float* d = dst + kk * w;
+      std::copy_n(s, cols, d);
+      std::fill(d + cols, d + w, 0.0f);
     }
   }
 }
 
-// Packs the kc×nc block of op(B) starting at (pc, jc) into NR-column panels:
-// panel p holds columns [p·NR, p·NR+NR) stored k-major, zero-padded past nc.
-void pack_b(const Matrix& b, Trans tb, Index pc, Index jc, Index kc, Index nc,
-            float* buf) {
-  const Index panels = (nc + NR - 1) / NR;
-  for (Index p = 0; p < panels; ++p) {
-    const Index j0 = p * NR;
-    float* dst = buf + p * kc * NR;
-    for (Index kk = 0; kk < kc; ++kk) {
-      for (Index j = 0; j < NR; ++j) {
-        const Index jj = j0 + j;
-        dst[kk * NR + j] =
-            jj < nc ? op_elem(b, tb, pc + kk, jc + jj) : 0.0f;
-      }
+// Source element (kk, j) at src[j·ld + kk]: each panel column is one
+// contiguous run of a source row.
+void pack_rows_along_k(const float* src, Index ld, Index kc, Index width,
+                       Index w, float* buf) {
+  for (Index j0 = 0; j0 < width; j0 += w) {
+    const Index cols = std::min(w, width - j0);
+    float* dst = buf + j0 * kc;
+    for (Index j = 0; j < cols; ++j) {
+      const float* s = src + (j0 + j) * ld;
+      for (Index kk = 0; kk < kc; ++kk) dst[kk * w + j] = s[kk];
     }
+    for (Index kk = 0; kk < kc; ++kk)
+      std::fill(dst + kk * w + cols, dst + kk * w + w, 0.0f);
+  }
+}
+
+// Packs the mc×kc block of op(A) at (ic, pc) into mr-row panels.
+void pack_a(const Matrix& a, Trans ta, Index ic, Index pc, Index mc, Index kc,
+            Index mr, float* buf) {
+  if (ta == Trans::kNo) {
+    pack_rows_along_k(a.data() + ic * a.cols() + pc, a.cols(), kc, mc, mr, buf);
+  } else {
+    pack_rows_along_width(a.data() + pc * a.cols() + ic, a.cols(), kc, mc, mr,
+                          buf);
+  }
+}
+
+// Packs the kc×nc block of op(B) at (pc, jc) into nr-column panels.
+void pack_b(const Matrix& b, Trans tb, Index pc, Index jc, Index kc, Index nc,
+            Index nr, float* buf) {
+  if (tb == Trans::kNo) {
+    pack_rows_along_width(b.data() + pc * b.cols() + jc, b.cols(), kc, nc, nr,
+                          buf);
+  } else {
+    pack_rows_along_k(b.data() + jc * b.cols() + pc, b.cols(), kc, nc, nr, buf);
   }
 }
 
 // Serial blocked GEMM over the C tile [row_begin, row_end) × [col_begin,
 // col_end). `a_buf` and `b_buf` are caller-provided packing buffers sized for
-// the blocking. Beta is folded into the first k-panel's write-back and the
-// epilogue into the last one's, so the tile is touched exactly once per
-// k-panel and never in a separate elementwise pass. The MR×NR micro-kernel
-// itself lives in the dispatch layer (src/la/simd/), one explicit-intrinsics
-// instantiation per ISA tier and EpilogueOp; `micro` is the bound function
-// pointer for this call's epilogue.
+// the blocking and `tab`'s register tile. Beta is folded into the first
+// k-panel's write-back and the epilogue into the last one's, so the tile is
+// touched exactly once per k-panel and never in a separate elementwise pass.
+// The MR×NR micro-kernel itself lives in the dispatch layer (src/la/simd/),
+// one explicit-intrinsics instantiation per ISA tier and EpilogueOp; `tab`
+// is the bound tier's table.
 void gemm_tile(Trans ta, Trans tb, float alpha, float beta, const Matrix& a,
                const Matrix& b, Matrix& c, Index row_begin, Index row_end,
                Index col_begin, Index col_end, Index k, const GemmBlocking& bl,
                float* a_buf, float* b_buf, const GemmEpilogue& ep,
-               simd::KernelTable::GemmMicroFn micro) {
+               const simd::KernelTable& tab) {
+  const simd::KernelTable::GemmMicroFn micro =
+      tab.gemm_micro[static_cast<int>(ep.op)];
+  const Index mr = tab.gemm_mr;
+  const Index nr = tab.gemm_nr;
   const float* bias_base = ep.bias != nullptr ? ep.bias->data() : nullptr;
   const Matrix* act = ep.act;
   const Index act_ld = act != nullptr ? act->cols() : 0;
@@ -86,27 +107,27 @@ void gemm_tile(Trans ta, Trans tb, float alpha, float beta, const Matrix& a,
       const Index kc_eff = std::min(bl.kc, k - pc);
       const bool first_k = pc == 0;
       const bool last_k = pc + kc_eff == k;
-      pack_b(b, tb, pc, jc, kc_eff, nc_eff, b_buf);
+      pack_b(b, tb, pc, jc, kc_eff, nc_eff, nr, b_buf);
       for (Index ic = row_begin; ic < row_end; ic += bl.mc) {
         const Index mc_eff = std::min(bl.mc, row_end - ic);
-        pack_a(a, ta, ic, pc, mc_eff, kc_eff, a_buf);
-        for (Index jr = 0; jr < nc_eff; jr += NR) {
-          const float* bp = b_buf + (jr / NR) * kc_eff * NR;
+        pack_a(a, ta, ic, pc, mc_eff, kc_eff, mr, a_buf);
+        for (Index jr = 0; jr < nc_eff; jr += nr) {
+          const float* bp = b_buf + jr * kc_eff;
 #ifndef NDEBUG
           // B-panel rows feed the aligned vector loads; each panel starts a
-          // kc_eff·NR·4 = 64·kc_eff byte multiple past the aligned base.
+          // kc_eff·nr·4 byte multiple of 64 past the aligned base.
           simd::check_panel_alignment(b_buf, bp);
 #endif
           const Index c0 = jc + jr;
           const float* bias = bias_base != nullptr ? bias_base + c0 : nullptr;
-          for (Index ir = 0; ir < mc_eff; ir += MR) {
-            const float* ap = a_buf + (ir / MR) * kc_eff * MR;
+          for (Index ir = 0; ir < mc_eff; ir += mr) {
+            const float* ap = a_buf + ir * kc_eff;
             const Index r0 = ic + ir;
             const float* act_p =
                 act != nullptr ? act->data() + r0 * act_ld + c0 : nullptr;
             micro(ap, bp, kc_eff, alpha, beta, first_k, last_k, bias, act_p,
-                  act_ld, c.row(r0) + c0, ldc, std::min(MR, mc_eff - ir),
-                  std::min(NR, nc_eff - jr));
+                  act_ld, c.row(r0) + c0, ldc, std::min(mr, mc_eff - ir),
+                  std::min(nr, nc_eff - jr));
           }
         }
       }
@@ -207,47 +228,46 @@ void record_beta_epilogue_pass(const GemmEpilogue& ep, float beta, Index m,
   phi::record(s);
 }
 
-// Grid decomposition + parallel tile loop. The per-epilogue codegen now
-// lives behind the dispatched micro-kernel pointer, selected once per call.
+// Grid decomposition + parallel tile loop over the table bound at the call
+// (its register tile sizes the grid, the arena and the packing).
 void run_blocked(Trans trans_a, Trans trans_b, float alpha, const Matrix& a,
                  const Matrix& b, float beta, Matrix& c, const GemmBlocking& bl,
                  const GemmEpilogue& ep, Index m, Index n, Index k) {
   const simd::KernelTable& tab = simd::active();
-  const simd::KernelTable::GemmMicroFn micro =
-      tab.gemm_micro[static_cast<int>(ep.op)];
-  // 2-D (ic, jc) tile grid over C. Tiles start at the cache-blocking size and
-  // are split — at register-tile granularity, preferring the dimension with
-  // more room — until the grid covers the thread count, so skinny products
-  // (gemm_tn gradients with small m) still use every core. The decomposition
-  // never changes results: tiles are disjoint and each element's
-  // k-accumulation order is fixed by bl.kc alone.
-  int max_threads = 1;
+  const Index mr = tab.gemm_mr;
+  const Index nr = tab.gemm_nr;
+  // 2-D (ic, jc) tile grid over C: one tile per thread where the shape
+  // allows, in near-equal bands of whole register tiles. A row band packs
+  // its own copy of op(B) and a column band its own copy of op(A), so the
+  // longer dimension is split first and the other only when it has too few
+  // register tiles to give every thread one. Skinny products (gemm_tn
+  // gradients with small m) still use every core. The decomposition never
+  // changes results: tiles are disjoint and each element's k-accumulation
+  // order is fixed by bl.kc alone.
+  Index threads = 1;
 #ifdef _OPENMP
-  max_threads = omp_get_max_threads();
+  threads = omp_get_max_threads();
 #endif
-  Index tile_m = std::min(bl.mc, m);
-  Index tile_n = std::min(bl.nc, n);
-  auto grid_size = [&] {
-    return ((m + tile_m - 1) / tile_m) * ((n + tile_n - 1) / tile_n);
-  };
-  while (grid_size() < max_threads && (tile_m > MR || tile_n > NR)) {
-    // Split only a dimension that can still shrink: halving a tile already at
-    // its register-tile floor returns it unchanged, so picking it would spin
-    // forever (e.g. tile_m == MR with NR < tile_n < 2·NR).
-    if (tile_m > MR && (tile_n <= NR || tile_m / MR >= tile_n / NR)) {
-      tile_m = std::max<Index>(MR, (tile_m / 2 + MR - 1) / MR * MR);
-    } else {
-      tile_n = std::max<Index>(NR, (tile_n / 2 + NR - 1) / NR * NR);
-    }
+  const Index row_tiles = (m + mr - 1) / mr;
+  const Index col_tiles = (n + nr - 1) / nr;
+  Index split_m = 1, split_n = 1;
+  if (m >= n) {
+    split_m = std::min(threads, row_tiles);
+    split_n = std::min(threads / split_m, col_tiles);
+  } else {
+    split_n = std::min(threads, col_tiles);
+    split_m = std::min(threads / split_n, row_tiles);
   }
+  const Index tile_m = (row_tiles + split_m - 1) / split_m * mr;
+  const Index tile_n = (col_tiles + split_n - 1) / split_n * nr;
   const Index grid_m = (m + tile_m - 1) / tile_m;
   const Index grid_n = (n + tile_n - 1) / tile_n;
   const Index tiles = grid_m * grid_n;
 
   // Per-thread packing space: one arena allocation holding the A panel (at
   // offset 0) and the B panel (at the next 64-byte boundary).
-  const Index a_buf_elems = (bl.mc + MR - 1) / MR * MR * bl.kc;
-  const Index b_buf_elems = (bl.nc + NR - 1) / NR * NR * bl.kc;
+  const Index a_buf_elems = (bl.mc + mr - 1) / mr * mr * bl.kc;
+  const Index b_buf_elems = (bl.nc + nr - 1) / nr * nr * bl.kc;
   const std::size_t a_span =
       (static_cast<std::size_t>(a_buf_elems) + 15) / 16 * 16;
   const std::size_t arena_elems = a_span + static_cast<std::size_t>(b_buf_elems);
@@ -275,7 +295,7 @@ void run_blocked(Trans trans_a, Trans trans_b, float alpha, const Matrix& a,
         const Index col_begin = tc * tile_n;
         const Index col_end = std::min(col_begin + tile_n, n);
         gemm_tile(trans_a, trans_b, alpha, beta, a, b, c, row_begin, row_end,
-                  col_begin, col_end, k, bl, a_buf, b_buf, ep, micro);
+                  col_begin, col_end, k, bl, a_buf, b_buf, ep, tab);
       }
     }
   }

@@ -1,8 +1,12 @@
 // Optimized single-precision GEMM — the repository's stand-in for the Intel
 // MKL sgemm the paper leans on. Goto-style blocked algorithm: B and A panels
-// are packed into contiguous, zero-padded buffers; a register-tiled MR×NR
-// micro-kernel runs over full panels only (fringes are handled by padding on
-// pack and clipping on write-back).
+// are packed into contiguous, zero-padded buffers, each transpose case
+// reading its source contiguously; a register-tiled MR×NR micro-kernel runs
+// over full panels only (fringes are handled by padding on pack and
+// clipping on write-back). The register tile belongs to the dispatched SIMD
+// tier (simd::KernelTable::gemm_mr/gemm_nr: 12×32 on AVX-512, 6×16 on AVX2,
+// 4×16 on scalar), sized so the whole tile stays in vector registers for a
+// k-panel (docs/simd.md, "GEMM register tile").
 //
 // Three properties distinguish it from a textbook blocked GEMM:
 //
@@ -16,12 +20,14 @@
 //    arena (la/pack_arena.hpp) that is grown once and reused, so steady-state
 //    training performs zero heap allocations inside GEMM.
 //  * 2-D tile parallelism: C is partitioned into an (ic, jc) grid of disjoint
-//    tiles sized so the grid covers the thread count even when one dimension
-//    is skinny (the gemm_tn gradient products have m = hidden size). Each C
-//    element is written by exactly one thread and its k-accumulation order is
-//    fixed by the kc blocking alone, so results are bit-identical for any
-//    thread count and any tile decomposition — the parity and determinism
-//    tests depend on that.
+//    tiles, one per thread where the shape allows, in near-equal bands of
+//    whole register tiles along the longer dimension, so the grid covers the
+//    thread count even when one dimension is skinny (the gemm_tn gradient
+//    products have m = hidden size). Each C element is written by exactly
+//    one thread and its k-accumulation order is fixed by the kc blocking
+//    alone — not by the register tile, the packing or the split — so results
+//    are bit-identical for any SIMD tier, thread count and tile decomposition;
+//    the parity and determinism tests depend on that.
 #pragma once
 
 #include "la/matrix.hpp"
@@ -110,10 +116,13 @@ inline void gemm_tn(float alpha, const Matrix& a, const Matrix& b, float beta,
 }
 
 /// Cache-blocking parameters, exposed for tests and the granularity
-/// ablation. The register micro-tile is fixed at 4×16 (one 64-byte cache
-/// line of floats per accumulator row).
+/// ablation (bench_gemm_blocking). The register micro-tile is not among
+/// them: it comes from the dispatched tier's KernelTable. kc alone fixes
+/// each C element's accumulation order, so changing it changes results;
+/// mc and nc only move work between caches. mc = 120 = 10·lcm(12, 6, 4)
+/// fills every tier's A micro-panels.
 struct GemmBlocking {
-  Index mc = 128;   // rows of A packed at once
+  Index mc = 120;   // rows of A packed at once
   Index kc = 256;   // shared dimension panel
   Index nc = 1024;  // cols of B packed at once
 };

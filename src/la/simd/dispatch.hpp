@@ -46,11 +46,6 @@ namespace deepphi::la::simd {
 enum class Tier : std::uint8_t { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 inline constexpr int kNumTiers = 3;
 
-/// Register micro-tile of the blocked GEMM, shared by every tier: MR rows ×
-/// NR columns, NR = 16 floats = one 512-bit vector (one cache line).
-inline constexpr std::int64_t kMR = 4;
-inline constexpr std::int64_t kNR = 16;
-
 /// "scalar" / "avx2" / "avx512".
 const char* tier_name(Tier t);
 
@@ -62,13 +57,21 @@ bool parse_tier(const std::string& name, Tier& out);
 struct KernelTable {
   Tier tier = Tier::kScalar;
 
-  /// MR×NR GEMM micro-kernel, one instantiation per EpilogueOp (indexed by
-  /// static_cast<int>(op)). `ap`/`bp` are the packed, zero-padded panels
-  /// (64-byte aligned; see check_panel_alignment); `c` points at C(r0, c0)
-  /// with leading dimension `ldc`; `bias` points at bias[c0] (or null);
-  /// `act` points at act(r0, c0) with leading dimension `act_ld` (or null).
-  /// Writes the mr_eff×nr_eff clip of the tile, applying beta on the first
-  /// k-panel and the fused epilogue on the last.
+  /// The GEMM register tile of this tier: gemm_mr rows × gemm_nr columns of
+  /// C held in vector registers for a whole k-panel (docs/simd.md, "GEMM
+  /// register tile"). The blocked GEMM packs A into gemm_mr-row panels and B
+  /// into gemm_nr-column panels for this table. gemm_nr is a whole number of
+  /// vectors and of 64-byte cache lines.
+  std::int64_t gemm_mr = 0;
+  std::int64_t gemm_nr = 0;
+
+  /// gemm_mr×gemm_nr GEMM micro-kernel, one instantiation per EpilogueOp
+  /// (indexed by static_cast<int>(op)). `ap`/`bp` are the packed,
+  /// zero-padded panels (64-byte aligned; see check_panel_alignment); `c`
+  /// points at C(r0, c0) with leading dimension `ldc`; `bias` points at
+  /// bias[c0] (or null); `act` points at act(r0, c0) with leading dimension
+  /// `act_ld` (or null). Writes the mr_eff×nr_eff clip of the tile, applying
+  /// beta on the first k-panel and the fused epilogue on the last.
   using GemmMicroFn = void (*)(const float* ap, const float* bp,
                                std::int64_t kc, float alpha, float beta,
                                bool first_k, bool last_k, const float* bias,

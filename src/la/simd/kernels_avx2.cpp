@@ -13,6 +13,13 @@ namespace deepphi::la::simd {
 
 namespace {
 
+// GEMM register tile: 6×16 = 12 ymm accumulators, two B vectors and the A
+// broadcast, 15 of the 16 ymm registers.
+constexpr int kGemmMR = 6;
+constexpr int kGemmNR = 16;
+static_assert(gemm_tile_registers<Avx2Ops>(kGemmMR, kGemmNR) <= 16,
+              "the avx2 GEMM tile must fit the ymm register file");
+
 // dot8 on 256-bit doubles: two accumulators hold lanes 0..3 / 4..7 of the
 // fixed 8-lane scheme. Products are exact (float×float in double), so the
 // fma here is bit-identical to dot8_ref's mul+add; the masked tail adds
@@ -47,7 +54,8 @@ double dot8_avx2(const float* x, const float* y, std::int64_t n) {
 }  // namespace
 
 const KernelTable* avx2_table() {
-  static const KernelTable table = make_table<Avx2Ops>(Tier::kAvx2, &dot8_avx2);
+  static const KernelTable table =
+      make_table<Avx2Ops, kGemmMR, kGemmNR>(Tier::kAvx2, &dot8_avx2);
   return &table;
 }
 

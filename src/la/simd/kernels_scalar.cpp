@@ -7,8 +7,11 @@
 
 namespace deepphi::la::simd {
 
+// GEMM register tile: 4×16. The scalar tier is the numerical reference, not
+// a fast path, so its tile is not sized to a register file.
 const KernelTable* scalar_table() {
-  static const KernelTable table = make_table<ScalarOps>(Tier::kScalar, &dot8_ref);
+  static const KernelTable table =
+      make_table<ScalarOps, 4, 16>(Tier::kScalar, &dot8_ref);
   return &table;
 }
 

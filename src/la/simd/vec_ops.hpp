@@ -196,19 +196,24 @@ struct Avx512Ops {
   static V div(V a, V b) { return _mm512_div_ps(a, b); }
   static V fma(V a, V b, V c) { return _mm512_fmadd_ps(a, b, c); }
   static V neg(V a) { return _mm512_sub_ps(_mm512_setzero_ps(), a); }
-  static V min_(V a, V b) { return _mm512_min_ps(b, a); }
-  static V max_(V a, V b) { return _mm512_max_ps(b, a); }
+  // The all-ones maskz_* forms below are the same instructions as the plain
+  // intrinsics, which GCC 12 implements with an _mm512_undefined_* operand
+  // that trips -Wmaybe-uninitialized (so -DDEEPPHI_WERROR=ON would fail).
+  static constexpr __mmask16 kAll = 0xFFFF;
+  static V min_(V a, V b) { return _mm512_maskz_min_ps(kAll, b, a); }
+  static V max_(V a, V b) { return _mm512_maskz_max_ps(kAll, b, a); }
   static V floor_(V a) {
-    return _mm512_roundscale_ps(a, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+    return _mm512_maskz_roundscale_ps(
+        kAll, a, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
   }
 
   static M lt(V a, V b) { return _mm512_cmp_ps_mask(a, b, _CMP_LT_OQ); }
   static V select(M m, V a, V b) { return _mm512_mask_blend_ps(m, b, a); }
 
   static V pow2i(V n) {
-    const __m512i i = _mm512_cvttps_epi32(n);
-    const __m512i bits =
-        _mm512_slli_epi32(_mm512_add_epi32(i, _mm512_set1_epi32(127)), 23);
+    const __m512i i = _mm512_maskz_cvttps_epi32(kAll, n);
+    const __m512i bits = _mm512_maskz_slli_epi32(
+        kAll, _mm512_add_epi32(i, _mm512_set1_epi32(127)), 23);
     return _mm512_castsi512_ps(bits);
   }
 
@@ -223,7 +228,18 @@ struct Avx512Ops {
     return _mm512_dpbusd_epi32(acc, _mm512_loadu_si512(a),
                                _mm512_loadu_si512(b));
   }
-  static std::int32_t ireduce(VI acc) { return _mm512_reduce_add_epi32(acc); }
+  // Integer sums are exact, so folding halves gives the same result as
+  // _mm512_reduce_add_epi32, which GCC 12 flags (see kAll).
+  static std::int32_t ireduce(VI acc) {
+    const __m256i h =
+        _mm256_add_epi32(_mm512_maskz_extracti64x4_epi64(0xF, acc, 0),
+                         _mm512_maskz_extracti64x4_epi64(0xF, acc, 1));
+    __m128i s = _mm_add_epi32(_mm256_castsi256_si128(h),
+                              _mm256_extracti128_si256(h, 1));
+    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
+    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
+    return _mm_cvtsi128_si32(s);
+  }
 #else
   // F-only build: no byte-granularity 512-bit integer ops exist below BW, so
   // this tier runs the 256-bit madd-pair emulation (AVX2 is an architectural

@@ -11,14 +11,19 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
+#include <cstdio>
+#include <string>
 
 #include "core/rbm.hpp"
 #include "core/trainer.hpp"
+#include "data/dataset.hpp"
 #include "data/patches.hpp"
 #include "la/blas1.hpp"
 #include "la/elementwise.hpp"
 #include "la/gemm.hpp"
 #include "la/reduce.hpp"
+#include "la/simd/dispatch.hpp"
 #include "util/rng.hpp"
 
 namespace deepphi {
@@ -168,6 +173,165 @@ TEST(Determinism, RbmTrainerReproducibleWithSampling) {
     return model.w();
   };
   EXPECT_TRUE(run().approx_equal(run(), 0.0f, 0.0f));
+}
+
+// --- Results pinned across versions ---
+//
+// Every other bitwise test here compares tiers or thread counts with each
+// other, so a change that moves all of them the same way (a different kc,
+// say) would pass. This one pins FNV-1a hashes of actual results, recorded
+// with the 4×16-tile GEMM that preceded the per-tier register tiles: a GEMM
+// sweep and the parameters after short SAE and RBM training runs. A register
+// tile, a packing layout, a blocking or a thread split may change; these
+// hashes may not.
+
+class Fnv1a {
+ public:
+  void add(const float* p, la::Index n) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < sizeof(float) * static_cast<std::size_t>(n); ++i) {
+      h_ ^= bytes[i];
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  void add(const la::Matrix& m) { add(m.data(), m.size()); }
+  void add(const la::Vector& v) { add(v.data(), v.size()); }
+  std::string hex() const {
+    char buf[19];
+    std::snprintf(buf, sizeof buf, "0x%016llx",
+                  static_cast<unsigned long long>(h_));
+    return buf;
+  }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+la::Vector random_vector(la::Index n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  la::Vector v = la::Vector::uninitialized(n);
+  for (la::Index i = 0; i < n; ++i)
+    v[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+  return v;
+}
+
+la::Matrix random_matrix(la::Index rows, la::Index cols, std::uint64_t seed,
+                         double lo, double hi) {
+  util::Rng rng(seed);
+  la::Matrix m = la::Matrix::uninitialized(rows, cols);
+  for (la::Index i = 0; i < m.size(); ++i)
+    m.data()[i] = static_cast<float>(rng.uniform(lo, hi));
+  return m;
+}
+
+// All 4 transpose cases × 5 epilogues × beta ∈ {0, 0.5}, each at every k
+// around the kc = 256 panel edge. The (m, n) pairs straddle every tier's
+// register tile (MR 4/6/12, NR 16/32), plus one pair that spans several row
+// blocks; they rotate through the cases, so each (m, n) meets every k.
+std::string gemm_sweep_hash() {
+  const la::Index mn[][2] = {{1, 1},   {3, 15},  {4, 16},  {5, 17},
+                             {6, 31},  {7, 32},  {11, 33}, {12, 47},
+                             {13, 48}, {25, 65}, {130, 40}};
+  constexpr std::size_t kShapes = sizeof(mn) / sizeof(mn[0]);
+  const la::Index ks[] = {1, 255, 256, 257, 576};
+  const la::Trans trans[] = {la::Trans::kNo, la::Trans::kYes};
+  const la::EpilogueOp ops[] = {
+      la::EpilogueOp::kNone, la::EpilogueOp::kBiasAdd,
+      la::EpilogueOp::kBiasSigmoid, la::EpilogueOp::kDsigmoidMul,
+      la::EpilogueOp::kBiasDsigmoidMul};
+  Fnv1a hash;
+  std::uint64_t seed = 1;
+  std::size_t shape = 0;
+  for (la::Trans ta : trans) {
+    for (la::Trans tb : trans) {
+      for (la::EpilogueOp op : ops) {
+        for (float beta : {0.0f, 0.5f}) {
+          for (la::Index k : ks) {
+            const la::Index m = mn[shape % kShapes][0];
+            const la::Index n = mn[shape % kShapes][1];
+            ++shape;
+            const la::Matrix a = ta == la::Trans::kNo
+                                     ? random_matrix(m, k, ++seed)
+                                     : random_matrix(k, m, ++seed);
+            const la::Matrix b = tb == la::Trans::kNo
+                                     ? random_matrix(k, n, ++seed)
+                                     : random_matrix(n, k, ++seed);
+            const la::Vector bias = random_vector(n, ++seed);
+            const la::Matrix act = random_matrix(m, n, ++seed, 0.05, 0.95);
+            la::Matrix c = random_matrix(m, n, ++seed);
+            la::gemm(ta, tb, 0.7f, a, b, beta, c, {op, &bias, &act});
+            hash.add(c);
+          }
+        }
+      }
+    }
+  }
+  return hash.hex();
+}
+
+data::Dataset pinned_dataset() {
+  return data::Dataset(random_matrix(600, 50, 77, 0.0, 1.0));
+}
+
+core::TrainerConfig pinned_trainer_config() {
+  core::TrainerConfig tcfg;
+  tcfg.batch_size = 300;  // k = 300 crosses the kc = 256 panel edge
+  tcfg.chunk_examples = 600;
+  tcfg.epochs = 2;
+  tcfg.policy = core::ExecPolicy::kHost;
+  tcfg.seed = 99;
+  return tcfg;
+}
+
+std::string sae_params_hash() {
+  core::SaeConfig mcfg;
+  mcfg.visible = 50;
+  mcfg.hidden = 40;
+  core::SparseAutoencoder model(mcfg, 11);
+  core::Trainer(pinned_trainer_config()).train(model, pinned_dataset());
+  Fnv1a hash;
+  hash.add(model.w1());
+  hash.add(model.b1());
+  hash.add(model.w2());
+  hash.add(model.b2());
+  return hash.hex();
+}
+
+std::string rbm_params_hash() {
+  core::RbmConfig mcfg;
+  mcfg.visible = 50;
+  mcfg.hidden = 40;
+  mcfg.cd_k = 1;
+  mcfg.sample_visible = true;
+  core::Rbm model(mcfg, 13);
+  core::Trainer(pinned_trainer_config()).train(model, pinned_dataset());
+  Fnv1a hash;
+  hash.add(model.w());
+  hash.add(model.b());
+  hash.add(model.c());
+  return hash.hex();
+}
+
+TEST(Determinism, ResultsMatchPinnedParentHashes) {
+  const std::string kGemmSweep = "0x5a074befeff16295";
+  const std::string kSaeParams = "0x43998573c6e5ec1e";
+  const std::string kRbmParams = "0x8bd8d0b7f2806c44";
+  for (int t = 0; t < la::simd::kNumTiers; ++t) {
+    const auto tier = static_cast<la::simd::Tier>(t);
+    if (!la::simd::tier_available(tier)) continue;
+    ASSERT_TRUE(la::simd::force_tier(tier));
+    for (int threads : {1, 4}) {
+#ifdef _OPENMP
+      OmpThreadGuard guard(threads);
+#endif
+      const std::string where = std::string(la::simd::tier_name(tier)) +
+                                " at " + std::to_string(threads) + " threads";
+      EXPECT_EQ(gemm_sweep_hash(), kGemmSweep) << "GEMM sweep, " << where;
+      EXPECT_EQ(sae_params_hash(), kSaeParams) << "SAE parameters, " << where;
+      EXPECT_EQ(rbm_params_hash(), kRbmParams) << "RBM parameters, " << where;
+    }
+  }
+  la::simd::reset_tier();
 }
 
 TEST(Determinism, StatsIdenticalAcrossPolicies) {

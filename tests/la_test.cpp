@@ -19,6 +19,7 @@
 #include "la/matrix.hpp"
 #include "la/pack_arena.hpp"
 #include "la/reduce.hpp"
+#include "la/simd/dispatch.hpp"
 #include "la/transpose.hpp"
 #include "phi/kernel_stats.hpp"
 #include "util/error.hpp"
@@ -726,28 +727,38 @@ INSTANTIATE_TEST_SUITE_P(
 // had collapsed to the MR floor while NR < tile_n < 2·NR and the grid was
 // still smaller than the thread count — the tie-break kept picking tile_m,
 // which could no longer shrink. Only reproducible with more threads than
-// tiles, so the sweep runs under a raised thread count.
+// tiles, so the sweep runs under a raised thread count. The floor is each
+// tier's own register tile, so the shapes come from every runnable tier's
+// table, with that tier bound.
 TEST(GemmBlocked, TileSplitTerminatesAtRegisterTileFloor) {
 #ifdef _OPENMP
   const int saved_threads = omp_get_max_threads();
   omp_set_num_threads(16);
 #endif
-  const Index shapes[][3] = {
-      {4, 20, 8},    // tile_m at floor, n inside (NR, 2·NR): the hang shape
-      {4, 17, 5},    // same, minimal fringe
-      {31, 17, 41},  // sweep shape that hung at >8 threads
-      {5, 30, 19},   // m just above the floor
-  };
-  for (const auto& s : shapes) {
-    Matrix a = random_matrix(s[0], s[2], 1000 + s[0]);
-    Matrix b = random_matrix(s[2], s[1], 1100 + s[1]);
-    Matrix c(s[0], s[1]);
-    Matrix c_ref(s[0], s[1]);
-    gemm_nn(1.0f, a, b, 0.0f, c);
-    baseline::naive_gemm(Trans::kNo, Trans::kNo, 1.0f, a, b, 0.0f, c_ref);
-    EXPECT_TRUE(c.approx_equal(c_ref, 5e-4f, 5e-5f))
-        << s[0] << "x" << s[1] << "x" << s[2];
+  for (int t = 0; t < simd::kNumTiers; ++t) {
+    const auto tier = static_cast<simd::Tier>(t);
+    if (!simd::force_tier(tier)) continue;
+    const Index mr = simd::active().gemm_mr;
+    const Index nr = simd::active().gemm_nr;
+    const Index shapes[][3] = {
+        {mr, nr + 4, 8},           // tile_m at floor, n in (NR, 2·NR): the hang
+        {mr, nr + 1, 5},           // same, minimal fringe
+        {8 * mr - 1, nr + 1, 41},  // sweep shape that hung at >8 threads
+        {mr + 1, 2 * nr - 2, 19},  // m just above the floor
+    };
+    for (const auto& s : shapes) {
+      Matrix a = random_matrix(s[0], s[2], 1000 + s[0]);
+      Matrix b = random_matrix(s[2], s[1], 1100 + s[1]);
+      Matrix c(s[0], s[1]);
+      Matrix c_ref(s[0], s[1]);
+      gemm_nn(1.0f, a, b, 0.0f, c);
+      baseline::naive_gemm(Trans::kNo, Trans::kNo, 1.0f, a, b, 0.0f, c_ref);
+      EXPECT_TRUE(c.approx_equal(c_ref, 5e-4f, 5e-5f))
+          << simd::tier_name(tier) << " " << s[0] << "x" << s[1] << "x"
+          << s[2];
+    }
   }
+  simd::reset_tier();
 #ifdef _OPENMP
   omp_set_num_threads(saved_threads);
 #endif

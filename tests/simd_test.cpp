@@ -12,6 +12,10 @@
 // AVX2 the suite degenerates to scalar-vs-scalar and still passes.
 #include <gtest/gtest.h>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include <cstring>
 #include <vector>
 
@@ -139,8 +143,9 @@ TEST(SimdGemmParity, AllEpiloguesBitwiseAcrossTiers) {
   struct Shape {
     Index m, n, k;
   };
-  // Full micro-tiles, fringes in m and n (4 and 16 do not divide them),
-  // minimal, an odd leading dimension, and the k = 0 degenerate product.
+  // Small full and fringe shapes, minimal, an odd leading dimension, and the
+  // k = 0 degenerate product. Fringes of each tier's own register tile are
+  // RegisterTileFringesBitwiseAcrossTiers.
   const Shape shapes[] = {{4, 16, 8},   {5, 17, 3},  {1, 1, 1}, {7, 33, 19},
                           {13, 31, 7},  {64, 64, 64}, {3, 129, 65}, {9, 40, 0}};
   const float alphas[] = {0.0f, 1.0f, 0.7f};
@@ -180,6 +185,78 @@ TEST(SimdGemmParity, AllEpiloguesBitwiseAcrossTiers) {
       }
     }
   }
+}
+
+// Fringes of every runnable tier's own register tile, checked on every
+// tier. k > kc = 256 runs the multi-panel write-back (C = fma(alpha, acc, C)
+// after the first panel) with beta and each epilogue, over the nn, nt and tn
+// packing paths.
+TEST(SimdGemmParity, RegisterTileFringesBitwiseAcrossTiers) {
+#ifdef _OPENMP
+  // Tier parity does not depend on the thread count (the determinism tests
+  // pin that); one thread keeps these ~1000 small GEMMs quick when ctest
+  // runs other multi-threaded suites alongside.
+  const int saved_threads = omp_get_max_threads();
+  omp_set_num_threads(1);
+#endif
+  const std::vector<simd::Tier> tiers = available_tiers();
+  const Index ks[] = {255, 257, 513};
+  const Trans trans[][2] = {
+      {Trans::kNo, Trans::kNo}, {Trans::kNo, Trans::kYes},
+      {Trans::kYes, Trans::kNo}};
+  const EpilogueOp ops[] = {EpilogueOp::kNone, EpilogueOp::kBiasAdd,
+                            EpilogueOp::kBiasSigmoid, EpilogueOp::kDsigmoidMul,
+                            EpilogueOp::kBiasDsigmoidMul};
+  std::uint64_t seed = 100;
+  int op_index = 0;
+  for (simd::Tier tile_tier : tiers) {
+    Index mr = 0, nr = 0;
+    {
+      ForcedTier forced(tile_tier);
+      mr = simd::active().gemm_mr;
+      nr = simd::active().gemm_nr;
+    }
+    for (Index m : {mr - 1, mr, mr + 1, 2 * mr + 1}) {
+      for (Index n : {nr - 1, nr, nr + 1}) {
+        for (Index k : ks) {
+          for (const auto& t : trans) {
+            const Matrix a = t[0] == Trans::kNo ? random_matrix(m, k, ++seed)
+                                                : random_matrix(k, m, ++seed);
+            const Matrix b = t[1] == Trans::kNo ? random_matrix(k, n, ++seed)
+                                                : random_matrix(n, k, ++seed);
+            const Matrix c0 = random_matrix(m, n, ++seed);
+            const Vector bias = random_vector(n, ++seed);
+            const Matrix act = random_matrix(m, n, ++seed, 0.05f, 0.95f);
+            const EpilogueOp op = ops[op_index++ % 5];
+            const GemmEpilogue ep = make_epilogue(op, bias, act);
+            Matrix ref = c0;
+            {
+              ForcedTier forced(simd::Tier::kScalar);
+              gemm(t[0], t[1], 0.7f, a, b, 0.5f, ref, ep);
+            }
+            for (simd::Tier tier : tiers) {
+              if (tier == simd::Tier::kScalar) continue;
+              Matrix c = c0;
+              {
+                ForcedTier forced(tier);
+                gemm(t[0], t[1], 0.7f, a, b, 0.5f, c, ep);
+              }
+              EXPECT_TRUE(bitwise_equal(ref, c))
+                  << simd::tier_name(tier) << " vs scalar, "
+                  << simd::tier_name(tile_tier) << " tile fringe " << m
+                  << "x" << n << "x" << k << " trans "
+                  << (t[0] == Trans::kNo ? "n" : "t")
+                  << (t[1] == Trans::kNo ? "n" : "t") << " op "
+                  << static_cast<int>(op);
+            }
+          }
+        }
+      }
+    }
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(saved_threads);
+#endif
 }
 
 TEST(SimdGemmParity, TransposedProductsBitwiseAcrossTiers) {

@@ -345,6 +345,23 @@ TEST(Aligned, ZeroSizeStillDistinct) {
   EXPECT_NE(a.get(), b.get());
 }
 
+TEST(Aligned, MappedSizesAreAlignedWritableAndMovable) {
+  // At and past kMapBytes buffers get their own mapping; the deleter must
+  // travel with the pointer through moves and resets.
+  for (std::size_t bytes : {kMapBytes - 4, kMapBytes, 3 * kMapBytes + 4}) {
+    const std::size_t n = bytes / sizeof(float);
+    auto buf = make_aligned<float>(n);
+    ASSERT_TRUE(is_aligned(buf.get()));
+    buf[0] = 1.0f;
+    buf[n - 1] = 2.0f;
+    AlignedBuffer<float> moved = std::move(buf);
+    EXPECT_EQ(moved[0], 1.0f);
+    EXPECT_EQ(moved[n - 1], 2.0f);
+    moved = make_aligned<float>(16);
+    moved.reset();
+  }
+}
+
 // --- error macros ---
 
 TEST(Error, CheckThrowsWithLocation) {
