@@ -1,12 +1,16 @@
 #include "bench_common.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <fstream>
+#include <future>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -16,6 +20,7 @@
 #include "la/simd/dispatch.hpp"
 #include "util/error.hpp"
 #include "util/json_writer.hpp"
+#include "util/rng.hpp"
 
 namespace deepphi::bench {
 
@@ -147,6 +152,10 @@ float fma_chains(int lanes, std::int64_t iters) {
   return fma_chains_scalar(iters);
 }
 
+std::vector<float> row_of(const la::Matrix& m, la::Index r) {
+  return std::vector<float>(m.row(r), m.row(r) + m.cols());
+}
+
 }  // namespace
 
 double fma_peak_gflops(int threads) {
@@ -257,6 +266,47 @@ void declare_common_flags(util::Options& options) {
   options.declare("json",
                   "also write all result tables to this path as JSON "
                   "(schema deepphi.bench.v1)");
+}
+
+la::Matrix random_rows(la::Index rows, la::Index dim, std::uint64_t seed,
+                       std::uint64_t stream) {
+  util::Rng rng(seed, stream);
+  la::Matrix m(rows, dim);
+  for (la::Index i = 0; i < m.size(); ++i) m.data()[i] = rng.uniform_float();
+  return m;
+}
+
+double closed_loop(serve::InferenceServer& server, const std::string& model,
+                   const la::Matrix& inputs, double seconds) {
+  constexpr std::size_t kWindow = 512;
+  std::deque<std::future<serve::Reply>> outstanding;
+  const util::Timer timer;
+  std::int64_t sent = 0;
+  while (timer.seconds() < seconds) {
+    while (outstanding.size() >= kWindow) {
+      outstanding.front().get();
+      outstanding.pop_front();
+    }
+    outstanding.push_back(
+        server.submit(model, row_of(inputs, sent++ % inputs.rows())));
+  }
+  for (auto& f : outstanding) f.get();
+  return static_cast<double>(sent) / timer.seconds();
+}
+
+void open_loop(serve::InferenceServer& server, const std::string& model,
+               const la::Matrix& inputs, const std::vector<double>& arrivals) {
+  std::vector<std::future<serve::Reply>> futures;
+  futures.reserve(arrivals.size());
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    std::this_thread::sleep_until(
+        start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                    std::chrono::duration<double>(arrivals[i])));
+    futures.push_back(server.submit(
+        model, row_of(inputs, static_cast<la::Index>(i) % inputs.rows())));
+  }
+  for (auto& f : futures) f.get();
 }
 
 }  // namespace deepphi::bench

@@ -11,13 +11,16 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/levels.hpp"
 #include "core/trainer.hpp"
 #include "phi/cost_model.hpp"
 #include "phi/device.hpp"
 #include "phi/offload.hpp"
+#include "serve/inference_server.hpp"
 #include "util/csv.hpp"
 #include "util/options.hpp"
 #include "util/timer.hpp"
@@ -77,6 +80,27 @@ void declare_common_flags(util::Options& options);
 /// independent FMA chains per thread, best of 5. The denominator of every
 /// measured table's pct_peak column.
 double fma_peak_gflops(int threads);
+
+/// `rows` x `dim` uniform [0, 1) request payloads drawn from
+/// util::Rng(seed, stream). Each serving bench passes its own stream, so its
+/// inputs stay the same run to run.
+la::Matrix random_rows(la::Index rows, la::Index dim, std::uint64_t seed,
+                       std::uint64_t stream);
+
+/// Closed-loop client: keeps a window of 512 requests for `model`
+/// outstanding on `server` for `seconds`, cycling through the rows of
+/// `inputs`, then waits for the rest. Requests pile up in the queue while a
+/// batch computes, which is what gives the batcher something to coalesce.
+/// Returns the completed requests per second of wall time from the first
+/// submit to the last reply.
+double closed_loop(serve::InferenceServer& server, const std::string& model,
+                   const la::Matrix& inputs, double seconds);
+
+/// Open-loop client: submits the next row of `inputs` to `model` at each
+/// offset in `arrivals` (seconds from the call), whether or not earlier
+/// requests finished, then waits for every reply.
+void open_loop(serve::InferenceServer& server, const std::string& model,
+               const la::Matrix& inputs, const std::vector<double>& arrivals);
 
 /// Best-of-N wall-clock timing for the real (non-simulated) kernel benches:
 /// one untimed warm-up call (also sizes the packing arenas), then the

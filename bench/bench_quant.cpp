@@ -11,11 +11,9 @@
 // the accuracy side of the trade: mean/max |int8 - fp32| encode delta on a
 // probe batch, reported in the same table (and JSON document) as the
 // throughput.
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <deque>
-#include <future>
+#include <memory>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -23,52 +21,24 @@
 #include "core/sparse_autoencoder.hpp"
 #include "la/simd/dispatch.hpp"
 #include "serve/inference_server.hpp"
-#include "util/rng.hpp"
+#include "serve/model_registry.hpp"
 #include "util/string_util.hpp"
 
 namespace {
 
 using namespace deepphi;
 
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-la::Matrix random_rows(la::Index rows, la::Index dim, std::uint64_t seed) {
-  util::Rng rng(seed, /*stream=*/0x8BA7);
-  la::Matrix m(rows, dim);
-  for (la::Index i = 0; i < m.size(); ++i) m.data()[i] = rng.uniform_float();
-  return m;
-}
-
-/// Closed-loop saturation (same shape as bench_serving): keep a fixed window
-/// outstanding for `seconds`, count completions.
-double served_rps(const core::Encoder& model, la::Index max_batch,
-                  double seconds, const la::Matrix& inputs) {
-  serve::ServeConfig cfg;
-  cfg.max_batch = max_batch;
-  cfg.max_delay_s = 1e-3;
-  cfg.queue_capacity = 4096;
-  serve::InferenceServer server(model, cfg);
-
-  std::deque<std::future<serve::Reply>> window;
-  const std::size_t window_size = 512;
-  const double start = now_s();
-  la::Index next = 0;
-  while (now_s() - start < seconds) {
-    while (window.size() >= window_size) {
-      window.front().get();
-      window.pop_front();
-    }
-    window.push_back(server.submit(inputs.row(next), inputs.cols()));
-    next = (next + 1) % inputs.rows();
-  }
-  for (auto& f : window) f.get();
-  const double wall = now_s() - start;
-  server.shutdown();
-  return static_cast<double>(server.stats().completed) / wall;
+/// Closed-loop saturation (the same client as bench_serving): served rows/s
+/// of `model` alone on a fresh server.
+double served_rps(std::shared_ptr<const core::Encoder> model,
+                  la::Index max_batch, double seconds,
+                  const la::Matrix& inputs) {
+  serve::ModelRegistry registry;
+  registry.add_shared("default", std::move(model));
+  serve::InferenceServer server(
+      registry,
+      {.max_batch = max_batch, .max_delay_s = 1e-3, .queue_capacity = 4096});
+  return bench::closed_loop(server, "default", inputs, seconds);
 }
 
 }  // namespace
@@ -112,14 +82,16 @@ int main(int argc, char** argv) {
     core::SaeConfig cfg;
     cfg.visible = static_cast<la::Index>(util::parse_double(dims[0]));
     cfg.hidden = static_cast<la::Index>(util::parse_double(dims[1]));
-    const core::SparseAutoencoder fp32(cfg, /*seed=*/7);
-    const std::unique_ptr<core::QuantizedEncoder> int8 =
-        core::QuantizedEncoder::from(fp32, group);
+    const auto fp32 =
+        std::make_shared<const core::SparseAutoencoder>(cfg, /*seed=*/7);
+    const std::shared_ptr<const core::QuantizedEncoder> int8 =
+        core::QuantizedEncoder::from(*fp32, group);
 
     // Accuracy first (cheap): probe-batch encode delta.
-    const la::Matrix x = random_rows(probe, cfg.visible, 7);
+    const la::Matrix x =
+        bench::random_rows(probe, cfg.visible, 7, /*stream=*/0x8BA7);
     la::Matrix y_fp32, y_int8;
-    fp32.encode(x, y_fp32);
+    fp32->encode(x, y_fp32);
     int8->encode(x, y_int8);
     double mean_abs = 0, max_abs = 0;
     for (la::Index i = 0; i < y_fp32.size(); ++i) {
@@ -130,9 +102,10 @@ int main(int argc, char** argv) {
     }
     mean_abs /= static_cast<double>(y_fp32.size());
 
-    const la::Matrix inputs = random_rows(1024, cfg.visible, 7);
+    const la::Matrix inputs =
+        bench::random_rows(1024, cfg.visible, 7, /*stream=*/0x8BA7);
     const double fp32_rps = served_rps(fp32, max_batch, seconds, inputs);
-    const double int8_rps = served_rps(*int8, max_batch, seconds, inputs);
+    const double int8_rps = served_rps(int8, max_batch, seconds, inputs);
     table.add_row({spec, util::Table::cell(fp32_rps),
                    util::Table::cell(int8_rps),
                    util::Table::cell(int8_rps / fp32_rps),

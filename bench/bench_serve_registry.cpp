@@ -23,11 +23,9 @@
 // The committed snapshot (BENCH_serve_registry.json) must show slo_met = 0
 // for the tight lane under static and slo_met = 1 for every lane under
 // adaptive — the acceptance line prints the verdict.
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <future>
 #include <map>
 #include <memory>
 #include <string>
@@ -52,13 +50,6 @@ struct Tenant {
   double rate_rps = 0;
   la::Matrix inputs;
 };
-
-la::Matrix random_rows(la::Index rows, la::Index dim, std::uint64_t seed) {
-  util::Rng rng(seed, /*stream=*/0x5E10);
-  la::Matrix m(rows, dim);
-  for (la::Index i = 0; i < m.size(); ++i) m.data()[i] = rng.uniform_float();
-  return m;
-}
 
 /// Deterministic bursty Poisson arrivals: exponential inter-arrival gaps at
 /// `rate`, modulated 1.6x / 0.4x in alternating 100 ms phases so the batcher
@@ -92,41 +83,23 @@ std::map<std::string, LaneResult> run_scenario(
   for (const Tenant& t : tenants)
     registry.add_shared(t.name, t.model, t.budget_s);
 
-  serve::ServeConfig cfg;
-  cfg.max_batch = 64;
-  cfg.max_delay_s = static_delay_s;
-  cfg.queue_capacity = 4096;
-  cfg.workers = workers;
-  cfg.adaptive = adaptive;
-  serve::InferenceServer server(registry, cfg);
+  serve::InferenceServer server(registry, {.max_batch = 64,
+                                           .max_delay_s = static_delay_s,
+                                           .queue_capacity = 4096,
+                                           .workers = workers,
+                                           .adaptive = adaptive});
 
   // One open-loop submitter thread per tenant, each on its own seeded
-  // schedule; futures are drained after both streams finish.
-  std::vector<std::vector<std::future<serve::Reply>>> futures(tenants.size());
-  const auto start = std::chrono::steady_clock::now();
+  // schedule.
   std::vector<std::thread> submitters;
   for (std::size_t i = 0; i < tenants.size(); ++i) {
     submitters.emplace_back([&, i] {
       const Tenant& t = tenants[i];
-      const std::vector<double> schedule =
-          bursty_schedule(t.rate_rps, seconds, /*seed=*/17 + i);
-      futures[i].reserve(schedule.size());
-      la::Index next = 0;
-      for (const double at : schedule) {
-        std::this_thread::sleep_until(
-            start +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(at)));
-        const float* row = t.inputs.row(next);
-        futures[i].push_back(server.submit(
-            t.name, std::vector<float>(row, row + t.inputs.cols())));
-        next = (next + 1) % t.inputs.rows();
-      }
+      bench::open_loop(server, t.name, t.inputs,
+                       bursty_schedule(t.rate_rps, seconds, /*seed=*/17 + i));
     });
   }
   for (std::thread& t : submitters) t.join();
-  for (auto& lane : futures)
-    for (auto& f : lane) f.get();
 
   std::map<std::string, LaneResult> results;
   for (const Tenant& t : tenants)
@@ -173,14 +146,16 @@ int main(int argc, char** argv) {
         std::vector<la::Index>{64, 32}, core::SaeConfig{}, /*seed=*/5);
     tight.budget_s = options.get_double("tight-budget-ms") * 1e-3;
     tight.rate_rps = options.get_double("tight-rate");
-    tight.inputs = random_rows(512, tight.model->input_dim(), 5);
+    tight.inputs =
+        bench::random_rows(512, tight.model->input_dim(), 5, /*stream=*/0x5E10);
     Tenant loose;
     loose.name = "loose";
     loose.model = std::make_shared<core::StackedAutoencoder>(
         std::vector<la::Index>{256, 128, 64}, core::SaeConfig{}, /*seed=*/6);
     loose.budget_s = options.get_double("loose-budget-ms") * 1e-3;
     loose.rate_rps = options.get_double("loose-rate");
-    loose.inputs = random_rows(512, loose.model->input_dim(), 6);
+    loose.inputs =
+        bench::random_rows(512, loose.model->input_dim(), 6, /*stream=*/0x5E10);
     tenants.push_back(std::move(tight));
     tenants.push_back(std::move(loose));
   }

@@ -20,7 +20,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -29,6 +29,7 @@
 #include "core/stacked_autoencoder.hpp"
 #include "obs/histogram.hpp"
 #include "serve/inference_server.hpp"
+#include "serve/model_registry.hpp"
 #include "serve/stats_server.hpp"
 #include "util/rng.hpp"
 
@@ -148,23 +149,13 @@ double contended_throughput(Recorder& recorder, int writers,
          wall;
 }
 
-la::Matrix random_rows(la::Index rows, la::Index dim, std::uint64_t seed) {
-  util::Rng rng(seed, /*stream=*/0x7A12);
-  la::Matrix m(rows, dim);
-  for (la::Index i = 0; i < m.size(); ++i) m.data()[i] = rng.uniform_float();
-  return m;
-}
-
 /// Open-loop serving probe; when `poll_hz` > 0 a side thread renders the
 /// stats endpoint bodies at that frequency while requests flow.
-serve::ServerStats serve_probe(const core::Encoder& model, double rate,
+serve::ServerStats serve_probe(serve::ModelRegistry& registry, double rate,
                                double seconds, const la::Matrix& inputs,
                                double poll_hz) {
-  serve::ServeConfig cfg;
-  cfg.max_batch = 64;
-  cfg.max_delay_s = 1e-3;
-  cfg.queue_capacity = 4096;
-  serve::InferenceServer server(model, cfg);
+  serve::InferenceServer server(
+      registry, {.max_batch = 64, .max_delay_s = 1e-3, .queue_capacity = 4096});
 
   std::atomic<bool> stop{false};
   std::thread poller;
@@ -182,19 +173,10 @@ serve::ServerStats serve_probe(const core::Encoder& model, double rate,
     });
   }
 
-  std::vector<std::future<serve::Reply>> futures;
-  futures.reserve(static_cast<std::size_t>(rate * seconds) + 1);
-  const auto start = std::chrono::steady_clock::now();
-  la::Index next = 0;
-  for (std::size_t i = 0; static_cast<double>(i) < rate * seconds; ++i) {
-    std::this_thread::sleep_until(
-        start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double>(static_cast<double>(i) /
-                                                  rate)));
-    futures.push_back(server.submit(inputs.row(next), inputs.cols()));
-    next = (next + 1) % inputs.rows();
-  }
-  for (auto& f : futures) f.get();
+  std::vector<double> arrivals;
+  for (std::size_t i = 0; static_cast<double>(i) < rate * seconds; ++i)
+    arrivals.push_back(static_cast<double>(i) / rate);
+  bench::open_loop(server, "default", inputs, arrivals);
   server.shutdown();
   stop.store(true, std::memory_order_relaxed);
   if (poller.joinable()) poller.join();
@@ -270,18 +252,21 @@ int main(int argc, char** argv) {
   // --- serving probe: does a live stats poller move the p99? ---------------
   const double seconds = options.get_double("seconds");
   const double poll_hz = options.get_double("poll-hz");
-  const core::StackedAutoencoder model({256, 128, 64}, core::SaeConfig{},
-                                       /*seed=*/7);
-  const la::Matrix inputs = random_rows(1024, model.input_dim(), 7);
+  const auto model = std::make_shared<const core::StackedAutoencoder>(
+      std::vector<la::Index>{256, 128, 64}, core::SaeConfig{}, /*seed=*/7);
+  serve::ModelRegistry registry;
+  registry.add_shared("default", model);
+  const la::Matrix inputs =
+      bench::random_rows(1024, model->input_dim(), 7, /*stream=*/0x7A12);
   // Rate the probe at a quarter of saturation wouldn't be stable across
   // machines for a short probe; a fixed moderate rate keeps it comparable.
   const double rate = 2000.0;
   std::printf("\nserving probe: %s, %.0f req/s open-loop for %.2fs\n",
-              model.describe().c_str(), rate, seconds);
+              model->describe().c_str(), rate, seconds);
   const serve::ServerStats quiet =
-      serve_probe(model, rate, seconds, inputs, 0.0);
+      serve_probe(registry, rate, seconds, inputs, 0.0);
   const serve::ServerStats polled =
-      serve_probe(model, rate, seconds, inputs, poll_hz);
+      serve_probe(registry, rate, seconds, inputs, poll_hz);
   util::Table probe_table({"stats_poller", "p50_ms", "p95_ms", "p99_ms"});
   probe_table.add_row({util::Table::cell("off"),
                        util::Table::cell(quiet.latency.p50_s * 1e3),

@@ -1,8 +1,8 @@
 #include "core/model_io.hpp"
 
 #include <cstdint>
-#include <cstring>
 #include <fstream>
+#include <string>
 
 #include "util/error.hpp"
 
@@ -17,41 +17,15 @@ void write_magic(std::ofstream& out, const char magic[4]) {
   out.write(reinterpret_cast<const char*>(&kVersion), sizeof(kVersion));
 }
 
-void check_magic(std::ifstream& in, const char magic[4], const std::string& path) {
-  char got[4];
-  in.read(got, 4);
-  DEEPPHI_CHECK_MSG(in.good() && std::memcmp(got, magic, 4) == 0,
-                    "'" << path << "' is not a " << std::string(magic, 4)
-                        << " checkpoint");
-  std::uint32_t version = 0;
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  DEEPPHI_CHECK_MSG(in.good() && version == kVersion,
-                    "'" << path << "' has unsupported version " << version);
-}
-
 template <typename T>
 void write_pod(std::ofstream& out, const T& v) {
   static_assert(std::is_trivially_copyable_v<T>);
   out.write(reinterpret_cast<const char*>(&v), sizeof(T));
 }
 
-template <typename T>
-T read_pod(std::ifstream& in, const std::string& path) {
-  T v{};
-  in.read(reinterpret_cast<char*>(&v), sizeof(T));
-  DEEPPHI_CHECK_MSG(in.good(), "'" << path << "' truncated");
-  return v;
-}
-
 void write_floats(std::ofstream& out, const float* p, la::Index n) {
   out.write(reinterpret_cast<const char*>(p),
             static_cast<std::streamsize>(sizeof(float) * n));
-}
-
-void read_floats(std::ifstream& in, float* p, la::Index n, const std::string& path) {
-  in.read(reinterpret_cast<char*>(p),
-          static_cast<std::streamsize>(sizeof(float) * n));
-  DEEPPHI_CHECK_MSG(in.good() || n == 0, "'" << path << "' truncated in payload");
 }
 
 std::ofstream open_out(const std::string& path) {
@@ -60,10 +34,88 @@ std::ofstream open_out(const std::string& path) {
   return out;
 }
 
-std::ifstream open_in(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  DEEPPHI_CHECK_MSG(in.good(), "cannot open '" << path << "'");
-  return in;
+// Checkpoints come from outside the program (/admin/swap, --model flags), so
+// every dimension a header declares is bounded, and its payload must fit in
+// the bytes left in the file before anything is allocated for it.
+constexpr std::int64_t kMaxDim = std::int64_t{1} << 24;
+
+/// One checkpoint open for reading, with its size known up front.
+class Reader {
+ public:
+  /// Opens `path`; given an `expected` magic, also reads and checks the
+  /// magic + version header.
+  explicit Reader(const std::string& path, const char* expected = nullptr)
+      : in_(path, std::ios::binary | std::ios::ate), path_(path) {
+    DEEPPHI_CHECK_MSG(in_.good(), "cannot open '" << path << "'");
+    size_ = static_cast<std::uint64_t>(in_.tellg());
+    in_.seekg(0);
+    if (expected == nullptr) return;
+    DEEPPHI_CHECK_MSG(size_ >= 4 && magic() == expected,
+                      "'" << path << "' is not a " << expected
+                          << " checkpoint");
+    check_version();
+  }
+
+  const std::string& path() const { return path_; }
+  std::uint64_t size() const { return size_; }
+
+  std::string magic() {
+    char got[4];
+    in_.read(got, 4);
+    DEEPPHI_CHECK_MSG(in_.good(),
+                      "'" << path_ << "' too short for a checkpoint");
+    return std::string(got, 4);
+  }
+
+  void check_version() {
+    const auto version = pod<std::uint32_t>();
+    DEEPPHI_CHECK_MSG(version == kVersion,
+                      "'" << path_ << "' has unsupported version " << version);
+  }
+
+  template <typename T>
+  T pod() {
+    T v{};
+    in_.read(reinterpret_cast<char*>(&v), sizeof(T));
+    DEEPPHI_CHECK_MSG(in_.good(), "'" << path_ << "' truncated");
+    return v;
+  }
+
+  /// A dimension field: positive and below kMaxDim.
+  la::Index dim(const char* what) {
+    const auto v = pod<std::int64_t>();
+    DEEPPHI_CHECK_MSG(v >= 1 && v < kMaxDim, "'" << path_ << "' has implausible "
+                                                  << what << " " << v);
+    return static_cast<la::Index>(v);
+  }
+
+  /// Throws unless `bytes` are left in the file: called with the payload a
+  /// header declares, before allocating for it.
+  void expect_payload(std::uint64_t bytes, const std::string& what) {
+    const std::uint64_t left = size_ - static_cast<std::uint64_t>(in_.tellg());
+    DEEPPHI_CHECK_MSG(bytes <= left, "'" << path_ << "' " << what
+                                         << " declares " << bytes
+                                         << " payload bytes, but only " << left
+                                         << " are left in the file");
+  }
+
+  /// `n` elements of payload into `p`.
+  template <typename T>
+  void read(T* p, la::Index n) {
+    in_.read(reinterpret_cast<char*>(p),
+             static_cast<std::streamsize>(sizeof(T) * n));
+    DEEPPHI_CHECK_MSG(in_.good() || n == 0,
+                      "'" << path_ << "' truncated in payload");
+  }
+
+ private:
+  std::ifstream in_;
+  std::string path_;
+  std::uint64_t size_ = 0;
+};
+
+std::uint64_t float_bytes(std::int64_t n) {
+  return sizeof(float) * static_cast<std::uint64_t>(n);
 }
 
 void write_sae_body(std::ofstream& out, const SparseAutoencoder& model) {
@@ -80,19 +132,23 @@ void write_sae_body(std::ofstream& out, const SparseAutoencoder& model) {
   write_floats(out, model.b2().data(), model.b2().size());
 }
 
-SparseAutoencoder read_sae_body(std::ifstream& in, const std::string& path) {
+SparseAutoencoder read_sae_body(Reader& in) {
   SaeConfig cfg;
-  cfg.visible = static_cast<la::Index>(read_pod<std::int64_t>(in, path));
-  cfg.hidden = static_cast<la::Index>(read_pod<std::int64_t>(in, path));
-  cfg.lambda = read_pod<float>(in, path);
-  cfg.rho = read_pod<float>(in, path);
-  cfg.beta = read_pod<float>(in, path);
-  cfg.tied_weights = read_pod<std::int32_t>(in, path) != 0;
+  cfg.visible = in.dim("visible size");
+  cfg.hidden = in.dim("hidden size");
+  cfg.lambda = in.pod<float>();
+  cfg.rho = in.pod<float>();
+  cfg.beta = in.pod<float>();
+  cfg.tied_weights = in.pod<std::int32_t>() != 0;
+  // w1, b1, w2, b2.
+  in.expect_payload(float_bytes(2 * cfg.hidden * cfg.visible + cfg.hidden +
+                                cfg.visible),
+                    "SAE layer");
   SparseAutoencoder model(cfg, /*seed=*/0);
-  read_floats(in, model.w1().data(), model.w1().size(), path);
-  read_floats(in, model.b1().data(), model.b1().size(), path);
-  read_floats(in, model.w2().data(), model.w2().size(), path);
-  read_floats(in, model.b2().data(), model.b2().size(), path);
+  in.read(model.w1().data(), model.w1().size());
+  in.read(model.b1().data(), model.b1().size());
+  in.read(model.w2().data(), model.w2().size());
+  in.read(model.b2().data(), model.b2().size());
   return model;
 }
 
@@ -109,19 +165,89 @@ void write_rbm_body(std::ofstream& out, const Rbm& model) {
   write_floats(out, model.c().data(), model.c().size());
 }
 
-Rbm read_rbm_body(std::ifstream& in, const std::string& path) {
+Rbm read_rbm_body(Reader& in) {
   RbmConfig cfg;
-  cfg.visible = static_cast<la::Index>(read_pod<std::int64_t>(in, path));
-  cfg.hidden = static_cast<la::Index>(read_pod<std::int64_t>(in, path));
-  cfg.cd_k = static_cast<int>(read_pod<std::int32_t>(in, path));
-  cfg.sample_visible = read_pod<std::int32_t>(in, path) != 0;
-  cfg.visible_type = static_cast<VisibleType>(read_pod<std::int32_t>(in, path));
-  cfg.init_sigma = read_pod<float>(in, path);
+  cfg.visible = in.dim("visible size");
+  cfg.hidden = in.dim("hidden size");
+  cfg.cd_k = static_cast<int>(in.pod<std::int32_t>());
+  cfg.sample_visible = in.pod<std::int32_t>() != 0;
+  const auto visible_type = in.pod<std::int32_t>();
+  DEEPPHI_CHECK_MSG(
+      visible_type >= 0 &&
+          visible_type <= static_cast<std::int32_t>(VisibleType::kGaussian),
+      "'" << in.path() << "' has unknown visible_type " << visible_type);
+  cfg.visible_type = static_cast<VisibleType>(visible_type);
+  cfg.init_sigma = in.pod<float>();
+  // w, b, c.
+  in.expect_payload(
+      float_bytes(cfg.hidden * cfg.visible + cfg.visible + cfg.hidden),
+      "RBM layer");
   Rbm model(cfg, /*seed=*/0);
-  read_floats(in, model.w().data(), model.w().size(), path);
-  read_floats(in, model.b().data(), model.b().size(), path);
-  read_floats(in, model.c().data(), model.c().size(), path);
+  in.read(model.w().data(), model.w().size());
+  in.read(model.b().data(), model.b().size());
+  in.read(model.c().data(), model.c().size());
   return model;
+}
+
+/// The layer count of a DPSA / DPDB / DPQE file.
+std::int64_t read_layer_count(Reader& in) {
+  const auto layers = in.pod<std::int64_t>();
+  DEEPPHI_CHECK_MSG(layers >= 1 && layers < 1024,
+                    "'" << in.path() << "' has implausible layer count "
+                        << layers);
+  return layers;
+}
+
+/// The layers of a DPSA / DPDB body, each checked against the bytes left
+/// before it is allocated, chained into one `Model`.
+template <typename Model, typename Layer>
+Model read_layers(Reader& in, Layer (*read_body)(Reader&)) {
+  const std::int64_t layers = read_layer_count(in);
+  std::vector<Layer> loaded;
+  std::vector<la::Index> sizes;
+  for (std::int64_t k = 0; k < layers; ++k) {
+    loaded.push_back(read_body(in));
+    if (k == 0) sizes.push_back(loaded.back().visible());
+    DEEPPHI_CHECK_MSG(loaded.back().visible() == sizes.back(),
+                      "'" << in.path() << "' layer " << k << " does not chain");
+    sizes.push_back(loaded.back().hidden());
+  }
+  Model model(sizes, loaded.front().config(), /*seed=*/0);
+  for (std::size_t k = 0; k < model.layers(); ++k)
+    model.layer(k) = std::move(loaded[k]);
+  return model;
+}
+
+std::unique_ptr<QuantizedEncoder> read_quantized(Reader& in) {
+  const std::int64_t layers = read_layer_count(in);
+  const auto group = static_cast<la::Index>(in.pod<std::int64_t>());
+  DEEPPHI_CHECK_MSG(group > 0 && group % la::quant::kGroupAlign == 0 &&
+                        group <= la::quant::kMaxGroup,
+                    "'" << in.path() << "' has invalid quantization group "
+                        << group);
+  std::vector<QuantizedEncoder::Layer> loaded;
+  loaded.reserve(static_cast<std::size_t>(layers));
+  for (std::int64_t k = 0; k < layers; ++k) {
+    const la::Index units = in.dim("unit count");
+    const la::Index inputs = in.dim("input size");
+    DEEPPHI_CHECK_MSG(loaded.empty() || inputs == loaded.back().w.rows(),
+                      "'" << in.path() << "' layer " << k << " does not chain");
+    // Float bias, float scales per group, zero-padded int8 codes.
+    const la::Index groups = (inputs + group - 1) / group;
+    in.expect_payload(float_bytes(units + units * groups) +
+                          static_cast<std::uint64_t>(units * groups * group),
+                      "quantized layer " + std::to_string(k));
+    QuantizedEncoder::Layer l;
+    l.w = la::quant::QuantizedWeights::allocate(units, inputs, group);
+    l.bias = la::Vector::uninitialized(units);
+    in.read(l.bias.data(), units);
+    in.read(l.w.scales(0), units * l.w.groups());
+    in.read(l.w.codes(0), units * l.w.padded_cols());
+    // Derived group sums come from the codes, which also range-checks them.
+    l.w.rebuild_wsums();
+    loaded.push_back(std::move(l));
+  }
+  return std::make_unique<QuantizedEncoder>(std::move(loaded));
 }
 
 }  // namespace
@@ -134,9 +260,8 @@ void save_model(const SparseAutoencoder& model, const std::string& path) {
 }
 
 SparseAutoencoder load_sae(const std::string& path) {
-  std::ifstream in = open_in(path);
-  check_magic(in, "DPAE", path);
-  return read_sae_body(in, path);
+  Reader in(path, "DPAE");
+  return read_sae_body(in);
 }
 
 void save_model(const Rbm& model, const std::string& path) {
@@ -147,9 +272,8 @@ void save_model(const Rbm& model, const std::string& path) {
 }
 
 Rbm load_rbm(const std::string& path) {
-  std::ifstream in = open_in(path);
-  check_magic(in, "DPRB", path);
-  return read_rbm_body(in, path);
+  Reader in(path, "DPRB");
+  return read_rbm_body(in);
 }
 
 void save_model(const StackedAutoencoder& model, const std::string& path) {
@@ -162,29 +286,8 @@ void save_model(const StackedAutoencoder& model, const std::string& path) {
 }
 
 StackedAutoencoder load_stacked_sae(const std::string& path) {
-  std::ifstream in = open_in(path);
-  check_magic(in, "DPSA", path);
-  const auto layers = read_pod<std::int64_t>(in, path);
-  DEEPPHI_CHECK_MSG(layers >= 1 && layers < 1024,
-                    "'" << path << "' has implausible layer count " << layers);
-  std::vector<SparseAutoencoder> loaded;
-  loaded.reserve(static_cast<std::size_t>(layers));
-  std::vector<la::Index> sizes;
-  for (std::int64_t k = 0; k < layers; ++k) {
-    loaded.push_back(read_sae_body(in, path));
-    if (k == 0) sizes.push_back(loaded.back().visible());
-    DEEPPHI_CHECK_MSG(loaded.back().visible() == sizes.back(),
-                      "'" << path << "' layer " << k << " does not chain");
-    sizes.push_back(loaded.back().hidden());
-  }
-  StackedAutoencoder model(sizes, loaded.front().config(), /*seed=*/0);
-  for (std::size_t k = 0; k < model.layers(); ++k) {
-    model.layer(k).w1().copy_from(loaded[k].w1());
-    model.layer(k).b1().copy_from(loaded[k].b1());
-    model.layer(k).w2().copy_from(loaded[k].w2());
-    model.layer(k).b2().copy_from(loaded[k].b2());
-  }
-  return model;
+  Reader in(path, "DPSA");
+  return read_layers<StackedAutoencoder>(in, read_sae_body);
 }
 
 void save_model(const Dbn& model, const std::string& path) {
@@ -216,105 +319,61 @@ void save_model(const QuantizedEncoder& model, const std::string& path) {
 }
 
 std::unique_ptr<QuantizedEncoder> load_quantized(const std::string& path) {
-  std::ifstream in = open_in(path);
-  check_magic(in, "DPQE", path);
-  const auto layers = read_pod<std::int64_t>(in, path);
-  DEEPPHI_CHECK_MSG(layers >= 1 && layers < 1024,
-                    "'" << path << "' has implausible layer count " << layers);
-  const auto group = static_cast<la::Index>(read_pod<std::int64_t>(in, path));
-  DEEPPHI_CHECK_MSG(group > 0 && group % la::quant::kGroupAlign == 0 &&
-                        group <= la::quant::kMaxGroup,
-                    "'" << path << "' has invalid quantization group "
-                        << group);
-  std::vector<QuantizedEncoder::Layer> loaded;
-  loaded.reserve(static_cast<std::size_t>(layers));
-  for (std::int64_t k = 0; k < layers; ++k) {
-    const auto units = static_cast<la::Index>(read_pod<std::int64_t>(in, path));
-    const auto inputs = static_cast<la::Index>(read_pod<std::int64_t>(in, path));
-    DEEPPHI_CHECK_MSG(units >= 1 && inputs >= 1 && units < (1 << 24) &&
-                          inputs < (1 << 24),
-                      "'" << path << "' layer " << k
-                          << " has implausible dims " << units << "x"
-                          << inputs);
-    DEEPPHI_CHECK_MSG(loaded.empty() || inputs == loaded.back().w.rows(),
-                      "'" << path << "' layer " << k << " does not chain");
-    QuantizedEncoder::Layer l;
-    l.w = la::quant::QuantizedWeights::allocate(units, inputs, group);
-    l.bias = la::Vector::uninitialized(units);
-    read_floats(in, l.bias.data(), units, path);
-    read_floats(in, l.w.scales(0), units * l.w.groups(), path);
-    in.read(reinterpret_cast<char*>(l.w.codes(0)),
-            static_cast<std::streamsize>(units * l.w.padded_cols()));
-    DEEPPHI_CHECK_MSG(in.good(), "'" << path << "' truncated in payload");
-    // Derived group sums come from the codes, which also range-checks them.
-    l.w.rebuild_wsums();
-    loaded.push_back(std::move(l));
-  }
-  return std::make_unique<QuantizedEncoder>(std::move(loaded));
+  Reader in(path, "DPQE");
+  return read_quantized(in);
 }
 
 Dbn load_dbn(const std::string& path) {
-  std::ifstream in = open_in(path);
-  check_magic(in, "DPDB", path);
-  const auto layers = read_pod<std::int64_t>(in, path);
-  DEEPPHI_CHECK_MSG(layers >= 1 && layers < 1024,
-                    "'" << path << "' has implausible layer count " << layers);
-  std::vector<Rbm> loaded;
-  loaded.reserve(static_cast<std::size_t>(layers));
-  std::vector<la::Index> sizes;
-  for (std::int64_t k = 0; k < layers; ++k) {
-    loaded.push_back(read_rbm_body(in, path));
-    if (k == 0) sizes.push_back(loaded.back().visible());
-    DEEPPHI_CHECK_MSG(loaded.back().visible() == sizes.back(),
-                      "'" << path << "' layer " << k << " does not chain");
-    sizes.push_back(loaded.back().hidden());
-  }
-  Dbn model(sizes, loaded.front().config(), /*seed=*/0);
-  for (std::size_t k = 0; k < model.layers(); ++k) {
-    model.layer(k).w().copy_from(loaded[k].w());
-    model.layer(k).b().copy_from(loaded[k].b());
-    model.layer(k).c().copy_from(loaded[k].c());
-  }
-  return model;
+  Reader in(path, "DPDB");
+  return read_layers<Dbn>(in, read_rbm_body);
 }
 
 }  // namespace deepphi::core
 
 namespace deepphi::model_io {
 
-std::string sniff_magic(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  DEEPPHI_CHECK_MSG(in.good(), "cannot open '" << path << "'");
-  char magic[4];
-  in.read(magic, 4);
-  DEEPPHI_CHECK_MSG(in.good(), "'" << path << "' too short for a checkpoint");
-  return std::string(magic, 4);
+namespace {
+
+template <typename Model>
+std::unique_ptr<core::Encoder> boxed(Model model) {
+  return std::make_unique<Model>(std::move(model));
 }
 
+}  // namespace
+
 LoadedModel load_any(const std::string& path) {
+  using core::Reader;
+  Reader in(path);
   LoadedModel loaded;
-  loaded.magic = sniff_magic(path);
-  if (loaded.magic == "DPAE") {
-    loaded.model = std::make_unique<core::SparseAutoencoder>(core::load_sae(path));
-  } else if (loaded.magic == "DPRB") {
-    loaded.model = std::make_unique<core::Rbm>(core::load_rbm(path));
-  } else if (loaded.magic == "DPSA") {
-    loaded.model = std::make_unique<core::StackedAutoencoder>(
-        core::load_stacked_sae(path));
-  } else if (loaded.magic == "DPDB") {
-    loaded.model = std::make_unique<core::Dbn>(core::load_dbn(path));
-  } else if (loaded.magic == "DPQE") {
-    loaded.model = core::load_quantized(path);
+  loaded.magic = in.magic();
+  const std::string& m = loaded.magic;
+  // The body reader is picked before the version is read, so a file of
+  // another kind is reported by its magic.
+  std::unique_ptr<core::Encoder> (*read_body)(Reader&);
+  if (m == "DPAE") {
+    read_body = [](Reader& r) { return boxed(core::read_sae_body(r)); };
+  } else if (m == "DPRB") {
+    read_body = [](Reader& r) { return boxed(core::read_rbm_body(r)); };
+  } else if (m == "DPSA") {
+    read_body = [](Reader& r) {
+      return boxed(core::read_layers<core::StackedAutoencoder>(
+          r, core::read_sae_body));
+    };
+  } else if (m == "DPDB") {
+    read_body = [](Reader& r) {
+      return boxed(core::read_layers<core::Dbn>(r, core::read_rbm_body));
+    };
+  } else if (m == "DPQE") {
+    read_body = [](Reader& r) -> std::unique_ptr<core::Encoder> {
+      return core::read_quantized(r);
+    };
   } else {
-    throw util::Error("'" + path + "' has unknown checkpoint magic '" +
-                      loaded.magic + "' (known: DPAE, DPRB, DPSA, DPDB, DPQE)");
+    throw util::Error("'" + path + "' has unknown checkpoint magic '" + m +
+                      "' (known: DPAE, DPRB, DPSA, DPDB, DPQE)");
   }
-  loaded.precision = loaded.magic == "DPQE" ? "int8" : "fp32";
-  std::ifstream size_probe(path, std::ios::binary | std::ios::ate);
-  if (size_probe.good()) {
-    const auto end = size_probe.tellg();
-    if (end > 0) loaded.file_bytes = static_cast<std::uint64_t>(end);
-  }
+  in.check_version();
+  loaded.model = read_body(in);
+  loaded.file_bytes = in.size();
   return loaded;
 }
 

@@ -42,27 +42,23 @@ std::unique_ptr<QuantizedEncoder> load_quantized(const std::string& path);
 
 namespace deepphi::model_io {
 
-/// The 4-byte magic of the checkpoint at `path` ("DPAE" / "DPRB" / "DPSA" /
-/// "DPDB" / "DPQE"); throws util::Error when the file cannot be opened or is
-/// too short to carry a header. Does not validate the version or payload.
-std::string sniff_magic(const std::string& path);
-
 /// A loaded checkpoint plus the metadata the serve-tier registry wants to
-/// expose without re-opening the file: what format it was, which numeric
-/// tier it runs, and how big the checkpoint was on disk.
+/// expose without re-opening the file: what format it was and how big the
+/// checkpoint was on disk.
 struct LoadedModel {
   std::unique_ptr<core::Encoder> model;
-  std::string magic;       ///< 4-byte checkpoint magic, e.g. "DPSA"
-  std::string precision;   ///< "fp32" or "int8"
+  std::string magic;  ///< 4-byte checkpoint magic, e.g. "DPSA"
   std::uint64_t file_bytes = 0;
 };
 
-/// Loads ANY checkpoint as its inference interface: sniffs the magic and
-/// dispatches to the matching typed loader, so callers (serving, eval) need
-/// no per-type flags or switches. Throws util::Error for unknown magics,
-/// unsupported versions, and truncated payloads. The typed core::load_*
-/// functions remain as thin wrappers for callers that need the concrete
-/// training type.
+/// Loads ANY checkpoint as its inference interface: opens the file once,
+/// reads the magic and dispatches to the matching body reader, so callers
+/// (serving, eval) need no per-type flags or switches. Every size a header
+/// declares is checked against the bytes left in the file before anything
+/// is allocated. Throws util::Error for unknown magics, unsupported
+/// versions, implausible or oversized headers, and truncated payloads. The
+/// typed core::load_* functions read the same bodies for callers that need
+/// the concrete training type.
 LoadedModel load_any(const std::string& path);
 
 }  // namespace deepphi::model_io

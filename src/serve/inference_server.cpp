@@ -18,40 +18,35 @@ constexpr const char* kServeSchema = "deepphi.serve.v1";
 
 constexpr std::size_t kNoShed = std::numeric_limits<std::size_t>::max();
 
+// Adaptive-batching bounds every lane shares (serve/adaptive_batcher.hpp):
+// the smallest batch and the longest flush delay the policy may decide.
+constexpr la::Index kMinBatch = 1;
+constexpr double kDelayCapS = 0.02;
+
+// Rolling-window geometry feeding the adaptive decisions: the last 8 × 0.25 s.
+constexpr double kWindowIntervalS = 0.25;
+constexpr std::size_t kWindowIntervals = 8;
+
 void fail(std::promise<Reply>& p, const std::string& what) {
   p.set_exception(std::make_exception_ptr(util::Error(what)));
 }
 
 }  // namespace
 
-ModelServeConfig ServeConfig::lane_defaults() const {
-  ModelServeConfig m;
-  m.min_batch = min_batch;
-  m.max_batch = max_batch;
-  m.max_delay_s = max_delay_s;
-  m.delay_cap_s = delay_cap_s;
-  m.queue_capacity = queue_capacity;
-  m.shed_fraction = shed_fraction;
-  m.adaptive = adaptive;
-  return m;
-}
-
 /// One served model: its queue, batcher thread, policy, rolling windows, and
 /// both metric surfaces — the process-global serve.model.<name>.* registry
 /// entries (exposition) and per-server-instance recorders (stats(), windows;
 /// fresh per server so parallel test servers cannot bleed into each other).
 struct InferenceServer::Lane {
-  Lane(std::string lane_name, ModelServeConfig lane_cfg, double budget,
-       la::Index in_dim, double window_interval_s, std::size_t window_intervals)
+  Lane(std::string lane_name, const ServeConfig& cfg, double budget,
+       la::Index in_dim)
       : name(std::move(lane_name)),
-        cfg(lane_cfg),
         input_dim(in_dim),
-        queue(lane_cfg.queue_capacity, "serve.model." + name + ".queue_depth"),
-        policy(BatchPolicy{lane_cfg.min_batch, lane_cfg.max_batch,
-                           lane_cfg.max_delay_s, lane_cfg.delay_cap_s, budget,
-                           lane_cfg.adaptive}),
-        e2e_window(latency, window_interval_s, window_intervals),
-        compute_window(compute_src, window_interval_s, window_intervals),
+        queue(cfg.queue_capacity, "serve.model." + name + ".queue_depth"),
+        policy(BatchPolicy{kMinBatch, cfg.max_batch, cfg.max_delay_s,
+                           kDelayCapS, budget, cfg.adaptive}),
+        e2e_window(latency, kWindowIntervalS, kWindowIntervals),
+        compute_window(compute_src, kWindowIntervalS, kWindowIntervals),
         latency_hist(obs::histogram("serve.model." + name + ".latency")),
         compute_hist(obs::histogram("serve.model." + name + ".compute")),
         queue_wait_hist(obs::histogram("serve.model." + name + ".queue_wait")),
@@ -64,22 +59,21 @@ struct InferenceServer::Lane {
         decided_delay_g(
             obs::gauge("serve.model." + name + ".decided_delay_ms")),
         budget_g(obs::gauge("serve.model." + name + ".budget_ms")),
-        shed_threshold(lane_cfg.shed_fraction < 1.0
+        shed_threshold(cfg.shed_fraction < 1.0
                            ? static_cast<std::size_t>(
-                                 lane_cfg.shed_fraction *
-                                 static_cast<double>(lane_cfg.queue_capacity))
+                                 cfg.shed_fraction *
+                                 static_cast<double>(cfg.queue_capacity))
                            : kNoShed),
-        last_decision{lane_cfg.max_batch, lane_cfg.max_delay_s} {
+        last_decision{cfg.max_batch, cfg.max_delay_s} {
     budget_g.set(budget * 1e3);
   }
 
   const std::string name;
-  const ModelServeConfig cfg;
   const la::Index input_dim;
   RequestQueue queue;
   const AdaptiveBatcher policy;
 
-  // Per-instance recorders: `latency` feeds stats(name) and the e2e window;
+  // Per-instance recorders: `latency` feeds stats() and the e2e window;
   // `compute_src` exists only to drive the compute window. Both also mirror
   // into the registered serve.model.<name>.* histograms below.
   obs::Histogram latency;
@@ -110,7 +104,6 @@ struct InferenceServer::Lane {
   std::atomic<std::int64_t> failed{0};
   std::atomic<std::int64_t> batches{0};
   std::atomic<double> compute_s{0};
-  std::atomic<double> queue_wait_s{0};
 
   mutable std::mutex decision_mutex;
   BatchDecision last_decision;
@@ -122,48 +115,17 @@ InferenceServer::InferenceServer(ModelRegistry& registry, ServeConfig config)
     : registry_(&registry),
       config_(std::move(config)),
       pool_(std::max(1u, config_.workers)) {
-  init_lanes();
-}
-
-InferenceServer::InferenceServer(const core::Encoder& model, ServeConfig config)
-    : owned_registry_(std::make_unique<ModelRegistry>()),
-      registry_(owned_registry_.get()),
-      config_(std::move(config)),
-      pool_(std::max(1u, config_.workers)) {
-  // Borrowed, not owned: the aliasing constructor makes a non-owning
-  // shared_ptr, preserving the PR-3 contract that `model` outlives the
-  // server.
-  owned_registry_->add_shared(
-      "default",
-      std::shared_ptr<const core::Encoder>(std::shared_ptr<void>(), &model));
-  init_lanes();
-}
-
-void InferenceServer::init_lanes() {
   DEEPPHI_CHECK_MSG(config_.max_batch >= 1,
                     "max_batch must be >= 1, got " << config_.max_batch);
   DEEPPHI_CHECK_MSG(config_.max_delay_s >= 0,
                     "max_delay_s must be >= 0, got " << config_.max_delay_s);
-  DEEPPHI_CHECK_MSG(config_.window_interval_s > 0 &&
-                        config_.window_intervals >= 1,
-                    "rolling-window geometry must be positive");
   const std::vector<std::string> names = registry_->names();
   DEEPPHI_CHECK_MSG(!names.empty(),
                     "cannot serve from an empty model registry");
-  for (const auto& [name, cfg] : config_.per_model) {
-    (void)cfg;
-    DEEPPHI_CHECK_MSG(registry_->contains(name),
-                      "per_model config for unregistered model '" << name
-                                                                  << "'");
-  }
   for (const std::string& name : names) {
-    const auto it = config_.per_model.find(name);
-    const ModelServeConfig cfg =
-        it != config_.per_model.end() ? it->second : config_.lane_defaults();
     const ModelInfo info = registry_->info(name);
-    auto lane = std::make_unique<Lane>(name, cfg, info.budget_s,
-                                       info.input_dim, config_.window_interval_s,
-                                       config_.window_intervals);
+    auto lane = std::make_unique<Lane>(name, config_, info.budget_s,
+                                       info.input_dim);
     emit_lane_config(*lane);
     lanes_.emplace(name, std::move(lane));
   }
@@ -193,11 +155,11 @@ void InferenceServer::emit_lane_config(const Lane& lane) {
                                static_cast<std::int64_t>(info.version)),
        TelemetryField::integer("input_dim", info.input_dim),
        TelemetryField::integer("output_dim", info.output_dim),
-       TelemetryField::integer("max_batch", lane.cfg.max_batch),
-       TelemetryField::num("max_delay_s", lane.cfg.max_delay_s),
+       TelemetryField::integer("max_batch", config_.max_batch),
+       TelemetryField::num("max_delay_s", config_.max_delay_s),
        TelemetryField::integer(
            "queue_capacity",
-           static_cast<std::int64_t>(lane.cfg.queue_capacity)),
+           static_cast<std::int64_t>(config_.queue_capacity)),
        TelemetryField::integer("workers", pool_.size()),
        TelemetryField::num("budget_ms", info.budget_s * 1e3),
        TelemetryField::integer("adaptive",
@@ -230,7 +192,6 @@ std::future<Reply> InferenceServer::submit(const std::string& model,
     fail(r.result, "inference server is shutting down");
     return fut;
   }
-  static obs::Counter& rejected_all = obs::counter("serve.rejected");
   // Admission control: shed by queue depth before capacity does, so under a
   // sustained overload the queue keeps headroom for bursts instead of
   // sitting pinned at its memory bound.
@@ -239,7 +200,6 @@ std::future<Reply> InferenceServer::submit(const std::string& model,
     l.shed.fetch_add(1, std::memory_order_relaxed);
     l.rejected_ctr.add();
     l.shed_ctr.add();
-    rejected_all.add();
     fail(r.result, "inference server overloaded: load shed for model '" +
                        model + "' (queue depth at admission threshold)");
     return fut;
@@ -251,7 +211,6 @@ std::future<Reply> InferenceServer::submit(const std::string& model,
     // try_push only moves on success, so `promise` is still ours here.
     l.rejected.fetch_add(1, std::memory_order_relaxed);
     l.rejected_ctr.add();
-    rejected_all.add();
     fail(*promise,
          l.queue.closed() ? "inference server is shutting down"
                           : "inference server overloaded: request queue full");
@@ -259,21 +218,7 @@ std::future<Reply> InferenceServer::submit(const std::string& model,
   }
   l.submitted.fetch_add(1, std::memory_order_relaxed);
   l.requests_ctr.add();
-  static obs::Counter& requests_all = obs::counter("serve.requests");
-  requests_all.add();
   return fut;
-}
-
-std::future<Reply> InferenceServer::submit(std::vector<float> input) {
-  DEEPPHI_CHECK_MSG(lanes_.size() == 1,
-                    "submit() without a model name needs a single-model "
-                    "server; this one serves "
-                        << lanes_.size() << " — use submit(name, input)");
-  return submit(lanes_.begin()->first, std::move(input));
-}
-
-std::future<Reply> InferenceServer::submit(const float* row, la::Index dim) {
-  return submit(std::vector<float>(row, row + dim));
 }
 
 void InferenceServer::batcher_loop(Lane& lane) {
@@ -329,8 +274,6 @@ void InferenceServer::batcher_loop(Lane& lane) {
     }
     lane.batches.fetch_add(1, std::memory_order_relaxed);
     lane.batches_ctr.add();
-    static obs::Counter& batches_all = obs::counter("serve.batches");
-    batches_all.add();
 
     // std::function needs a copyable callable; Request holds a move-only
     // promise, so the batch rides in a shared_ptr.
@@ -365,7 +308,7 @@ void InferenceServer::run_batch(Lane& lane, ModelVersion version,
   const double queue_wait = batch_start - batch.front().enqueue_s;
 
   // Per-request queue wait: every request's own submit -> batch-start time
-  // (the oldest-only aggregate above feeds the legacy summary fields).
+  // (the oldest-only value above goes into the serve_batch record).
   static obs::Histogram& queue_wait_hist =
       obs::histogram("serve.stage.queue_wait");
   for (const Request& r : batch) {
@@ -411,7 +354,6 @@ void InferenceServer::run_batch(Lane& lane, ModelVersion version,
       reply.row.assign(out.row(r), out.row(r) + out.cols());
       reply.version = version.version;
       const double e2e = obs::Profiler::now_s() - req.enqueue_s;
-      latency_.record(e2e);
       lane.latency.record(e2e);
       lane.latency_hist.record(e2e);
       e2e_hist.record(e2e);
@@ -423,12 +365,7 @@ void InferenceServer::run_batch(Lane& lane, ModelVersion version,
   }
   lane.completed.fetch_add(rows, std::memory_order_relaxed);
   lane.compute_s.fetch_add(compute_s, std::memory_order_relaxed);
-  lane.queue_wait_s.fetch_add(queue_wait, std::memory_order_relaxed);
   lane.coalesced_ctr.add(rows);
-  static obs::Counter& coalesced = obs::counter("serve.coalesced_rows");
-  coalesced.add(rows);
-  static obs::Gauge& batch_rows = obs::gauge("serve.batch_rows");
-  batch_rows.set(static_cast<double>(rows));
 
   if (config_.telemetry) {
     using obs::TelemetryField;
@@ -509,70 +446,36 @@ void InferenceServer::emit_summary() {
        TelemetryField::num("latency_max_s", s.latency.max_s)});
 }
 
-const char* InferenceServer::precision() const {
-  const char* agreed = nullptr;
-  for (const auto& [name, lane] : lanes_) {
-    const std::string p = registry_->info(name).precision;
-    const char* lit = p == "int8" ? "int8" : "fp32";
-    if (agreed == nullptr) agreed = lit;
-    if (agreed != lit) return "mixed";
-  }
-  return agreed == nullptr ? "fp32" : agreed;
-}
-
 ServerStats InferenceServer::stats(const std::string& model) const {
-  const Lane& l = lane(model);
-  ServerStats s;
-  s.submitted = l.submitted.load(std::memory_order_relaxed);
-  s.rejected = l.rejected.load(std::memory_order_relaxed);
-  s.shed = l.shed.load(std::memory_order_relaxed);
-  s.completed = l.completed.load(std::memory_order_relaxed);
-  s.failed = l.failed.load(std::memory_order_relaxed);
-  s.batches = l.batches.load(std::memory_order_relaxed);
-  s.mean_batch_size =
-      s.batches > 0
-          ? static_cast<double>(s.completed) / static_cast<double>(s.batches)
-          : 0;
-  s.peak_queue_depth = l.queue.peak_size();
-  s.total_compute_s = l.compute_s.load(std::memory_order_relaxed);
-  s.total_queue_wait_s = l.queue_wait_s.load(std::memory_order_relaxed);
-  s.latency = summarize(l.latency.snapshot());
-  return s;
+  return sum_stats({&lane(model)});
 }
 
 ServerStats InferenceServer::stats() const {
+  std::vector<const Lane*> all;
+  for (const auto& [name, lane] : lanes_) all.push_back(lane.get());
+  return sum_stats(all);
+}
+
+ServerStats InferenceServer::sum_stats(const std::vector<const Lane*>& lanes) {
   ServerStats s;
-  for (const auto& [name, lane] : lanes_) {
-    s.submitted += lane->submitted.load(std::memory_order_relaxed);
-    s.rejected += lane->rejected.load(std::memory_order_relaxed);
-    s.shed += lane->shed.load(std::memory_order_relaxed);
-    s.completed += lane->completed.load(std::memory_order_relaxed);
-    s.failed += lane->failed.load(std::memory_order_relaxed);
-    s.batches += lane->batches.load(std::memory_order_relaxed);
-    s.peak_queue_depth = std::max(s.peak_queue_depth, lane->queue.peak_size());
-    s.total_compute_s += lane->compute_s.load(std::memory_order_relaxed);
-    s.total_queue_wait_s += lane->queue_wait_s.load(std::memory_order_relaxed);
+  obs::HistogramSnapshot latency;
+  for (const Lane* l : lanes) {
+    s.submitted += l->submitted.load(std::memory_order_relaxed);
+    s.rejected += l->rejected.load(std::memory_order_relaxed);
+    s.shed += l->shed.load(std::memory_order_relaxed);
+    s.completed += l->completed.load(std::memory_order_relaxed);
+    s.failed += l->failed.load(std::memory_order_relaxed);
+    s.batches += l->batches.load(std::memory_order_relaxed);
+    s.peak_queue_depth = std::max(s.peak_queue_depth, l->queue.peak_size());
+    s.total_compute_s += l->compute_s.load(std::memory_order_relaxed);
+    latency.merge(l->latency.snapshot());
   }
   s.mean_batch_size =
       s.batches > 0
           ? static_cast<double>(s.completed) / static_cast<double>(s.batches)
           : 0;
-  s.latency = summarize(latency_.snapshot());
+  s.latency = summarize(latency);
   return s;
-}
-
-std::vector<std::string> InferenceServer::models() const {
-  std::vector<std::string> out;
-  out.reserve(lanes_.size());
-  for (const auto& [name, lane] : lanes_) out.push_back(name);
-  return out;
-}
-
-std::size_t InferenceServer::queue_depth() const {
-  DEEPPHI_CHECK_MSG(lanes_.size() == 1,
-                    "queue_depth() without a model name needs a single-model "
-                    "server — use queue_depth(name)");
-  return lanes_.begin()->second->queue.size();
 }
 
 std::size_t InferenceServer::queue_depth(const std::string& model) const {

@@ -35,10 +35,11 @@
 //    shed by queue depth before that (shed_fraction), and at most
 //    workers + lanes coalesced batches are in flight at once, so overload
 //    degrades into fast rejections instead of OOM.
-//  * Observability reuses the obs:: stack: the process-wide serve.* metrics
-//    of the single-model era keep recording (aggregated over lanes), plus
-//    per-model histograms/counters/gauges under serve.model.<name>.*, and
-//    JSONL telemetry under the "deepphi.serve.v1" schema (docs/serving.md).
+//  * Observability reuses the obs:: stack: per-model histograms, counters
+//    and gauges under serve.model.<name>.*, the process-wide end-to-end and
+//    stage histograms (serve.latency, serve.stage.*) that the stats endpoint
+//    windows, and JSONL telemetry under the "deepphi.serve.v1" schema
+//    (docs/serving.md).
 //  * Graceful shutdown: shutdown() stops admission, drains every queued
 //    request through the normal batch path, and joins all threads; the
 //    destructor does the same.
@@ -55,7 +56,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/encoder.hpp"
 #include "obs/telemetry.hpp"
 #include "parallel/thread_pool.hpp"
 #include "obs/histogram.hpp"
@@ -64,23 +64,6 @@
 #include "serve/request_queue.hpp"
 
 namespace deepphi::serve {
-
-/// Per-model serving knobs. ServeConfig's top-level fields provide the
-/// defaults for every lane; a per_model entry overrides them for one name.
-struct ModelServeConfig {
-  la::Index min_batch = 1;
-  la::Index max_batch = 64;
-  double max_delay_s = 2e-3;
-  double delay_cap_s = 0.02;
-  std::size_t queue_capacity = 1024;
-  /// Queue-depth admission threshold as a fraction of capacity: submits are
-  /// shed once depth reaches `shed_fraction * capacity`. 1.0 disables the
-  /// early shed (the queue still rejects at capacity).
-  double shed_fraction = 1.0;
-  /// False pins the static size-or-deadline policy even when the model has
-  /// a latency budget.
-  bool adaptive = true;
-};
 
 struct ServeConfig {
   /// Largest coalesced batch (rows per Encoder::encode call).
@@ -100,21 +83,13 @@ struct ServeConfig {
   /// Optional JSONL sink for per-batch and summary records
   /// (schema "deepphi.serve.v1"). Must outlive the server.
   obs::TelemetrySink* telemetry = nullptr;
-
-  // Adaptive-batching defaults (see ModelServeConfig / BatchPolicy).
-  la::Index min_batch = 1;
-  double delay_cap_s = 0.02;
+  /// Queue-depth admission threshold as a fraction of capacity: submits are
+  /// shed once a lane's depth reaches `shed_fraction * queue_capacity`. 1.0
+  /// disables the early shed (the queue still rejects at capacity).
   double shed_fraction = 1.0;
+  /// False pins the static size-or-deadline policy even for models with a
+  /// latency budget.
   bool adaptive = true;
-  /// Rolling-window geometry feeding the adaptive decisions.
-  double window_interval_s = 0.25;
-  std::size_t window_intervals = 8;
-
-  /// Per-model overrides by registry name (copy lane_defaults() and edit).
-  std::map<std::string, ModelServeConfig> per_model;
-
-  /// The ModelServeConfig the top-level fields imply.
-  ModelServeConfig lane_defaults() const;
 };
 
 /// Latency summary of an obs::Histogram snapshot: p50/p95/p99 are histogram
@@ -144,7 +119,6 @@ struct ServerStats {
   double mean_batch_size = 0;   // completed / batches
   std::size_t peak_queue_depth = 0;
   double total_compute_s = 0;   // sum of per-batch encode wall time
-  double total_queue_wait_s = 0;  // sum over batches of oldest-request wait
   LatencySummary latency;       // end-to-end submit -> result-ready
 };
 
@@ -154,12 +128,6 @@ class InferenceServer {
   /// server. Models may be added to the registry only before construction
   /// (lanes are fixed); publish() works at any time.
   InferenceServer(ModelRegistry& registry, ServeConfig config);
-
-  /// Single-model convenience (the PR-3 API): wraps `model` in an internal
-  /// registry under the name "default". `model` is shared and read-only; it
-  /// must outlive the server and its encode() must be thread-safe (every
-  /// core::Encoder in this repo is).
-  InferenceServer(const core::Encoder& model, ServeConfig config);
 
   ~InferenceServer();
 
@@ -173,39 +141,22 @@ class InferenceServer {
   /// request (shed / queue full / shutting down) or the model failed.
   std::future<Reply> submit(const std::string& model, std::vector<float> input);
 
-  /// Single-lane convenience: routes to the only served model; throws when
-  /// the server lanes more than one.
-  std::future<Reply> submit(std::vector<float> input);
-
-  /// Convenience overload: copies `row[0..dim)` (single-lane servers).
-  std::future<Reply> submit(const float* row, la::Index dim);
-
   /// Stops admission, drains every queued request through the batch path,
   /// waits for in-flight compute, emits the telemetry summary, and joins all
   /// threads. Idempotent; called by the destructor.
   void shutdown();
 
-  /// Lifetime stats aggregated over every lane.
+  /// Lifetime stats aggregated over every lane: counters summed, latency
+  /// summarized from the merge of the lanes' histograms.
   ServerStats stats() const;
   /// One lane's lifetime stats; throws for unknown names.
   ServerStats stats(const std::string& model) const;
 
-  /// Served model names, sorted.
-  std::vector<std::string> models() const;
-
   /// The registry this server serves from (the admin swap endpoint
-  /// publishes through this).
+  /// publishes through this). Its names() are the served lanes.
   ModelRegistry& registry() { return *registry_; }
-  const ModelRegistry& registry() const { return *registry_; }
 
-  const ServeConfig& config() const { return config_; }
-
-  /// "fp32" or "int8" when every lane agrees, "mixed" otherwise — recorded
-  /// in telemetry and surfaced by the serving CLI/bench.
-  const char* precision() const;
-
-  /// Requests currently waiting (single-lane convenience / by name).
-  std::size_t queue_depth() const;
+  /// Requests currently waiting in one lane's queue.
   std::size_t queue_depth(const std::string& model) const;
 
   /// The most recent adaptive decision a lane's batcher made (tests, CLI).
@@ -214,21 +165,17 @@ class InferenceServer {
  private:
   struct Lane;
 
-  void init_lanes();
   void batcher_loop(Lane& lane);
   void run_batch(Lane& lane, ModelVersion version, std::vector<Request> batch);
   void emit_lane_config(const Lane& lane);
   void emit_summary();
   Lane& lane(const std::string& model) const;
+  static ServerStats sum_stats(const std::vector<const Lane*>& lanes);
 
-  // Set only by the legacy single-model constructor, which needs a registry
-  // of its own to wrap the borrowed Encoder.
-  std::unique_ptr<ModelRegistry> owned_registry_;
-  ModelRegistry* registry_ = nullptr;
+  ModelRegistry* registry_;
   const ServeConfig config_;
   std::map<std::string, std::unique_ptr<Lane>> lanes_;
   par::ThreadPool pool_;
-  obs::Histogram latency_;  // aggregate end-to-end, all lanes
 
   // In-flight batch throttle: collection stops while `max_inflight_` batches
   // are queued or running on the pool, bounding the memory pinned by

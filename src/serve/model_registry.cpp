@@ -36,49 +36,33 @@ const char* encoder_precision(const core::Encoder& model) {
 std::uint64_t ModelRegistry::add(const std::string& name,
                                  model_io::LoadedModel loaded,
                                  double budget_s) {
-  DEEPPHI_CHECK_MSG(loaded.model != nullptr,
-                    "registry add '" << name << "': null model");
-  std::shared_ptr<const core::Encoder> model = std::move(loaded.model);
-  std::lock_guard<std::mutex> lock(mutex_);
-  return add_locked(name, std::move(model), budget_s, std::move(loaded.magic),
-                    std::move(loaded.precision), loaded.file_bytes);
+  return add_model(name, std::move(loaded.model), budget_s,
+                   std::move(loaded.magic), loaded.file_bytes);
 }
 
 std::uint64_t ModelRegistry::add_shared(
     const std::string& name, std::shared_ptr<const core::Encoder> model,
-    double budget_s, std::string magic, std::string precision,
-    std::uint64_t file_bytes) {
-  DEEPPHI_CHECK_MSG(model != nullptr,
-                    "registry add '" << name << "': null model");
-  std::lock_guard<std::mutex> lock(mutex_);
-  return add_locked(name, std::move(model), budget_s, std::move(magic),
-                    std::move(precision), file_bytes);
+    double budget_s) {
+  return add_model(name, std::move(model), budget_s, "mem", 0);
 }
 
 std::uint64_t ModelRegistry::publish(const std::string& name,
                                      model_io::LoadedModel loaded) {
-  DEEPPHI_CHECK_MSG(loaded.model != nullptr,
-                    "registry publish '" << name << "': null model");
-  std::shared_ptr<const core::Encoder> model = std::move(loaded.model);
-  std::lock_guard<std::mutex> lock(mutex_);
-  return publish_locked(name, std::move(model), std::move(loaded.magic),
-                        std::move(loaded.precision), loaded.file_bytes);
+  return publish_model(name, std::move(loaded.model), std::move(loaded.magic),
+                       loaded.file_bytes);
 }
 
 std::uint64_t ModelRegistry::publish_shared(
-    const std::string& name, std::shared_ptr<const core::Encoder> model,
-    std::string magic, std::string precision, std::uint64_t file_bytes) {
-  DEEPPHI_CHECK_MSG(model != nullptr,
-                    "registry publish '" << name << "': null model");
-  std::lock_guard<std::mutex> lock(mutex_);
-  return publish_locked(name, std::move(model), std::move(magic),
-                        std::move(precision), file_bytes);
+    const std::string& name, std::shared_ptr<const core::Encoder> model) {
+  return publish_model(name, std::move(model), "mem", 0);
 }
 
-std::uint64_t ModelRegistry::add_locked(
+std::uint64_t ModelRegistry::add_model(
     const std::string& name, std::shared_ptr<const core::Encoder> model,
-    double budget_s, std::string magic, std::string precision,
-    std::uint64_t file_bytes) {
+    double budget_s, std::string magic, std::uint64_t file_bytes) {
+  DEEPPHI_CHECK_MSG(model != nullptr,
+                    "registry add '" << name << "': null model");
+  std::lock_guard<std::mutex> lock(mutex_);
   DEEPPHI_CHECK_MSG(valid_name(name),
                     "invalid model name '"
                         << name << "' (use [A-Za-z0-9_-], max 128 chars)");
@@ -91,8 +75,7 @@ std::uint64_t ModelRegistry::add_locked(
   e.info.name = name;
   e.info.version = 1;
   e.info.magic = std::move(magic);
-  e.info.precision =
-      precision.empty() ? encoder_precision(*model) : std::move(precision);
+  e.info.precision = encoder_precision(*model);
   e.info.file_bytes = file_bytes;
   e.info.input_dim = model->input_dim();
   e.info.output_dim = model->output_dim();
@@ -105,9 +88,12 @@ std::uint64_t ModelRegistry::add_locked(
   return 1;
 }
 
-std::uint64_t ModelRegistry::publish_locked(
+std::uint64_t ModelRegistry::publish_model(
     const std::string& name, std::shared_ptr<const core::Encoder> model,
-    std::string magic, std::string precision, std::uint64_t file_bytes) {
+    std::string magic, std::uint64_t file_bytes) {
+  DEEPPHI_CHECK_MSG(model != nullptr,
+                    "registry publish '" << name << "': null model");
+  std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(name);
   DEEPPHI_CHECK_MSG(it != entries_.end(),
                     "cannot publish to unknown model '" << name << "'");
@@ -119,8 +105,7 @@ std::uint64_t ModelRegistry::publish_locked(
                      << " (queued requests were validated against it)");
   e.info.version += 1;
   e.info.magic = std::move(magic);
-  e.info.precision =
-      precision.empty() ? encoder_precision(*model) : std::move(precision);
+  e.info.precision = encoder_precision(*model);
   e.info.file_bytes = file_bytes;
   e.info.output_dim = model->output_dim();
   e.info.description = model->describe();
@@ -161,16 +146,6 @@ std::vector<std::string> ModelRegistry::names() const {
   out.reserve(entries_.size());
   for (const auto& [name, e] : entries_) out.push_back(name);
   return out;
-}
-
-bool ModelRegistry::contains(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.count(name) != 0;
-}
-
-std::size_t ModelRegistry::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
 }
 
 }  // namespace deepphi::serve

@@ -63,18 +63,18 @@ class ModelRegistry {
 
   /// Registers a freshly loaded checkpoint under `name` at version 1.
   /// Names must be non-empty and use only [A-Za-z0-9_-] so the per-model
-  /// metric names they mint stay parseable. Throws util::Error on a
-  /// duplicate or invalid name. Returns the version (1).
+  /// metric names they mint stay parseable. The precision comes from the
+  /// Encoder's type (encoder_precision). Throws util::Error on a duplicate
+  /// or invalid name. Returns the version (1).
   std::uint64_t add(const std::string& name, model_io::LoadedModel loaded,
                     double budget_s = 0);
 
-  /// Same, for a model the caller already owns elsewhere (tests, the legacy
-  /// single-model server path). `model` must be thread-safe for encode().
+  /// Same, for a model the caller already owns elsewhere (tests, benches,
+  /// in-memory models): magic "mem".
+  /// `model` must be thread-safe for encode().
   std::uint64_t add_shared(const std::string& name,
                            std::shared_ptr<const core::Encoder> model,
-                           double budget_s = 0, std::string magic = "mem",
-                           std::string precision = "",
-                           std::uint64_t file_bytes = 0);
+                           double budget_s = 0);
 
   /// Swaps `name` to the new model and bumps the version. The new model must
   /// keep the input dimension (queued requests were validated against it);
@@ -85,10 +85,7 @@ class ModelRegistry {
 
   /// publish() for an externally owned model (tests, in-memory swaps).
   std::uint64_t publish_shared(const std::string& name,
-                               std::shared_ptr<const core::Encoder> model,
-                               std::string magic = "mem",
-                               std::string precision = "",
-                               std::uint64_t file_bytes = 0);
+                               std::shared_ptr<const core::Encoder> model);
 
   /// The current (model, version) for `name` — one mutex hop and one
   /// shared_ptr copy. Throws util::Error for unknown names.
@@ -103,23 +100,19 @@ class ModelRegistry {
   /// Registered names, sorted.
   std::vector<std::string> names() const;
 
-  bool contains(const std::string& name) const;
-  std::size_t size() const;
-
  private:
   struct Entry {
     ModelVersion current;
     ModelInfo info;
   };
 
-  std::uint64_t add_locked(const std::string& name,
-                           std::shared_ptr<const core::Encoder> model,
-                           double budget_s, std::string magic,
-                           std::string precision, std::uint64_t file_bytes);
-  std::uint64_t publish_locked(const std::string& name,
-                               std::shared_ptr<const core::Encoder> model,
-                               std::string magic, std::string precision,
-                               std::uint64_t file_bytes);
+  std::uint64_t add_model(const std::string& name,
+                          std::shared_ptr<const core::Encoder> model,
+                          double budget_s, std::string magic,
+                          std::uint64_t file_bytes);
+  std::uint64_t publish_model(const std::string& name,
+                              std::shared_ptr<const core::Encoder> model,
+                              std::string magic, std::uint64_t file_bytes);
 
   mutable std::mutex mutex_;
   std::map<std::string, Entry> entries_;

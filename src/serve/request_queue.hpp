@@ -32,8 +32,8 @@ namespace deepphi::serve {
 /// version of the model that actually served it — under a hot swap,
 /// in-flight batches finish on the version they were collected under, and
 /// the version field is how callers (and the hot-swap tests) know which
-/// model's direct encode() a response must be bitwise equal to. Servers
-/// built directly on an Encoder (no registry) report version 1.
+/// model's direct encode() a response must be bitwise equal to. Versions
+/// start at 1 when a model is registered.
 struct Reply {
   std::vector<float> row;
   std::uint64_t version = 1;
@@ -52,9 +52,8 @@ struct Request {
 class RequestQueue {
  public:
   /// `depth_gauge` names the registry gauge tracking this queue's depth —
-  /// per-model queues pass "serve.model.<name>.queue_depth".
-  explicit RequestQueue(std::size_t capacity,
-                        std::string depth_gauge = "serve.queue_depth");
+  /// the server's lanes pass "serve.model.<name>.queue_depth".
+  RequestQueue(std::size_t capacity, std::string depth_gauge);
 
   /// Admits `r` unless the queue is full or closed; returns whether it was
   /// admitted (the caller fails the promise on rejection — the queue never
@@ -74,7 +73,6 @@ class RequestQueue {
   void close();
 
   std::size_t size() const;
-  std::size_t capacity() const { return capacity_; }
   bool closed() const;
 
   /// Peak queue depth observed at push time (for the run summary).

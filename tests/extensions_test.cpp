@@ -134,6 +134,67 @@ TEST(ModelIo, MissingFileRejected) {
   EXPECT_THROW(load_sae("/nonexistent/model.dpae"), util::Error);
 }
 
+// Hostile headers: a checkpoint whose header declares more payload than the
+// file holds must fail with a typed error before any model is built.
+
+/// Writes `magic`, version 1, the raw `fields`, then `payload_bytes` zeros.
+template <typename... Fields>
+std::string write_checkpoint(const std::string& name, const char magic[4],
+                             std::size_t payload_bytes, Fields... fields) {
+  const std::string path = tmp_path(name);
+  std::ofstream out(path, std::ios::binary);
+  out.write(magic, 4);
+  const std::uint32_t version = 1;
+  out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  (out.write(reinterpret_cast<const char*>(&fields), sizeof(fields)), ...);
+  out << std::string(payload_bytes, '\0');
+  return path;
+}
+
+/// The util::Error message model_io::load_any throws for `path`.
+std::string load_error(const std::string& path) {
+  try {
+    model_io::load_any(path);
+  } catch (const util::Error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "'" << path << "' loaded";
+  return "";
+}
+
+std::string sae_lie(const std::string& name, std::int64_t visible,
+                    std::int64_t hidden) {
+  // 40 header bytes + 8 payload bytes = a 48-byte file.
+  return write_checkpoint(name, "DPAE", 8, visible, hidden, 1e-4f, 0.05f,
+                          3.0f, std::int32_t{0});
+}
+
+TEST(ModelIo, SaeHeaderLargerThanTheFileIsRejected) {
+  const std::string what = load_error(sae_lie("lie_8192.dpae", 8192, 8192));
+  // w1, b1, w2, b2: 4 * (2 * 8192^2 + 2 * 8192) bytes.
+  EXPECT_NE(what.find("declares 536936448 payload bytes"), std::string::npos)
+      << what;
+  EXPECT_NE(what.find("only 8 are left"), std::string::npos) << what;
+}
+
+TEST(ModelIo, SaeHeaderClaimingTerabytesIsRejectedBeforeAllocating) {
+  const std::string what =
+      load_error(sae_lie("lie_2p20.dpae", 1 << 20, 1 << 20));
+  EXPECT_NE(what.find("declares 8796101410816 payload bytes"),
+            std::string::npos)
+      << what;
+  EXPECT_NE(what.find("only 8 are left"), std::string::npos) << what;
+}
+
+TEST(ModelIo, RbmWithUnknownVisibleTypeIsRejected) {
+  // A 4x3 RBM with its full 76-byte payload, but visible_type 77.
+  const std::string what = load_error(write_checkpoint(
+      "vtype77.dprb", "DPRB", 4 * (4 * 3 + 4 + 3), std::int64_t{4},
+      std::int64_t{3}, std::int32_t{1}, std::int32_t{0}, std::int32_t{77},
+      0.01f));
+  EXPECT_NE(what.find("unknown visible_type 77"), std::string::npos) << what;
+}
+
 // --- Gaussian-visible RBM ---
 
 RbmConfig gaussian_config() {

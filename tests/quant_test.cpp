@@ -30,6 +30,7 @@
 #include "la/simd/dispatch.hpp"
 #include "phi/kernel_stats.hpp"
 #include "serve/inference_server.hpp"
+#include "serve/model_registry.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -338,18 +339,22 @@ TEST(QuantizedEncoder, DescribeNamesTheFormat) {
 
 TEST(QuantizedServing, ServedRowsBitwiseEqualSingleRowEncode) {
   const core::StackedAutoencoder stack({48, 24, 12}, core::SaeConfig{}, 6);
-  const auto q = core::QuantizedEncoder::from(stack);
+  const std::shared_ptr<const core::QuantizedEncoder> q =
+      core::QuantizedEncoder::from(stack);
   const la::Matrix inputs = random_matrix(24, 48, 37, 0.0f, 1.0f);
 
+  serve::ModelRegistry registry;
+  registry.add_shared("q", q);
+  EXPECT_EQ(registry.info("q").precision, "int8");
   serve::ServeConfig cfg;
   cfg.max_batch = 8;
   cfg.max_delay_s = 0.02;  // force multi-row coalescing
-  serve::InferenceServer server(*q, cfg);
-  EXPECT_STREQ(server.precision(), "int8");
+  serve::InferenceServer server(registry, cfg);
 
   std::vector<std::future<serve::Reply>> futures;
   for (la::Index r = 0; r < inputs.rows(); ++r)
-    futures.push_back(server.submit(inputs.row(r), inputs.cols()));
+    futures.push_back(server.submit(
+        "q", std::vector<float>(inputs.row(r), inputs.row(r) + 48)));
   for (la::Index r = 0; r < inputs.rows(); ++r) {
     const std::vector<float> served =
         futures[static_cast<std::size_t>(r)].get().row;
@@ -365,9 +370,11 @@ TEST(QuantizedServing, ServedRowsBitwiseEqualSingleRowEncode) {
 }
 
 TEST(QuantizedServing, Fp32ServerReportsFp32) {
-  const core::SparseAutoencoder sae(core::SaeConfig{16, 8}, 1);
-  serve::InferenceServer server(sae, serve::ServeConfig{});
-  EXPECT_STREQ(server.precision(), "fp32");
+  serve::ModelRegistry registry;
+  registry.add_shared("sae", std::make_shared<core::SparseAutoencoder>(
+                                 core::SaeConfig{16, 8}, 1));
+  serve::InferenceServer server(registry, serve::ServeConfig{});
+  EXPECT_EQ(server.registry().info("sae").precision, "fp32");
   server.shutdown();
 }
 
@@ -391,7 +398,7 @@ TEST_F(QuantIoTest, RoundTripsByteForByte) {
   const core::StackedAutoencoder stack({70, 40, 20}, core::SaeConfig{}, 8);
   const auto q = core::QuantizedEncoder::from(stack, 128);
   core::save_model(*q, path("rt.dpqe"));
-  EXPECT_EQ(model_io::sniff_magic(path("rt.dpqe")), "DPQE");
+  EXPECT_EQ(model_io::load_any(path("rt.dpqe")).magic, "DPQE");
 
   const auto loaded = core::load_quantized(path("rt.dpqe"));
   EXPECT_EQ(loaded->input_dim(), q->input_dim());
@@ -413,7 +420,7 @@ TEST_F(QuantIoTest, LoadAnyDispatchesOnTheMagic) {
   core::save_model(*q, path("any.dpqe"));
   model_io::LoadedModel any = model_io::load_any(path("any.dpqe"));
   EXPECT_EQ(any.magic, "DPQE");
-  EXPECT_EQ(any.precision, "int8");
+  EXPECT_STREQ(serve::encoder_precision(*any.model), "int8");
   std::unique_ptr<core::Encoder> loaded = std::move(any.model);
   ASSERT_NE(loaded, nullptr);
   EXPECT_NE(dynamic_cast<core::QuantizedEncoder*>(loaded.get()), nullptr);
@@ -466,6 +473,32 @@ TEST_F(QuantIoTest, RejectsCorruptHeaderFields) {
   } catch (const util::Error& e) {
     EXPECT_NE(std::string(e.what()).find("invalid quantization group"),
               std::string::npos);
+  }
+}
+
+TEST_F(QuantIoTest, RejectsLayerDimsTheFileCannotHold) {
+  // Header of a 1024x4096 layer (group 64) followed by 16 payload bytes.
+  std::string bytes = "DPQE";
+  const std::uint32_t version = 1;
+  bytes.append(reinterpret_cast<const char*>(&version), sizeof(version));
+  for (const std::int64_t field : {std::int64_t{1}, std::int64_t{64},
+                                   std::int64_t{1024}, std::int64_t{4096}})
+    bytes.append(reinterpret_cast<const char*>(&field), sizeof(field));
+  bytes.append(16, '\0');
+  std::ofstream(path("lie.dpqe"), std::ios::binary) << bytes;
+  try {
+    model_io::load_any(path("lie.dpqe"));
+    FAIL() << "a layer larger than the file must throw";
+  } catch (const util::Error& e) {
+    // Bias and per-group scales as floats, then 1024 x 4096 int8 codes.
+    const std::string declared =
+        std::to_string(4 * (1024 + 1024 * 64) + 1024 * 4096);
+    EXPECT_NE(std::string(e.what()).find("declares " + declared),
+              std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("only 16 are left"),
+              std::string::npos)
+        << e.what();
   }
 }
 

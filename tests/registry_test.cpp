@@ -9,6 +9,7 @@
 //    single-row encode() on the exact version that served it.
 //  * decide() is a pure function of its windows, so every branch of the
 //    adaptive policy is pinned to closed-form expectations here.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -105,15 +106,13 @@ class GateEncoder : public core::Encoder {
 
 TEST(ModelRegistry, AddPublishVersionsAndMetadata) {
   serve::ModelRegistry registry;
-  EXPECT_EQ(registry.size(), 0u);
-  EXPECT_FALSE(registry.contains("small"));
+  EXPECT_TRUE(registry.names().empty());
 
   EXPECT_EQ(registry.add_shared("small", make_stack({16, 8}, 1),
                                 /*budget_s=*/0.005),
             1u);
   EXPECT_EQ(registry.add_shared("big", make_stack({32, 24, 12}, 2)), 1u);
-  EXPECT_EQ(registry.size(), 2u);
-  EXPECT_TRUE(registry.contains("small"));
+  EXPECT_EQ(registry.names(), (std::vector<std::string>{"big", "small"}));
 
   const serve::ModelInfo small = registry.info("small");
   EXPECT_EQ(small.name, "small");
@@ -306,8 +305,10 @@ TEST(MultiModelServer, LanesAreIsolatedAndRouteByName) {
   cfg.max_delay_s = 1e-3;
   cfg.workers = 2;
   serve::InferenceServer server(registry, cfg);
-  EXPECT_EQ(server.models(), (std::vector<std::string>{"narrow", "wide"}));
-  EXPECT_STREQ(server.precision(), "fp32");
+  EXPECT_EQ(server.registry().names(),
+            (std::vector<std::string>{"narrow", "wide"}));
+  EXPECT_EQ(registry.info("narrow").precision, "fp32");
+  EXPECT_EQ(registry.info("wide").precision, "fp32");
 
   const la::Matrix narrow_in = random_rows(20, 8, 13);
   const la::Matrix wide_in = random_rows(20, 24, 14);
@@ -341,11 +342,14 @@ TEST(MultiModelServer, LanesAreIsolatedAndRouteByName) {
   EXPECT_EQ(server.stats().completed, 40);
   EXPECT_THROW(server.stats("ghost"), util::Error);
 
-  // Routing rejects unknown names and the single-lane convenience overload
-  // refuses to guess between two lanes.
+  // The server-wide latency is the merge of the lanes' histograms.
+  const serve::LatencySummary all = server.stats().latency;
+  EXPECT_EQ(all.count, narrow_s.latency.count + wide_s.latency.count);
+  EXPECT_EQ(all.max_s, std::max(narrow_s.latency.max_s, wide_s.latency.max_s));
+
+  // Routing rejects unknown names.
   EXPECT_THROW(server.submit("ghost", std::vector<float>(8, 0.f)),
                util::Error);
-  EXPECT_THROW(server.submit(std::vector<float>(8, 0.f)), util::Error);
 }
 
 TEST(MultiModelServer, HotSwapUnderLoadLosesNothingAndIsBitwisePerVersion) {
@@ -467,9 +471,6 @@ TEST(MultiModelServer, PerModelConfigOverridesAndLastDecision) {
   serve::ServeConfig cfg;
   cfg.max_batch = 16;
   cfg.adaptive = true;
-  serve::ModelServeConfig loose = cfg.lane_defaults();
-  loose.adaptive = false;
-  cfg.per_model["loose"] = loose;
   serve::InferenceServer server(registry, cfg);
 
   for (int i = 0; i < 8; ++i) {
@@ -479,7 +480,8 @@ TEST(MultiModelServer, PerModelConfigOverridesAndLastDecision) {
   server.shutdown();
 
   // The budgeted lane decided adaptively (its decision can't exceed the cap
-  // or spend more than half the 4ms budget); the pinned lane runs static.
+  // or spend more than half the 4ms budget); the lane without a budget runs
+  // static.
   const serve::BatchDecision tight = server.last_decision("tight");
   EXPECT_LE(tight.max_delay_s, 0.002 + 1e-12);
   EXPECT_LE(tight.max_batch, 16);
@@ -491,15 +493,15 @@ TEST(MultiModelServer, PerModelConfigOverridesAndLastDecision) {
 
 TEST(MultiModelServer, MixedPrecisionReportsMixed) {
   serve::ModelRegistry registry;
-  const core::StackedAutoencoder fp(core::StackedAutoencoder(
-      {16, 8}, core::SaeConfig{}, 41));
   registry.add_shared("fp32", make_stack({16, 8}, 41));
   const core::StackedAutoencoder base({16, 8}, core::SaeConfig{}, 42);
   registry.add_shared("int8",
                       std::shared_ptr<const core::Encoder>(
                           core::QuantizedEncoder::from(base).release()));
   serve::InferenceServer server(registry, serve::ServeConfig{});
-  EXPECT_STREQ(server.precision(), "mixed");
+  // Each lane reports its own precision.
+  EXPECT_EQ(server.registry().info("fp32").precision, "fp32");
+  EXPECT_EQ(server.registry().info("int8").precision, "int8");
   server.shutdown();
 }
 
@@ -602,7 +604,7 @@ TEST(LoadedModel, CarriesMagicPrecisionAndFileBytes) {
   model_io::LoadedModel loaded = model_io::load_any(path);
   ASSERT_NE(loaded.model, nullptr);
   EXPECT_EQ(loaded.magic, "DPSA");
-  EXPECT_EQ(loaded.precision, "fp32");
+  EXPECT_STREQ(serve::encoder_precision(*loaded.model), "fp32");
   EXPECT_GT(loaded.file_bytes, 0u);
   EXPECT_EQ(loaded.model->input_dim(), 14);
 

@@ -25,6 +25,7 @@
 #include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
 #include "serve/inference_server.hpp"
+#include "serve/model_registry.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/stats_server.hpp"
 #include "util/error.hpp"
@@ -41,6 +42,21 @@ la::Matrix random_rows(la::Index rows, la::Index dim, std::uint64_t seed) {
   la::Matrix m(rows, dim);
   for (la::Index i = 0; i < m.size(); ++i) m.data()[i] = rng.uniform_float();
   return m;
+}
+
+std::vector<float> row_of(const la::Matrix& m, la::Index r) {
+  return std::vector<float>(m.row(r), m.row(r) + m.cols());
+}
+
+/// The lane every single-model test serves from.
+constexpr const char* kModel = "m";
+
+/// Registers a model the test owns (and keeps alive past the server) under
+/// kModel, without handing over ownership.
+void add_borrowed(serve::ModelRegistry& registry, const core::Encoder& model) {
+  registry.add_shared(
+      kModel, std::shared_ptr<const core::Encoder>(std::shared_ptr<void>(),
+                                                   &model));
 }
 
 bool rows_bitwise_equal(const float* a, const float* b, la::Index n) {
@@ -160,10 +176,10 @@ TEST_F(LoadAnyTest, SniffsAllFourMagics) {
   core::save_model(rbm, path("any.dprb"));
   core::save_model(stack, path("any.dpsa"));
   core::save_model(dbn, path("any.dpdb"));
-  EXPECT_EQ(model_io::sniff_magic(path("any.dpae")), "DPAE");
-  EXPECT_EQ(model_io::sniff_magic(path("any.dprb")), "DPRB");
-  EXPECT_EQ(model_io::sniff_magic(path("any.dpsa")), "DPSA");
-  EXPECT_EQ(model_io::sniff_magic(path("any.dpdb")), "DPDB");
+  EXPECT_EQ(model_io::load_any(path("any.dpae")).magic, "DPAE");
+  EXPECT_EQ(model_io::load_any(path("any.dprb")).magic, "DPRB");
+  EXPECT_EQ(model_io::load_any(path("any.dpsa")).magic, "DPSA");
+  EXPECT_EQ(model_io::load_any(path("any.dpdb")).magic, "DPDB");
 }
 
 TEST_F(LoadAnyTest, RoundTripsBitwiseForEveryType) {
@@ -174,7 +190,7 @@ TEST_F(LoadAnyTest, RoundTripsBitwiseForEveryType) {
     model_io::LoadedModel loaded = model_io::load_any(p);
     ASSERT_NE(loaded.model, nullptr) << p;
     EXPECT_EQ(loaded.magic, magic) << p;
-    EXPECT_EQ(loaded.precision, "fp32") << p;
+    EXPECT_STREQ(serve::encoder_precision(*loaded.model), "fp32") << p;
     EXPECT_GT(loaded.file_bytes, 8u) << p;  // magic + version at minimum
     EXPECT_EQ(loaded.model->input_dim(), direct.input_dim()) << p;
     EXPECT_EQ(loaded.model->output_dim(), direct.output_dim()) << p;
@@ -234,7 +250,7 @@ serve::Request make_request(float v) {
 }
 
 TEST(RequestQueue, RejectsPushBeyondCapacityAndAfterClose) {
-  serve::RequestQueue q(2);
+  serve::RequestQueue q(2, "test.queue_depth");
   EXPECT_TRUE(q.try_push(make_request(1)));
   EXPECT_TRUE(q.try_push(make_request(2)));
   serve::Request extra = make_request(3);
@@ -247,7 +263,7 @@ TEST(RequestQueue, RejectsPushBeyondCapacityAndAfterClose) {
 }
 
 TEST(RequestQueue, CollectIsFifoAndRespectsMaxBatch) {
-  serve::RequestQueue q(8);
+  serve::RequestQueue q(8, "test.queue_depth");
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.try_push(make_request(i)));
   std::vector<serve::Request> first = q.collect(3, /*max_delay_s=*/0);
   ASSERT_EQ(first.size(), 3u);
@@ -259,7 +275,7 @@ TEST(RequestQueue, CollectIsFifoAndRespectsMaxBatch) {
 }
 
 TEST(RequestQueue, CollectDrainsThenSignalsClosedWithEmpty) {
-  serve::RequestQueue q(4);
+  serve::RequestQueue q(4, "test.queue_depth");
   ASSERT_TRUE(q.try_push(make_request(1)));
   q.close();
   EXPECT_EQ(q.collect(4, /*max_delay_s=*/1.0).size(), 1u);  // no deadline wait
@@ -267,7 +283,7 @@ TEST(RequestQueue, CollectDrainsThenSignalsClosedWithEmpty) {
 }
 
 TEST(RequestQueue, CollectHonorsDeadlineForPartialBatches) {
-  serve::RequestQueue q(4);
+  serve::RequestQueue q(4, "test.queue_depth");
   ASSERT_TRUE(q.try_push(make_request(1)));
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<serve::Request> got = q.collect(4, /*max_delay_s=*/0.05);
@@ -333,7 +349,9 @@ TEST(InferenceServer, ServedRowsAreBitwiseIdenticalToSingleRowEncode) {
   cfg.max_batch = 16;
   cfg.max_delay_s = 1e-3;
   cfg.workers = 2;
-  serve::InferenceServer server(model, cfg);
+  serve::ModelRegistry registry;
+  add_borrowed(registry, model);
+  serve::InferenceServer server(registry, cfg);
 
   // Four concurrent clients, 16 requests each: plenty of coalescing across
   // client boundaries, every result checked against its own-row reference.
@@ -343,7 +361,7 @@ TEST(InferenceServer, ServedRowsAreBitwiseIdenticalToSingleRowEncode) {
     clients.emplace_back([&, c] {
       for (la::Index r = c; r < inputs.rows(); r += 4) {
         std::future<serve::Reply> fut =
-            server.submit(inputs.row(r), inputs.cols());
+            server.submit(kModel, row_of(inputs, r));
         const std::vector<float> got = fut.get().row;
         const std::vector<float> want = encode_single(model, inputs, r);
         if (got.size() != want.size() ||
@@ -378,15 +396,16 @@ TEST(InferenceServer, AllFourModelTypesServeThroughOneCodePath) {
   const la::Matrix inputs = random_rows(12, 8, 40);
   for (const char* name : {"serve.dpae", "serve.dprb", "serve.dpsa",
                            "serve.dpdb"}) {
-    std::unique_ptr<core::Encoder> model =
-        model_io::load_any(dir + "/" + name).model;
+    serve::ModelRegistry registry;
+    registry.add(kModel, model_io::load_any(dir + "/" + name));
+    const auto model = registry.current(kModel).model;
     serve::ServeConfig cfg;
     cfg.max_batch = 8;
     cfg.max_delay_s = 1e-3;
-    serve::InferenceServer server(*model, cfg);
+    serve::InferenceServer server(registry, cfg);
     std::vector<std::future<serve::Reply>> futures;
     for (la::Index r = 0; r < inputs.rows(); ++r)
-      futures.push_back(server.submit(inputs.row(r), inputs.cols()));
+      futures.push_back(server.submit(kModel, row_of(inputs, r)));
     for (la::Index r = 0; r < inputs.rows(); ++r) {
       const std::vector<float> got =
           futures[static_cast<std::size_t>(r)].get().row;
@@ -404,10 +423,13 @@ TEST(InferenceServer, DeadlineFlushDispatchesPartialBatch) {
   serve::ServeConfig cfg;
   cfg.max_batch = 1024;  // never fills: only the deadline can flush
   cfg.max_delay_s = 0.05;
-  serve::InferenceServer server(model, cfg);
+  serve::ModelRegistry registry;
+  add_borrowed(registry, model);
+  serve::InferenceServer server(registry, cfg);
 
   const auto t0 = std::chrono::steady_clock::now();
-  std::future<serve::Reply> fut = server.submit(std::vector<float>(6, 0.5f));
+  std::future<serve::Reply> fut =
+      server.submit(kModel, std::vector<float>(6, 0.5f));
   fut.get();
   const double waited =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -426,11 +448,13 @@ TEST(InferenceServer, CoalescesBacklogIntoOneBatch) {
   cfg.max_batch = 64;
   cfg.max_delay_s = 0;  // flush immediately: coalescing only from backlog
   cfg.workers = 1;      // => at most 2 batches in flight
-  serve::InferenceServer server(model, cfg);
+  serve::ModelRegistry registry;
+  add_borrowed(registry, model);
+  serve::InferenceServer server(registry, cfg);
 
   std::vector<std::future<serve::Reply>> futures;
   const auto submit_one = [&](float v) {
-    futures.push_back(server.submit(std::vector<float>{v, v, v, v}));
+    futures.push_back(server.submit(kModel, std::vector<float>{v, v, v, v}));
   };
 
   submit_one(0);
@@ -461,7 +485,9 @@ TEST(InferenceServer, BackpressureRejectsWhenQueueIsFull) {
   cfg.max_delay_s = 0;
   cfg.queue_capacity = 2;
   cfg.workers = 1;
-  serve::InferenceServer server(model, cfg);
+  serve::ModelRegistry registry;
+  add_borrowed(registry, model);
+  serve::InferenceServer server(registry, cfg);
 
   // Fill the pipeline: 1 computing + 1 queued on the pool (throttle limit),
   // then 2 parked in the queue. Every further submit must be rejected, and
@@ -470,7 +496,7 @@ TEST(InferenceServer, BackpressureRejectsWhenQueueIsFull) {
   int rejected = 0;
   for (int i = 0; i < 12; ++i) {
     std::future<serve::Reply> fut =
-        server.submit(std::vector<float>(4, 1.0f));
+        server.submit(kModel, std::vector<float>(4, 1.0f));
     if (fut.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
       EXPECT_THROW(fut.get(), util::Error);
       ++rejected;
@@ -481,7 +507,7 @@ TEST(InferenceServer, BackpressureRejectsWhenQueueIsFull) {
   }
   EXPECT_GE(rejected, 12 - 4 - 1);  // compute + pool slot + 2 queue slots
   EXPECT_EQ(server.stats().rejected, rejected);
-  EXPECT_LE(server.queue_depth(), cfg.queue_capacity);
+  EXPECT_LE(server.queue_depth(kModel), cfg.queue_capacity);
 
   model.release();
   for (auto& f : accepted) EXPECT_EQ(f.get().row.size(), 4u);  // none lost
@@ -495,11 +521,13 @@ TEST(InferenceServer, ShutdownDrainsEveryAcceptedRequest) {
   serve::ServeConfig cfg;
   cfg.max_batch = 8;
   cfg.max_delay_s = 0.5;  // long deadline: shutdown must not wait it out
-  serve::InferenceServer server(model, cfg);
+  serve::ModelRegistry registry;
+  add_borrowed(registry, model);
+  serve::InferenceServer server(registry, cfg);
 
   std::vector<std::future<serve::Reply>> futures;
   for (int i = 0; i < 100; ++i)
-    futures.push_back(server.submit(std::vector<float>(6, 0.25f)));
+    futures.push_back(server.submit(kModel, std::vector<float>(6, 0.25f)));
   const auto t0 = std::chrono::steady_clock::now();
   server.shutdown();
   const double drain =
@@ -516,26 +544,35 @@ TEST(InferenceServer, ShutdownDrainsEveryAcceptedRequest) {
 
 TEST(InferenceServer, SubmitAfterShutdownIsRejected) {
   const core::SparseAutoencoder model(core::SaeConfig{6, 4}, 70);
-  serve::InferenceServer server(model, serve::ServeConfig{});
+  serve::ModelRegistry registry;
+  add_borrowed(registry, model);
+  serve::InferenceServer server(registry, serve::ServeConfig{});
   server.shutdown();
-  std::future<serve::Reply> fut = server.submit(std::vector<float>(6, 0.0f));
+  std::future<serve::Reply> fut =
+      server.submit(kModel, std::vector<float>(6, 0.0f));
   EXPECT_THROW(fut.get(), util::Error);
   EXPECT_EQ(server.stats().rejected, 1);
 }
 
 TEST(InferenceServer, WrongDimensionThrowsAtSubmit) {
   const core::SparseAutoencoder model(core::SaeConfig{6, 4}, 80);
-  serve::InferenceServer server(model, serve::ServeConfig{});
-  EXPECT_THROW(server.submit(std::vector<float>(5, 0.0f)), util::Error);
-  EXPECT_THROW(server.submit(std::vector<float>(7, 0.0f)), util::Error);
+  serve::ModelRegistry registry;
+  add_borrowed(registry, model);
+  serve::InferenceServer server(registry, serve::ServeConfig{});
+  EXPECT_THROW(server.submit(kModel, std::vector<float>(5, 0.0f)),
+               util::Error);
+  EXPECT_THROW(server.submit(kModel, std::vector<float>(7, 0.0f)),
+               util::Error);
 }
 
 TEST(InferenceServer, DestructorShutsDownCleanly) {
   const core::SparseAutoencoder model(core::SaeConfig{6, 4}, 90);
   std::future<serve::Reply> fut;
   {
-    serve::InferenceServer server(model, serve::ServeConfig{});
-    fut = server.submit(std::vector<float>(6, 1.0f));
+    serve::ModelRegistry registry;
+    add_borrowed(registry, model);
+    serve::InferenceServer server(registry, serve::ServeConfig{});
+    fut = server.submit(kModel, std::vector<float>(6, 1.0f));
   }  // destructor drains
   EXPECT_EQ(fut.get().row.size(), 4u);
 }
@@ -598,10 +635,12 @@ TEST(InferenceServer, StageHistogramsPopulateDuringServing) {
     serve::ServeConfig cfg;
     cfg.max_batch = 16;
     cfg.max_delay_s = 0.001;
-    serve::InferenceServer server(model, cfg);
+    serve::ModelRegistry registry;
+    add_borrowed(registry, model);
+    serve::InferenceServer server(registry, cfg);
     std::vector<std::future<serve::Reply>> futures;
     for (int i = 0; i < kRequests; ++i)
-      futures.push_back(server.submit(std::vector<float>(8, 0.5f)));
+      futures.push_back(server.submit(kModel, std::vector<float>(8, 0.5f)));
     for (auto& f : futures) f.get();
     server.shutdown();
   }

@@ -21,7 +21,7 @@ if(NOT quantize_rc EQUAL 0)
 endif()
 
 execute_process(
-  COMMAND ${SERVE} --model=${WORK}/quant_smoke.dpqe --rate=4000 --requests=200
+  COMMAND ${SERVE} --model=default=${WORK}/quant_smoke.dpqe --rate=4000 --requests=200
           --max-batch=32 --max-delay-ms=1
           --telemetry=${WORK}/quant_serve.jsonl
   RESULT_VARIABLE serve_rc)
@@ -40,7 +40,7 @@ endif()
 
 # On-the-fly quantization of the float checkpoint.
 execute_process(
-  COMMAND ${SERVE} --model=${WORK}/quant_smoke.dpsa --precision=int8
+  COMMAND ${SERVE} --model=default=${WORK}/quant_smoke.dpsa --precision=int8
           --rate=4000 --requests=200 --max-batch=32 --max-delay-ms=1
           --telemetry=${WORK}/quant_serve_otf.jsonl
   RESULT_VARIABLE otf_rc)
@@ -57,7 +57,7 @@ endif()
 
 # Default path still records fp32.
 execute_process(
-  COMMAND ${SERVE} --model=${WORK}/quant_smoke.dpsa --rate=4000 --requests=100
+  COMMAND ${SERVE} --model=default=${WORK}/quant_smoke.dpsa --rate=4000 --requests=100
           --max-batch=32 --max-delay-ms=1
           --telemetry=${WORK}/quant_serve_fp32.jsonl
   RESULT_VARIABLE fp32_rc)
@@ -74,7 +74,7 @@ endif()
 
 # Mismatch: refusing to pretend an int8 checkpoint is fp32.
 execute_process(
-  COMMAND ${SERVE} --model=${WORK}/quant_smoke.dpqe --precision=fp32
+  COMMAND ${SERVE} --model=default=${WORK}/quant_smoke.dpqe --precision=fp32
           --rate=1000 --requests=10
   RESULT_VARIABLE mismatch_rc)
 if(mismatch_rc EQUAL 0)

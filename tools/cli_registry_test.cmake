@@ -4,8 +4,8 @@
 # hot-swaps one model through /admin/swap mid-traffic via deepphi_top --get,
 # and asserts the per-model serve.model.<name>.* series in /stats.json, the
 # model-labelled Prometheus families in /metrics, and the per-model telemetry
-# summaries. Also checks the deprecated bare-path --model form still serves
-# (with its migration warning).
+# summaries. Also checks that a --model value without a NAME= is a usage
+# error naming the NAME=PATH form.
 foreach(ckpt small big small_v2)
   if(ckpt STREQUAL "big")
     set(layers 64,32,8)
@@ -190,18 +190,13 @@ foreach(marker "--- per-model ---" "serving small:" "serving big:")
   endif()
 endforeach()
 
-# Deprecated bare-path form: still serves (as model 'default'), warns once.
+# A bare path (no NAME=) is a usage error that names the expected form.
 execute_process(
   COMMAND ${SERVE} --model=${WORK}/reg_small.dpsa --rate=2000 --requests=100
-          --max-delay-ms=1
-  RESULT_VARIABLE legacy_rc OUTPUT_VARIABLE legacy_out
-  ERROR_VARIABLE legacy_err)
-if(NOT legacy_rc EQUAL 0)
-  message(FATAL_ERROR "deprecated single-model form failed: ${legacy_rc}")
+  RESULT_VARIABLE bare_rc OUTPUT_VARIABLE bare_out ERROR_VARIABLE bare_err)
+if(bare_rc EQUAL 0)
+  message(FATAL_ERROR "--model PATH without a NAME= must fail")
 endif()
-if(NOT legacy_err MATCHES "deprecated")
-  message(FATAL_ERROR "bare-path --model should print a migration warning")
-endif()
-if(NOT legacy_out MATCHES "serving default:")
-  message(FATAL_ERROR "bare-path --model should serve under name 'default'")
+if(NOT bare_err MATCHES "NAME=PATH")
+  message(FATAL_ERROR "bare-path --model error should name NAME=PATH: ${bare_err}")
 endif()

@@ -11,7 +11,7 @@ if(NOT train_rc EQUAL 0)
 endif()
 
 execute_process(
-  COMMAND ${SERVE} --model=${WORK}/serve_smoke.dpsa --rate=4000 --requests=400
+  COMMAND ${SERVE} --model=default=${WORK}/serve_smoke.dpsa --rate=4000 --requests=400
           --max-batch=32 --max-delay-ms=1
           --telemetry=${WORK}/serve_run.jsonl
   RESULT_VARIABLE serve_rc)
@@ -42,7 +42,7 @@ file(WRITE ${WORK}/serve_trace.txt
 0.050
 ")
 execute_process(
-  COMMAND ${SERVE} --model=${WORK}/serve_smoke.dpsa
+  COMMAND ${SERVE} --model=default=${WORK}/serve_smoke.dpsa
           --trace=${WORK}/serve_trace.txt --max-batch=4 --max-delay-ms=1
   RESULT_VARIABLE replay_rc)
 if(NOT replay_rc EQUAL 0)

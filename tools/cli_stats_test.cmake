@@ -17,7 +17,7 @@ endif()
 # 0.5s request stream drains so the poller always gets its scrapes in.
 file(REMOVE ${WORK}/stats.port ${WORK}/stats.json ${WORK}/stats_metrics.txt)
 execute_process(
-  COMMAND bash -c "'${SERVE}' --model='${WORK}/stats_smoke.dpsa' --rate=3000 \
+  COMMAND bash -c "'${SERVE}' --model=default='${WORK}/stats_smoke.dpsa' --rate=3000 \
 --requests=1500 --max-batch=32 --max-delay-ms=1 --stats-port=0 \
 --stats-port-file='${WORK}/stats.port' --stats-linger-s=10 \
 > '${WORK}/stats_serve.log' 2>&1 & echo $! > '${WORK}/stats_serve.pid'"

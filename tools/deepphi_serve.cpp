@@ -11,7 +11,7 @@
 // end-to-end latency quantiles).
 //
 //   # one model, 2000 req/s Poisson for 4000 requests
-//   deepphi_serve --model=stack.dpsa --rate=2000 --requests=4000
+//   deepphi_serve --model default=stack.dpsa --rate=2000 --requests=4000
 //
 //   # two tenants with latency budgets (ms) and SLO-aware adaptive batching
 //   deepphi_serve --model small=sae.dpae:5 --model big=dbn.dpdb:20
@@ -24,7 +24,7 @@
 //   curl "127.0.0.1:$PORT/admin/swap?model=small&path=/abs/new.dpae"
 //
 //   # int8 quantized serving (on-the-fly, or from a deepphi_quantize .dpqe)
-//   deepphi_serve --model=sae.dpae --precision=int8 --rate=5000
+//   deepphi_serve --model default=sae.dpae --precision=int8 --rate=5000
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -56,8 +56,7 @@ namespace {
 
 using namespace deepphi;
 
-/// One --model flag: `name=path[:budget_ms]`, or the deprecated bare-path
-/// form which serves under the name "default".
+/// One --model flag: `name=path[:budget_ms]`.
 struct ModelSpec {
   std::string name;
   std::string path;
@@ -71,19 +70,11 @@ std::vector<ModelSpec> parse_model_specs(const util::Options& options) {
     ModelSpec spec;
     spec.budget_s = default_budget_s;
     const std::size_t eq = value.find('=');
-    if (eq == std::string::npos) {
-      DEEPPHI_CHECK_MSG(specs.empty(),
-                        "the bare-path --model form serves a single model; "
-                        "use --model NAME=PATH[:BUDGET_MS] to serve several");
-      std::fprintf(stderr,
-                   "deepphi_serve: --model=PATH without a name is deprecated; "
-                   "use --model default=%s (serving it as 'default')\n",
-                   value.c_str());
-      spec.name = "default";
-      spec.path = value;
-      specs.push_back(std::move(spec));
-      return specs;
-    }
+    DEEPPHI_CHECK_MSG(eq != std::string::npos,
+                      "--model " << value
+                                 << ": expected NAME=PATH[:BUDGET_MS], e.g. "
+                                    "--model default="
+                                 << value);
     spec.name = value.substr(0, eq);
     spec.path = value.substr(eq + 1);
     // An optional :BUDGET_MS suffix — only split when the tail is numeric,
@@ -193,8 +184,7 @@ int run(int argc, char** argv) {
   options.declare("model",
                   "NAME=PATH[:BUDGET_MS] — registers one checkpoint "
                   "(.dpae/.dprb/.dpsa/.dpdb/.dpqe) to serve; repeat the flag "
-                  "for multi-model serving. A bare PATH (deprecated) serves "
-                  "one model as 'default'");
+                  "for multi-model serving");
   options.declare("budget-ms",
                   "default per-model end-to-end latency budget (SLO) when a "
                   "--model flag names none; 0 = no budget (static batching)",
@@ -277,10 +267,10 @@ int run(int argc, char** argv) {
   serve::ModelRegistry registry;
   for (const ModelSpec& spec : specs) {
     model_io::LoadedModel loaded = model_io::load_any(spec.path);
-    const bool loaded_int8 = loaded.precision == "int8";
+    const bool loaded_int8 =
+        std::string(serve::encoder_precision(*loaded.model)) == "int8";
     if (precision == "int8" && !loaded_int8) {
       loaded.model = core::QuantizedEncoder::from(*loaded.model);
-      loaded.precision = "int8";
     } else if (precision == "fp32") {
       DEEPPHI_CHECK_MSG(!loaded_int8,
                         "--precision=fp32 cannot serve int8 checkpoint '"

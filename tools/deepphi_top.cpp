@@ -136,21 +136,21 @@ void render(const util::JsonValue& stats, const std::string& host, int port,
 
   // Per-model series render as table rows above; keep the raw dumps to the
   // process-wide names.
-  const auto per_model = [](const std::string& name) {
+  const auto is_model_series = [](const std::string& name) {
     return name.rfind("serve.model.", 0) == 0;
   };
   std::printf("\n  %-24s %9s %8s %8s %8s %8s %8s\n", "histogram (ms)", "count",
               "mean", "p50", "p95", "p99", "max");
   for (const auto& [name, h] : stats.at("histograms").as_object())
-    if (!per_model(name)) print_histogram_row(name, h);
+    if (!is_model_series(name)) print_histogram_row(name, h);
 
   std::printf("\n  counters:");
   for (const auto& [name, v] : stats.at("counters").as_object())
-    if (v.as_number() != 0 && !per_model(name))
+    if (v.as_number() != 0 && !is_model_series(name))
       std::printf("  %s=%.0f", name.c_str(), v.as_number());
   std::printf("\n  gauges:");
   for (const auto& [name, v] : stats.at("gauges").as_object())
-    if (v.as_number() != 0 && !per_model(name))
+    if (v.as_number() != 0 && !is_model_series(name))
       std::printf("  %s=%.4g", name.c_str(), v.as_number());
   std::printf("\n");
 }
