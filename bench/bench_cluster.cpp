@@ -18,7 +18,7 @@
 // messages back to the tree. "auto" is argmin of the three, so its column
 // must equal the best fixed column at every row.
 //
-// Table 3 — real execution: DataParallelTrainer with a phi::Cluster
+// Table 3 — real execution: core::Trainer with a phi::Cluster
 // attached, on this build machine. Wall seconds are honest host numbers;
 // the collective/wire/share columns are the cluster's accumulated modeled
 // interconnect activity for the same run.
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/data_parallel_trainer.hpp"
 #include "core/levels.hpp"
 #include "data/patches.hpp"
 #include "parallel/collectives.hpp"
@@ -176,7 +175,6 @@ void run_real_cluster(const util::Options& options) {
     cfg.epochs = 2;
     cfg.level = OptLevel::kImproved;
     cfg.replicas = 2;
-    cfg.cards = cards;
     cfg.seed = 42;
     cfg.cluster = &cluster;
 
@@ -190,7 +188,7 @@ void run_real_cluster(const util::Options& options) {
                                             cards, cluster.interconnect())
                   : Collective::kTree;
 
-    core::DataParallelTrainer trainer(cfg);
+    core::Trainer trainer(cfg);
     const core::TrainReport report = trainer.train(model, data);
     const phi::ClusterCommStats& comm = cluster.comm();
     table.add_row(

@@ -13,14 +13,13 @@
 // DRAM bandwidth (the replicas share the memory system), so the win is not
 // an artifact of over-crediting bandwidth.
 //
-// A second table reports REAL host wall-clock seconds of DataParallelTrainer
-// on this build machine — honest numbers, not simulation: on a host with few
-// cores the replicas mostly serialize and the combine is pure overhead, so
-// do not expect the simulated speedup there.
+// A second table reports REAL wall-clock seconds of core::Trainer's replicas
+// on the host running the bench — honest numbers, not simulation: on a host
+// with few cores the replicas mostly serialize and the combine is pure
+// overhead, so do not expect the simulated speedup there.
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/data_parallel_trainer.hpp"
 #include "core/levels.hpp"
 #include "data/patches.hpp"
 
@@ -88,7 +87,7 @@ void run_model(const util::Options& options, bool rbm) {
   bench::emit(options, table, bench::Clock::kSimulated);
 }
 
-// Real wall-clock of DataParallelTrainer on THIS machine (no simulation).
+// Real wall-clock of core::Trainer's replicas (no simulation).
 void run_host_table(const util::Options& options) {
   std::printf("--- host wall clock (this machine, real execution) ---\n");
   util::Table table(
@@ -103,7 +102,7 @@ void run_host_table(const util::Options& options) {
       cfg.level = OptLevel::kImproved;
       cfg.replicas = replicas;
       cfg.seed = 42;
-      core::DataParallelTrainer trainer(cfg);
+      core::Trainer trainer(cfg);
       core::TrainReport report;
       if (rbm) {
         core::RbmConfig mcfg;

@@ -44,7 +44,6 @@ int main(int argc, char** argv) {
   tcfg.policy = core::ExecPolicy::kPhiOffload;
   // The paper's Fig. 6 concurrency: run the CD-1 step as a task graph.
   tcfg.use_taskgraph = true;
-  tcfg.taskgraph_threads = 3;
   tcfg.optimizer.lr = 0.3f;
 
   std::printf("pre-training %zu RBMs greedily (CD-1, Fig. 6 task graph)...\n",

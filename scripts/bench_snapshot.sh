@@ -9,7 +9,7 @@
 #  - data_parallel -> BENCH_data_parallel.json: bench_data_parallel --json —
 #                     the simulated replica-sweep step-throughput tables
 #                     (Fig. 9 batch range) plus the real host wall-clock
-#                     table of DataParallelTrainer on this machine.
+#                     table of core::Trainer's replicas on the host.
 #  - quant         -> BENCH_quant.json: bench_quant --json — served rows/s
 #                     fp32 vs int8 at batch 64 on Fig. 7-class shapes, with
 #                     the encode-accuracy delta.

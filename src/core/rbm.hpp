@@ -12,7 +12,7 @@
 //
 // The fused flag selects the Improved kernel granularity (fused
 // bias+sigmoid+sample); the loop-form twin for the Baseline/OpenMP levels
-// lives in rbm_loops.hpp, and the Fig. 6 concurrent version in
+// lives in loop_form.hpp, and the Fig. 6 concurrent version in
 // rbm_taskgraph.hpp.
 #pragma once
 

@@ -8,7 +8,7 @@
 // All batched math is matrix-form over the optimized kernels; the fused flag
 // selects the paper's "Improved" granularity (fused elementwise kernels).
 // The loop-form twin for the Baseline/OpenMP ladder levels lives in
-// autoencoder_loops.hpp.
+// loop_form.hpp.
 #pragma once
 
 #include <cstdint>

@@ -1,15 +1,8 @@
-// The shared chunk-granular training loop behind both trainers (flat
-// single-team core::Trainer and the replica-parallel
-// core::DataParallelTrainer): Algorithm 1's outer structure — pop a chunk
-// from the Fig. 5 ring, record its h2d transfer, time it, drive the
-// simulated device timeline, emit per-chunk/epoch/run telemetry, apply the
-// stop conditions — with the per-chunk gradient work supplied as a callback.
-//
-// Extracting this shell is what keeps the two trainers in lockstep: the
-// single-team path and the data-parallel path differ ONLY in how a popped
-// chunk is turned into gradient steps, so every chunk-level behavior
-// (ring occupancy gauges, device events, telemetry schema, target_cost /
-// max_batches stops) is shared by construction rather than by duplication.
+// The chunk-granular shell of core::Trainer: Algorithm 1's outer structure
+// — pop a chunk from the Fig. 5 ring, record its h2d transfer, time it,
+// drive the simulated device or cluster timeline, emit per-chunk/epoch/run
+// telemetry, apply the stop conditions — with the per-chunk gradient work
+// (the slot loop in trainer.cpp) supplied as a callback.
 #pragma once
 
 #include <algorithm>
@@ -145,11 +138,6 @@ TrainReport run_train_loop(const TrainerConfig& config,
                     "config.device and config.cluster are mutually exclusive "
                     "(a cluster owns its per-card devices)");
   phi::Cluster* cluster = config.cluster;
-  if (cluster)
-    DEEPPHI_CHECK_MSG(cluster->cards() == config.cards,
-                      "config.cards (" << config.cards
-                                       << ") != cluster cards ("
-                                       << cluster->cards() << ")");
 
   TrainReport report;
   report.chunk_bytes = 4.0 * static_cast<double>(config.chunk_examples) * dim;

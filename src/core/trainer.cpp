@@ -1,16 +1,314 @@
 #include "core/trainer.hpp"
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
-#include "core/autoencoder_loops.hpp"
-#include "core/data_parallel_trainer.hpp"
-#include "core/rbm_loops.hpp"
+#include "core/loop_form.hpp"
 #include "core/rbm_taskgraph.hpp"
 #include "core/train_loop.hpp"
+#include "la/blas1.hpp"
+#include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
+#include "parallel/collectives.hpp"
+#include "parallel/replica_group.hpp"
+#include "phi/cluster.hpp"
 #include "util/error.hpp"
 
 namespace deepphi::core {
+
+namespace {
+
+// Threads in the Fig. 6 task graph's pool.
+constexpr unsigned kTaskGraphThreads = 4;
+
+// Model-specific hooks for the slot loop. Each Ops binds one building
+// block's gradient, gradient-buffer combine and update. The loop-form levels
+// (Baseline / OpenMP) step with their own naive loops and plain SGD at
+// optimizer.lr, matching the paper's unoptimized code; the matrix-form
+// levels use the model's GEMM gradient and the configured Optimizer.
+struct SaeOps {
+  using Grads = AeGradients;
+  OptLevel level;
+
+  static void ensure(Grads& g, const SparseAutoencoder& m) {
+    g.ensure(m.visible(), m.hidden());
+  }
+  double gradient(SparseAutoencoder& m, const la::Matrix& batch,
+                  SparseAutoencoder::Workspace& ws, Grads& g,
+                  const util::Rng&) const {
+    if (!is_matrix_form(level))
+      return sae_gradient_loops(m, batch, ws, g, level == OptLevel::kOpenMp);
+    return m.gradient(batch, ws, g, is_fused(level));
+  }
+  static void combine(Grads& dst, const Grads& src) {
+    la::axpy(1.0f, src.g_w1, dst.g_w1);
+    la::axpy(1.0f, src.g_b1, dst.g_b1);
+    la::axpy(1.0f, src.g_w2, dst.g_w2);
+    la::axpy(1.0f, src.g_b2, dst.g_b2);
+  }
+  static void scale(Grads& g, float alpha) {
+    la::scal(alpha, g.g_w1);
+    la::scal(alpha, g.g_b1);
+    la::scal(alpha, g.g_w2);
+    la::scal(alpha, g.g_b2);
+  }
+  void update(Optimizer& opt, SparseAutoencoder& m, const Grads& g) const {
+    if (!is_matrix_form(level)) {
+      sae_apply_update_loops(m, g, opt.config().lr,
+                             level == OptLevel::kOpenMp);
+      return;
+    }
+    opt.update(m.w1(), g.g_w1);
+    opt.update(m.b1(), g.g_b1);
+    opt.update(m.w2(), g.g_w2);
+    opt.update(m.b2(), g.g_b2);
+    opt.end_step();
+  }
+  static double model_bytes(const SparseAutoencoder& m) {
+    return 4.0 * static_cast<double>(m.param_count());
+  }
+};
+
+struct RbmOps {
+  using Grads = RbmGradients;
+  OptLevel level;
+  RbmTaskGraphStep* graph = nullptr;  // the Fig. 6 step, when configured
+
+  static void ensure(Grads& g, const Rbm& m) {
+    g.ensure(m.visible(), m.hidden());
+  }
+  double gradient(Rbm& m, const la::Matrix& batch, Rbm::Workspace& ws,
+                  Grads& g, const util::Rng& rng) const {
+    if (!is_matrix_form(level))
+      return rbm_gradient_loops(m, batch, ws, g, rng,
+                                level == OptLevel::kOpenMp);
+    if (graph) return graph->run(batch, ws, g, rng);
+    return m.gradient(batch, ws, g, rng, is_fused(level));
+  }
+  static void combine(Grads& dst, const Grads& src) {
+    la::axpy(1.0f, src.g_w, dst.g_w);
+    la::axpy(1.0f, src.g_b, dst.g_b);
+    la::axpy(1.0f, src.g_c, dst.g_c);
+  }
+  static void scale(Grads& g, float alpha) {
+    la::scal(alpha, g.g_w);
+    la::scal(alpha, g.g_b);
+    la::scal(alpha, g.g_c);
+  }
+  void update(Optimizer& opt, Rbm& m, const Grads& g) const {
+    if (!is_matrix_form(level)) {
+      rbm_apply_update_loops(m, g, opt.config().lr,
+                             level == OptLevel::kOpenMp);
+      return;
+    }
+    opt.update(m.w(), g.g_w);
+    opt.update(m.b(), g.g_b);
+    opt.update(m.c(), g.g_c);
+    opt.end_step();
+  }
+  static double model_bytes(const Rbm& m) {
+    return 4.0 * static_cast<double>(m.w().size() + m.b().size() +
+                                     m.c().size());
+  }
+};
+
+// Dry run of a card's combine share (see card_combine_stats in the header).
+template <typename Ops, typename Model>
+phi::KernelStats combine_stats(const Ops& ops, Model& model,
+                               int card_live_slots, int global_live_slots,
+                               bool root, const OptimizerConfig& opt_config) {
+  phi::KernelStats stats;
+  phi::StatsScope scope(stats);
+  phi::DryRun dry;
+  typename Ops::Grads sum, slot;
+  Ops::ensure(sum, model);
+  Ops::ensure(slot, model);
+  for (int edge = 0; edge + 1 < card_live_slots; ++edge)
+    Ops::combine(sum, slot);
+  if (root) {
+    if (global_live_slots > 1)
+      Ops::scale(sum, 1.0f / static_cast<float>(global_live_slots));
+    Optimizer optimizer(opt_config);
+    ops.update(optimizer, model, sum);
+  }
+  return stats;
+}
+
+// Algorithm 1 over S = R·A·C gradient slots per global step.
+template <typename Ops, typename Model>
+TrainReport run_slots(const TrainerConfig& config, int S, const Ops& ops,
+                      Model& model, const data::StreamingSource& dataset) {
+  const int R = config.replicas;
+  const int A = config.accumulation_steps;
+  phi::Cluster* cluster = config.cluster;
+  const int C = cluster ? cluster->cards() : 1;
+  const la::Index dim = model.visible();
+
+  par::ReplicaGroup group(
+      par::ReplicaGroupConfig{R, config.replica_threads});
+  std::vector<typename Ops::Grads> grads(static_cast<std::size_t>(S));
+  for (auto& g : grads) Ops::ensure(g, model);
+  std::vector<typename Model::Workspace> ws(static_cast<std::size_t>(R));
+  std::vector<la::Matrix> staging(static_cast<std::size_t>(R));
+  Optimizer optimizer(config.optimizer);
+  util::Rng sampling_base(config.seed, /*stream=*/0x5a3bULL);
+  std::int64_t update_index = 0;
+
+  static obs::Gauge& slots_gauge = obs::gauge("dp.slots");
+  slots_gauge.set(static_cast<double>(S));
+  static obs::Counter& updates_counter = obs::counter("dp.updates");
+
+  // One global step consumes up to S micro-batches of the chunk at once.
+  const la::Index group_capacity =
+      static_cast<la::Index>(S) * config.batch_size;
+  // Arena (per card under a cluster): model + the card's R·A gradient
+  // slots, R concurrent 4-matrix workspaces.
+  const double model_bytes = Ops::model_bytes(model);
+  const double arena_model_bytes =
+      model_bytes * (1.0 + static_cast<double>(R * A));
+  const double workspace_bytes = 4.0 * 4.0 *
+                                 static_cast<double>(config.batch_size) * dim *
+                                 static_cast<double>(R);
+
+  // The inter-card combine's modeled schedule: one all-reduce of the full
+  // gradient per optimizer update, with the algorithm resolved ONCE for the
+  // run from the gradient message size and the active interconnect (the
+  // functional combine below never changes with it — docs/cluster.md).
+  par::CollectiveSchedule comm_schedule;
+  double comm_step_s = 0.0;
+  if (C > 1) {
+    const par::Collective algorithm = par::resolve_collective(
+        config.collective, model_bytes, C, cluster->interconnect());
+    comm_schedule = par::all_reduce_schedule(algorithm, model_bytes, C);
+    comm_step_s = comm_schedule.time_s(cluster->interconnect());
+  }
+
+  std::vector<double> slot_cost(static_cast<std::size_t>(S), 0.0);
+  // One stats sink per (card, replica) pair, indexed c·R + r.
+  std::vector<phi::KernelStats> worker_stats(static_cast<std::size_t>(C * R));
+  std::vector<int> live;
+  live.reserve(static_cast<std::size_t>(S));
+  const bool dry = phi::dry_run();
+
+  return detail::run_train_loop(
+      config, dataset, dim, arena_model_bytes, workspace_bytes,
+      [&](const la::Matrix& chunk) {
+        detail::ChunkOutcome outcome;
+        if (cluster) {
+          outcome.card_stats.assign(static_cast<std::size_t>(C),
+                                    phi::KernelStats{});
+          outcome.card_h2d_bytes.assign(static_cast<std::size_t>(C), 0.0);
+        }
+        for (la::Index begin = 0; begin < chunk.rows();
+             begin += group_capacity) {
+          const la::Index rows = std::min(group_capacity, chunk.rows() - begin);
+          // Slot s owns shard s — a function of (rows, S) only. Shard 0 is
+          // never empty, so the combined gradient always lands in slot 0.
+          const std::vector<data::RowShard> shards = data::shard_rows(rows, S);
+          std::fill(slot_cost.begin(), slot_cost.end(), 0.0);
+          std::fill(worker_stats.begin(), worker_stats.end(),
+                    phi::KernelStats{});
+          group.run([&](int r) {
+            phi::DryRun worker_mode(dry);  // replicas run as their caller
+            auto& batch = staging[static_cast<std::size_t>(r)];
+            auto& workspace = ws[static_cast<std::size_t>(r)];
+            // Replica r sweeps the cards in order, computing slot
+            // (c·R + r)·A + a of card c — so card c's slot block is the
+            // contiguous [c·R·A, (c+1)·R·A) and C == 1 degenerates to the
+            // slot = r·A + a loop exactly.
+            for (int c = 0; c < C; ++c) {
+              // Per-(card, replica) stats sink: StatsScope is thread-local,
+              // so each worker measures its share of each card into its own
+              // KernelStats; the sinks merge below in (card, replica) order,
+              // keeping the chunk record deterministic.
+              phi::StatsScope sink(
+                  worker_stats[static_cast<std::size_t>(c * R + r)]);
+              for (int a = 0; a < A; ++a) {
+                const int slot = (c * R + r) * A + a;
+                const data::RowShard& shard =
+                    shards[static_cast<std::size_t>(slot)];
+                if (shard.rows == 0) continue;  // ragged tail: slot sits out
+                DEEPPHI_PROFILE_SCOPE("trainer.batch");
+                detail::slice_batch(chunk, begin + shard.begin, shard.rows,
+                                    batch);
+                const util::Rng slot_rng = sampling_base.split(
+                    static_cast<std::uint64_t>(update_index) *
+                        static_cast<std::uint64_t>(S) +
+                    static_cast<std::uint64_t>(slot));
+                slot_cost[static_cast<std::size_t>(slot)] = ops.gradient(
+                    model, batch, workspace,
+                    grads[static_cast<std::size_t>(slot)], slot_rng);
+              }
+            }
+          });
+          for (int i = 0; i < C * R; ++i)
+            phi::record(worker_stats[static_cast<std::size_t>(i)]);
+
+          live.clear();
+          for (int s = 0; s < S; ++s)
+            if (shards[static_cast<std::size_t>(s)].rows > 0) live.push_back(s);
+          if (live.size() > 1) {
+            // Binary-tree all-reduce over the live slots in ascending slot
+            // order — pairing depends only on live.size(), so the combined
+            // sum is associatively identical run to run.
+            DEEPPHI_PROFILE_SCOPE("dp.combine");
+            for (std::size_t stride = 1; stride < live.size(); stride *= 2)
+              for (std::size_t i = 0; i + stride < live.size(); i += 2 * stride)
+                Ops::combine(
+                    grads[static_cast<std::size_t>(live[i])],
+                    grads[static_cast<std::size_t>(live[i + stride])]);
+            Ops::scale(grads[static_cast<std::size_t>(live.front())],
+                       1.0f / static_cast<float>(live.size()));
+          }
+          ops.update(optimizer, model,
+                     grads[static_cast<std::size_t>(live.front())]);
+          ++update_index;
+          updates_counter.add();
+          ++outcome.updates;
+          for (int s : live) {
+            outcome.cost_sum += slot_cost[static_cast<std::size_t>(s)];
+            ++outcome.batches;
+            outcome.final_cost = slot_cost[static_cast<std::size_t>(s)];
+          }
+          if (cluster) {
+            // Charge the step to the cards: card c's timeline gets its
+            // replicas' measured gradient work plus its share of the
+            // combine (a dry run of the flat tree's own Ops calls), its
+            // shards' h2d bytes, and — per update — the resolved collective
+            // schedule on the interconnect.
+            for (int c = 0; c < C; ++c) {
+              auto& card = outcome.card_stats[static_cast<std::size_t>(c)];
+              for (int r = 0; r < R; ++r)
+                card += worker_stats[static_cast<std::size_t>(c * R + r)];
+              int card_live = 0;
+              la::Index card_rows = 0;
+              for (int s = c * R * A; s < (c + 1) * R * A; ++s) {
+                const data::RowShard& shard =
+                    shards[static_cast<std::size_t>(s)];
+                if (shard.rows > 0) ++card_live;
+                card_rows += shard.rows;
+              }
+              card += combine_stats(ops, model, card_live,
+                                    static_cast<int>(live.size()),
+                                    /*root=*/c == 0, config.optimizer);
+              outcome.card_h2d_bytes[static_cast<std::size_t>(c)] +=
+                  4.0 * static_cast<double>(card_rows) *
+                  static_cast<double>(dim);
+            }
+            if (C > 1) {
+              outcome.comm_seconds += comm_step_s;
+              outcome.comm_wire_bytes += comm_schedule.wire_bytes;
+              outcome.comm_rounds += comm_schedule.rounds;
+              outcome.comm_collectives += 1;
+            }
+          }
+        }
+        return outcome;
+      });
+}
+
+}  // namespace
 
 phi::KernelStats TrainReport::per_chunk_compute_stats() const {
   phi::KernelStats compute = stats;
@@ -35,129 +333,55 @@ Trainer::Trainer(TrainerConfig config) : config_(config) {
       "shuffle_window (" << config.shuffle_window
                          << ") must be 0 (off) or >= chunk_examples ("
                          << config.chunk_examples << ")");
-  DEEPPHI_CHECK_MSG(!config.use_taskgraph || is_matrix_form(config.level),
-                    "the Fig. 6 task graph requires a matrix-form level");
   DEEPPHI_CHECK_MSG(config.replicas >= 1, "replicas must be >= 1");
   DEEPPHI_CHECK_MSG(config.replica_threads >= 0,
                     "replica_threads must be >= 0 (0 = auto)");
   DEEPPHI_CHECK_MSG(config.accumulation_steps >= 1,
                     "accumulation_steps must be >= 1");
-  DEEPPHI_CHECK_MSG(config.cards >= 1, "cards must be >= 1");
-  const bool data_parallel = config.replicas > 1 ||
-                             config.accumulation_steps > 1 || config.cards > 1;
-  DEEPPHI_CHECK_MSG(!data_parallel || is_matrix_form(config.level),
+  DEEPPHI_CHECK_MSG(!config.use_taskgraph || is_matrix_form(config.level),
+                    "the Fig. 6 task graph requires a matrix-form level");
+  DEEPPHI_CHECK_MSG(slots() == 1 || is_matrix_form(config.level),
                     "data-parallel training (replicas/accumulation/cards) "
                     "requires a matrix-form level");
-  DEEPPHI_CHECK_MSG(!data_parallel || !config.use_taskgraph,
+  DEEPPHI_CHECK_MSG(slots() == 1 || !config.use_taskgraph,
                     "the Fig. 6 task graph cannot be combined with "
                     "data-parallel replicas");
 }
 
-template <typename StepFn>
-TrainReport Trainer::run_loop(const data::StreamingSource& dataset,
-                              la::Index dim, double model_bytes,
-                              StepFn&& step) {
-  // Model + gradients + per-batch temporaries + the Fig. 5 chunk ring must
-  // fit the card. Workspace ≈ 4 batch-sized activation matrices (the SAE's
-  // y/z/delta2/back; the RBM's four phase matrices are no larger).
-  const double workspace_bytes =
-      4.0 * 4.0 * static_cast<double>(config_.batch_size) * dim;
-  la::Matrix batch;
-  std::int64_t global_step = 0;
-  return detail::run_train_loop(
-      config_, dataset, dim, 2.0 * model_bytes, workspace_bytes,
-      [&](const la::Matrix& chunk) {
-        detail::ChunkOutcome outcome;
-        for (la::Index begin = 0; begin < chunk.rows();
-             begin += config_.batch_size) {
-          DEEPPHI_PROFILE_SCOPE("trainer.batch");
-          const la::Index count =
-              std::min(config_.batch_size, chunk.rows() - begin);
-          detail::slice_batch(chunk, begin, count, batch);
-          const double cost = step(batch, global_step);
-          ++global_step;
-          ++outcome.batches;
-          ++outcome.updates;
-          outcome.cost_sum += cost;
-          outcome.final_cost = cost;
-        }
-        return outcome;
-      });
+int Trainer::slots() const {
+  return config_.replicas * config_.accumulation_steps *
+         (config_.cluster ? config_.cluster->cards() : 1);
 }
 
 TrainReport Trainer::train(SparseAutoencoder& model,
                            const data::StreamingSource& dataset) {
-  if (config_.replicas > 1 || config_.accumulation_steps > 1 ||
-      config_.cards > 1 || config_.cluster)
-    return DataParallelTrainer(config_).train(model, dataset);
-  SparseAutoencoder::Workspace ws;
-  AeGradients grads;
-  Optimizer optimizer(config_.optimizer);
-  const OptLevel level = config_.level;
-
-  auto step = [&](const la::Matrix& batch, std::int64_t) {
-    double cost = 0;
-    if (is_matrix_form(level)) {
-      cost = model.gradient(batch, ws, grads, is_fused(level));
-      optimizer.update(model.w1(), grads.g_w1);
-      optimizer.update(model.b1(), grads.g_b1);
-      optimizer.update(model.w2(), grads.g_w2);
-      optimizer.update(model.b2(), grads.g_b2);
-      optimizer.end_step();
-    } else {
-      const bool parallel = level == OptLevel::kOpenMp;
-      cost = sae_gradient_loops(model, batch, ws, grads, parallel);
-      sae_apply_update_loops(model, grads, config_.optimizer.lr, parallel);
-    }
-    return cost;
-  };
-  const double model_bytes = 4.0 * static_cast<double>(model.param_count());
-  return run_loop(dataset, model.visible(), model_bytes, step);
+  return run_slots(config_, slots(), SaeOps{config_.level}, model, dataset);
 }
 
 TrainReport Trainer::train(Rbm& model, const data::StreamingSource& dataset) {
-  if (config_.replicas > 1 || config_.accumulation_steps > 1 ||
-      config_.cards > 1 || config_.cluster)
-    return DataParallelTrainer(config_).train(model, dataset);
-  Rbm::Workspace ws;
-  RbmGradients grads;
-  Optimizer optimizer(config_.optimizer);
-  const OptLevel level = config_.level;
-  util::Rng sampling_base(config_.seed, /*stream=*/0x5a3bULL);
-
   std::unique_ptr<par::ThreadPool> pool;
-  std::unique_ptr<RbmTaskGraphStep> graph_step;
+  std::unique_ptr<RbmTaskGraphStep> graph;
   if (config_.use_taskgraph) {
-    pool = std::make_unique<par::ThreadPool>(
-        static_cast<unsigned>(config_.taskgraph_threads));
-    graph_step = std::make_unique<RbmTaskGraphStep>(model, *pool);
+    pool = std::make_unique<par::ThreadPool>(kTaskGraphThreads);
+    graph = std::make_unique<RbmTaskGraphStep>(model, *pool);
   }
+  return run_slots(config_, slots(), RbmOps{config_.level, graph.get()}, model,
+                   dataset);
+}
 
-  auto step = [&](const la::Matrix& batch, std::int64_t global_step) {
-    const util::Rng step_rng =
-        sampling_base.split(static_cast<std::uint64_t>(global_step));
-    double recon = 0;
-    if (is_matrix_form(level)) {
-      if (graph_step) {
-        recon = graph_step->run(batch, ws, grads, step_rng);
-      } else {
-        recon = model.gradient(batch, ws, grads, step_rng, is_fused(level));
-      }
-      optimizer.update(model.w(), grads.g_w);
-      optimizer.update(model.b(), grads.g_b);
-      optimizer.update(model.c(), grads.g_c);
-      optimizer.end_step();
-    } else {
-      const bool parallel = level == OptLevel::kOpenMp;
-      recon = rbm_gradient_loops(model, batch, ws, grads, step_rng, parallel);
-      rbm_apply_update_loops(model, grads, config_.optimizer.lr, parallel);
-    }
-    return recon;
-  };
-  const double model_bytes =
-      4.0 * static_cast<double>(model.w().size() + model.b().size() +
-                                model.c().size());
-  return run_loop(dataset, model.visible(), model_bytes, step);
+phi::KernelStats card_combine_stats(SparseAutoencoder& model,
+                                    int card_live_slots, int global_live_slots,
+                                    bool root,
+                                    const OptimizerConfig& optimizer) {
+  return combine_stats(SaeOps{OptLevel::kImproved}, model, card_live_slots,
+                       global_live_slots, root, optimizer);
+}
+
+phi::KernelStats card_combine_stats(Rbm& model, int card_live_slots,
+                                    int global_live_slots, bool root,
+                                    const OptimizerConfig& optimizer) {
+  return combine_stats(RbmOps{OptLevel::kImproved}, model, card_live_slots,
+                       global_live_slots, root, optimizer);
 }
 
 TrainReport dry_train(const SaeConfig& model, const TrainerConfig& config,

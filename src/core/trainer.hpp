@@ -13,6 +13,33 @@
 // simulate() — that replay is how the benches obtain Phi/CPU/Matlab times on
 // hardware that no longer exists. dry_train() runs the same trainer under
 // phi::DryRun ("model mode") for configurations too large to execute.
+//
+// Every run takes the same slot loop (docs/data_parallel.md). A global step
+// evaluates S = replicas × accumulation_steps × cards gradient slots — one
+// for a plain run, `cards` being the attached cluster's (docs/cluster.md) —
+// combines them and applies one update. R replica workers (par::ReplicaGroup),
+// each driving its own OpenMP team of ~T/R threads, evaluate the slots on
+// disjoint micro-batches of the SAME chunk: one Fig. 5 ring feeds everyone.
+//
+// Determinism contract (tested in tests/data_parallel_test.cpp and
+// tests/cluster_test.cpp):
+//   - Slot row ranges come from data::shard_rows(group_rows, S), and a
+//     slot's RNG stream is split(update_index·S + slot): both depend only on
+//     the data and S, never on which replica or card ran the slot or with
+//     how many threads.
+//   - The combine is a fixed binary tree over the live (non-empty) slots in
+//     ascending slot order, then a mean-scale — no atomics, no arrival
+//     order. Kernels are thread-count invariant, so a fixed seed and fixed S
+//     give bit-identical parameters for ANY (replicas, accumulation_steps)
+//     factorization of S and any replica_threads setting.
+//   - With S == 1 the one live slot needs no combine: a step is the Table I
+//     level's gradient (or the Fig. 6 task graph's) and its update, nothing
+//     else.
+//   - Cards only re-label WHERE slots live — card c owns the contiguous
+//     block [c·R·A, (c+1)·R·A) — and charge the modeled inter-card
+//     all-reduce to the cluster's interconnect. The functional combine stays
+//     the flat global tree, so any factorization of S into replicas ×
+//     accumulation_steps × cards trains bit-identical parameters.
 #pragma once
 
 #include <cstdint>
@@ -49,35 +76,20 @@ struct TrainerConfig {
   std::int64_t max_batches = 0;
   OptLevel level = OptLevel::kImproved;
   ExecPolicy policy = ExecPolicy::kPhiOffload;
-  /// Fig. 6 concurrent matrix ops for the RBM step (matrix-form levels only).
+  /// Fig. 6 concurrent matrix ops for the RBM step (matrix-form levels and
+  /// S == 1 only).
   bool use_taskgraph = false;
-  int taskgraph_threads = 4;
   /// Shared-memory data parallelism (docs/data_parallel.md). A global step
-  /// evaluates S = replicas × accumulation_steps gradient slots, each on one
-  /// micro-batch of up to batch_size rows (slot row ranges come from
-  /// data::shard_rows, so they depend only on the row count and S), combines
-  /// them with a deterministic binary-tree reduction, and applies ONE
-  /// optimizer update — an effective batch of up to S × batch_size examples.
-  /// Replica r computes slots r·A+a concurrently with the other replicas on
-  /// a private OpenMP team. With replicas == 1 and accumulation_steps == 1
-  /// training takes the single-team path, unchanged. S > 1 requires a
-  /// matrix-form level and is incompatible with use_taskgraph.
+  /// evaluates S = replicas × accumulation_steps × cards gradient slots, each
+  /// on one micro-batch of up to batch_size rows, and applies ONE optimizer
+  /// update — an effective batch of up to S × batch_size examples. Replica r
+  /// computes slots r·A+a concurrently with the other replicas on a private
+  /// OpenMP team. S > 1 requires a matrix-form level.
   int replicas = 1;
   /// OpenMP threads per replica's kernels; 0 = ambient threads / replicas.
   int replica_threads = 0;
   /// Gradient slots each replica evaluates sequentially per global step.
   int accumulation_steps = 1;
-  /// Simulated cards the global step spreads over (docs/cluster.md). A
-  /// global step then has S = replicas × accumulation_steps × cards slots;
-  /// card c owns the contiguous block [c·R·A, (c+1)·R·A), computed by the
-  /// same R replica workers sweeping the cards in order. The functional
-  /// combine stays the flat global-slot tree, so trained parameters are
-  /// bitwise invariant to ANY (replicas, accumulation_steps, cards)
-  /// factorization of S — the inter-card all-reduce exists as a modeled
-  /// communication schedule charged to the cluster's interconnect, never as
-  /// a different summation order. cards > 1 has the same requirements as
-  /// replicas > 1 (matrix-form level, no task graph).
-  int cards = 1;
   /// All-reduce algorithm the modeled inter-card combine is charged as;
   /// kAuto picks the cheapest schedule for the gradient message size on the
   /// active interconnect. DEEPPHI_COLLECTIVE overrides either way.
@@ -104,12 +116,14 @@ struct TrainerConfig {
   /// and one compute event per chunk of training. The populated trace is
   /// available on the device afterwards. The device must outlive train().
   phi::Device* device = nullptr;
-  /// Optional simulated multi-card cluster (requires cards > 1 matching
-  /// cluster->cards(); mutually exclusive with `device`). Each card's arena
-  /// takes its share of the reservation, each card's timeline is driven by
-  /// its replicas' measured work plus its analytic combine share, and the
+  /// Optional simulated multi-card cluster (mutually exclusive with
+  /// `device`): the global step spreads over its cards (docs/cluster.md).
+  /// Card c owns the slot block [c·R·A, (c+1)·R·A), computed by the same R
+  /// replica workers sweeping the cards in order. Each card's arena takes
+  /// its share of the reservation, each card's timeline is driven by its
+  /// replicas' measured work plus its analytic combine share, and the
   /// per-update collective schedule occupies the interconnect between
-  /// steps. The cluster must outlive train().
+  /// steps. The cluster must outlive the Trainer.
   phi::Cluster* cluster = nullptr;
   /// Optional JSONL telemetry sink: train() emits one record per chunk
   /// (cost, batches/s, GF/s, ring occupancy, wall seconds), one per epoch,
@@ -122,9 +136,8 @@ struct TrainReport {
   double final_cost = 0;        // cost of the last batch
   std::vector<double> chunk_mean_costs;
   std::int64_t batches = 0;     // micro-batch gradient evaluations
-  /// Optimizer steps applied. Equals `batches` on the single-team path; a
-  /// data-parallel run applies one update per S-slot group, so
-  /// updates ≈ batches / S (exactly, up to ragged chunk tails).
+  /// Optimizer steps applied: one per S-slot group, so updates ≈ batches / S
+  /// (exactly, up to ragged chunk tails; updates == batches when S == 1).
   std::int64_t updates = 0;
   std::int64_t chunks = 0;
   double chunk_bytes = 0;       // bytes of one full chunk
@@ -150,6 +163,10 @@ class Trainer {
 
   const TrainerConfig& config() const { return config_; }
 
+  /// Gradient slots per global step: replicas × accumulation_steps × the
+  /// attached cluster's cards (1 without a cluster).
+  int slots() const;
+
   /// Trains the Sparse Autoencoder over `dataset` for config.epochs passes.
   /// Any StreamingSource feeds the same loop: an in-memory data::Dataset or
   /// an out-of-core data::ShardedDataset train bitwise identically under the
@@ -162,12 +179,23 @@ class Trainer {
   TrainReport train(Rbm& model, const data::StreamingSource& dataset);
 
  private:
-  template <typename StepFn>
-  TrainReport run_loop(const data::StreamingSource& dataset, la::Index dim,
-                       double model_bytes, StepFn&& step);
-
   TrainerConfig config_;
 };
+
+/// One card's share of a global step's combine under the cluster charging
+/// model, run dry (phi::DryRun) through the same combine / scale / update
+/// calls the flat tree makes: the card folds its `card_live_slots` with a
+/// local tree; the root card also applies the mean scale (when the step
+/// combined more than one slot) and the optimizer update. With one card,
+/// card_live_slots == global_live_slots and root, this is the whole combine
+/// and update of a matrix-form step. `model` is not modified.
+phi::KernelStats card_combine_stats(SparseAutoencoder& model,
+                                    int card_live_slots, int global_live_slots,
+                                    bool root,
+                                    const OptimizerConfig& optimizer);
+phi::KernelStats card_combine_stats(Rbm& model, int card_live_slots,
+                                    int global_live_slots, bool root,
+                                    const OptimizerConfig& optimizer);
 
 /// Model mode: trains a freshly built model over a shape-only dataset of
 /// `rows` examples under phi::DryRun, so every chunk, batch, ragged tail,

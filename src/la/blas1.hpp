@@ -13,9 +13,10 @@ namespace deepphi::la {
 /// sum in la (dot, nrm2sq, asum, sum, sum_sq_diff): [0, n) is cut into
 /// fixed-size chunks whose size depends only on n, never on the thread
 /// count; `chunk_sum(begin, count)` reduces one chunk, and the partials are
-/// combined serially in chunk order. Same bits for any thread count.
+/// combined serially in chunk order. Same bits for any thread count, and
+/// with `parallel` false, where the calling thread reduces every chunk.
 template <typename ChunkSum>
-double ordered_sum(Index n, ChunkSum&& chunk_sum) {
+double ordered_sum(Index n, ChunkSum&& chunk_sum, bool parallel = true) {
   constexpr Index kMinChunk = 1 << 15;  // below this, one chunk, no fork
   constexpr Index kMaxChunks = 256;
   if (n == 0) return 0.0;
@@ -23,7 +24,7 @@ double ordered_sum(Index n, ChunkSum&& chunk_sum) {
       std::max<Index>(kMinChunk, (n + kMaxChunks - 1) / kMaxChunks);
   const Index chunks = (n + chunk - 1) / chunk;
   double partials[kMaxChunks];
-#pragma omp parallel for if (chunks > 1) schedule(static)
+#pragma omp parallel for if (parallel && chunks > 1) schedule(static)
   for (Index c = 0; c < chunks; ++c) {
     const Index b = c * chunk;
     partials[c] = chunk_sum(b, std::min(chunk, n - b));

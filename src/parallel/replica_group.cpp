@@ -66,7 +66,7 @@ const char* ReplicaGroup::replica_label(int r) {
 void ReplicaGroup::run(const std::function<void(int)>& fn) {
   DEEPPHI_CHECK(fn != nullptr);
   if (config_.replicas == 1) {
-    // Inline: no pool hop, no ICV change — byte-for-byte the single-team path.
+    // Inline: no pool hop, no ICV change — the caller's own OpenMP team.
     DEEPPHI_PROFILE_SCOPE(replica_label(0));
     fn(0);
     return;

@@ -11,8 +11,8 @@
 //
 // With replicas == 1 the group runs the task inline on the calling thread
 // with the ambient OpenMP settings — zero scheduling or ICV difference from
-// not using a group at all, which is what lets the data-parallel trainer's
-// single-replica path reproduce the flat single-team trainer exactly.
+// not using a group at all, which is what lets a plain one-replica training
+// run take the trainer's slot loop at no cost.
 #pragma once
 
 #include <functional>

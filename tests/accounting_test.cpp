@@ -173,7 +173,6 @@ TEST(RbmAccounting, GaussianVisibleVariants) {
 TEST(RbmAccounting, TaskGraphModelEqualsMeasure) {
   TrainerConfig cfg = step_config(OptLevel::kImproved, 9);
   cfg.use_taskgraph = true;
-  cfg.taskgraph_threads = 3;
   expect_dry_equals_wet(RbmConfig{10, 7}, cfg, 9);
 }
 
@@ -223,7 +222,6 @@ TEST(TrainAccounting, RbmTaskGraphTrainerMatchesModel) {
   for (ExecPolicy policy : {ExecPolicy::kHost, ExecPolicy::kPhiOffload}) {
     TrainerConfig cfg = run_config(OptLevel::kImproved, policy);
     cfg.use_taskgraph = true;
-    cfg.taskgraph_threads = 2;
     expect_dry_equals_wet(RbmConfig{16, 8}, cfg, 130);
   }
 }

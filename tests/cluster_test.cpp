@@ -2,14 +2,14 @@
 // functional counterparts, the interconnect model, phi::Cluster's timeline,
 // and the cluster trainer's determinism contract — bitwise parity across
 // (replicas, accumulation_steps, cards) factorizations of the same global
-// slot count, cards = 1 reproducing DataParallelTrainer, and dry == wet:
+// slot count, a one-card cluster reproducing a plain run, and dry == wet:
 // model mode (core::dry_train) drives the cluster exactly as a real run.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <vector>
 
-#include "core/data_parallel_trainer.hpp"
 #include "core/trainer.hpp"
 #include "data/patches.hpp"
 #include "parallel/collectives.hpp"
@@ -309,11 +309,19 @@ std::vector<float> rbm_params(const Rbm& m) {
   return out;
 }
 
+// A trainer geometry of replicas × accum slots on each of `cards` cards. It
+// owns the pcie-p2p cluster its config points at; one card is a plain run.
+struct ClusterRun {
+  TrainerConfig config;
+  std::unique_ptr<phi::Cluster> cluster;
+};
+
 // 330 examples / chunk 128 / batch 12 exercises ragged chunk tails AND
 // ragged gradient groups at every factorization below.
-TrainerConfig cluster_config(int replicas, int accum, int cards,
-                             int replica_threads = 0) {
-  TrainerConfig cfg;
+ClusterRun cluster_config(int replicas, int accum, int cards,
+                          int replica_threads = 0) {
+  ClusterRun run;
+  TrainerConfig& cfg = run.config;
   cfg.batch_size = 12;
   cfg.chunk_examples = 128;
   cfg.epochs = 2;
@@ -322,9 +330,14 @@ TrainerConfig cluster_config(int replicas, int accum, int cards,
   cfg.seed = 42;
   cfg.replicas = replicas;
   cfg.accumulation_steps = accum;
-  cfg.cards = cards;
   cfg.replica_threads = replica_threads;
-  return cfg;
+  if (cards > 1) {
+    phi::ClusterConfig ccfg;
+    ccfg.cards = cards;
+    run.cluster = std::make_unique<phi::Cluster>(phi::xeon_phi_5110p(), ccfg);
+    cfg.cluster = run.cluster.get();
+  }
+  return run;
 }
 
 data::Dataset ragged_patches() {
@@ -338,8 +351,7 @@ std::vector<float> train_sae(const TrainerConfig& cfg,
   mcfg.visible = data.dim();
   mcfg.hidden = 8;
   SparseAutoencoder model(mcfg, 7);
-  DataParallelTrainer trainer(cfg);
-  TrainReport report = trainer.train(model, data);
+  TrainReport report = Trainer(cfg).train(model, data);
   if (report_out) *report_out = report;
   return sae_params(model);
 }
@@ -350,8 +362,7 @@ std::vector<float> train_rbm(const TrainerConfig& cfg,
   mcfg.visible = data.dim();
   mcfg.hidden = 8;
   Rbm model(mcfg, 7);
-  DataParallelTrainer trainer(cfg);
-  trainer.train(model, data);
+  Trainer(cfg).train(model, data);
   return rbm_params(model);
 }
 
@@ -359,13 +370,13 @@ TEST(ClusterTrainer, SaeBitwiseInvariantAcrossFactorizations) {
   const data::Dataset data = ragged_patches();
   // All factorizations of S = 8 global slots, including thread variation.
   const std::vector<float> reference =
-      train_sae(cluster_config(8, 1, 1), data);
+      train_sae(cluster_config(8, 1, 1).config, data);
   const int geo[][4] = {{4, 1, 2, 0}, {2, 2, 2, 0}, {1, 1, 8, 0},
                         {2, 1, 4, 0}, {1, 2, 4, 0}, {2, 2, 2, 1},
                         {4, 2, 1, 2}};
   for (const auto& g : geo) {
     const std::vector<float> params =
-        train_sae(cluster_config(g[0], g[1], g[2], g[3]), data);
+        train_sae(cluster_config(g[0], g[1], g[2], g[3]).config, data);
     EXPECT_EQ(params, reference)
         << "replicas=" << g[0] << " accum=" << g[1] << " cards=" << g[2]
         << " threads=" << g[3];
@@ -375,17 +386,18 @@ TEST(ClusterTrainer, SaeBitwiseInvariantAcrossFactorizations) {
 TEST(ClusterTrainer, RbmBitwiseInvariantAcrossFactorizations) {
   const data::Dataset data = ragged_patches();
   const std::vector<float> reference =
-      train_rbm(cluster_config(6, 1, 1), data);
-  EXPECT_EQ(train_rbm(cluster_config(2, 1, 3), data), reference);
-  EXPECT_EQ(train_rbm(cluster_config(3, 2, 1), data), reference);
-  EXPECT_EQ(train_rbm(cluster_config(1, 2, 3), data), reference);
+      train_rbm(cluster_config(6, 1, 1).config, data);
+  EXPECT_EQ(train_rbm(cluster_config(2, 1, 3).config, data), reference);
+  EXPECT_EQ(train_rbm(cluster_config(3, 2, 1).config, data), reference);
+  EXPECT_EQ(train_rbm(cluster_config(1, 2, 3).config, data), reference);
 }
 
 TEST(ClusterTrainer, CollectiveChoiceNeverChangesParameters) {
   // The collective governs the modeled communication schedule only; trained
   // weights are identical under every algorithm.
   const data::Dataset data = ragged_patches();
-  TrainerConfig cfg = cluster_config(2, 1, 2);
+  const ClusterRun run = cluster_config(2, 1, 2);
+  TrainerConfig cfg = run.config;
   cfg.collective = par::Collective::kRing;
   const std::vector<float> ring = train_sae(cfg, data);
   cfg.collective = par::Collective::kTree;
@@ -395,27 +407,30 @@ TEST(ClusterTrainer, CollectiveChoiceNeverChangesParameters) {
 }
 
 TEST(ClusterTrainer, AttachedClusterDoesNotChangeParameters) {
+  // C cards train what C× the accumulation steps train on one.
   const data::Dataset data = ragged_patches();
-  const std::vector<float> plain = train_sae(cluster_config(2, 1, 2), data);
+  const std::vector<float> plain =
+      train_sae(cluster_config(2, 2, 1).config, data);
 
   phi::ClusterConfig ccfg;
   ccfg.cards = 2;
   ccfg.interconnect = phi::host_staged_interconnect();
   phi::Cluster cluster(phi::xeon_phi_5110p(), ccfg);
-  TrainerConfig cfg = cluster_config(2, 1, 2);
+  TrainerConfig cfg = cluster_config(2, 1, 1).config;
   cfg.cluster = &cluster;
   EXPECT_EQ(train_sae(cfg, data), plain);
   EXPECT_GT(cluster.comm().collectives, 0);
 }
 
-TEST(ClusterTrainer, SingleCardClusterMatchesDataParallelTrainer) {
+TEST(ClusterTrainer, SingleCardClusterMatchesPlainRun) {
   const data::Dataset data = ragged_patches();
-  const std::vector<float> plain = train_sae(cluster_config(2, 2, 1), data);
+  const std::vector<float> plain =
+      train_sae(cluster_config(2, 2, 1).config, data);
 
   phi::ClusterConfig ccfg;
   ccfg.cards = 1;
   phi::Cluster cluster(phi::xeon_phi_5110p(), ccfg);
-  TrainerConfig cfg = cluster_config(2, 2, 1);
+  TrainerConfig cfg = cluster_config(2, 2, 1).config;
   cfg.cluster = &cluster;
   EXPECT_EQ(train_sae(cfg, data), plain);
   // One card: nothing crosses a link.
@@ -425,68 +440,36 @@ TEST(ClusterTrainer, SingleCardClusterMatchesDataParallelTrainer) {
   EXPECT_GT(cluster.device(0).elapsed_s(), 0.0);
 }
 
-TEST(ClusterTrainer, TrainerDelegatesCardsToDataParallel) {
-  const data::Dataset data = ragged_patches();
-  const TrainerConfig cfg = cluster_config(1, 1, 4);
-  const std::vector<float> direct = train_sae(cfg, data);
-
-  SaeConfig mcfg;
-  mcfg.visible = data.dim();
-  mcfg.hidden = 8;
-  SparseAutoencoder model(mcfg, 7);
-  Trainer trainer(cfg);
-  trainer.train(model, data);
-  EXPECT_EQ(sae_params(model), direct);
-}
-
 // --- validation ---
 
 TEST(ClusterTrainer, RejectsBadConfigurations) {
-  TrainerConfig cfg = cluster_config(2, 1, 0);
-  EXPECT_THROW(DataParallelTrainer{cfg}, util::Error);
-  EXPECT_THROW(Trainer{cfg}, util::Error);
-
-  cfg = cluster_config(1, 1, 2);
-  cfg.level = OptLevel::kOpenMp;  // loop-form
-  EXPECT_THROW(Trainer{cfg}, util::Error);
-
-  // cards mismatch between config and attached cluster.
-  phi::ClusterConfig ccfg;
-  ccfg.cards = 2;
-  phi::Cluster cluster(phi::xeon_phi_5110p(), ccfg);
-  cfg = cluster_config(1, 1, 3);
-  cfg.cluster = &cluster;
-  SaeConfig mcfg;
-  mcfg.visible = 16;
-  mcfg.hidden = 8;
-  SparseAutoencoder model(mcfg, 7);
-  const data::Dataset data = ragged_patches();
-  DataParallelTrainer trainer(cfg);
-  EXPECT_THROW(trainer.train(model, data), util::Error);
+  ClusterRun run = cluster_config(1, 1, 2);
+  run.config.level = OptLevel::kOpenMp;  // loop-form
+  EXPECT_THROW(Trainer{run.config}, util::Error);
 
   // device and cluster are mutually exclusive.
   phi::Device device(phi::xeon_phi_5110p());
-  cfg = cluster_config(1, 1, 2);
-  cfg.cluster = &cluster;
-  cfg.device = &device;
-  DataParallelTrainer both(cfg);
-  EXPECT_THROW(both.train(model, data), util::Error);
+  run = cluster_config(1, 1, 2);
+  run.config.device = &device;
+  SparseAutoencoder model(SaeConfig{16, 8}, 7);
+  EXPECT_THROW(Trainer(run.config).train(model, ragged_patches()),
+               util::Error);
 }
 
 // --- accounting: dry == wet ---
 
 TEST(ClusterAccounting, HostStatsEqualDataParallelReplayAtGlobalSlots) {
   const data::Dataset data = ragged_patches();
+  const ClusterRun run = cluster_config(2, 1, 2);
   TrainReport report;
-  train_sae(cluster_config(2, 1, 2), data, &report);
-  const TrainReport dry =
-      dry_train(SaeConfig{16, 8}, cluster_config(2, 1, 2), data.rows());
+  train_sae(run.config, data, &report);
+  const TrainReport dry = dry_train(SaeConfig{16, 8}, run.config, data.rows());
   EXPECT_TRUE(dry.stats == report.stats) << dry.stats.to_string() << "\n"
                                          << report.stats.to_string();
   // ... and the cluster's host work IS the flat data-parallel work at
   // S = R·A·C: cards change where work is charged, not what runs.
   TrainReport flat;
-  train_sae(cluster_config(4, 1, 1), data, &flat);
+  train_sae(cluster_config(4, 1, 1).config, data, &flat);
   EXPECT_TRUE(report.stats == flat.stats);
 }
 
@@ -503,7 +486,7 @@ TEST(ClusterAccounting, CommReplayEqualsMeasuredClusterComm) {
       ccfg.interconnect = link;
       phi::Cluster wet_cluster(phi::xeon_phi_5110p(), ccfg);
       phi::Cluster dry_cluster(phi::xeon_phi_5110p(), ccfg);
-      TrainerConfig cfg = cluster_config(1, 1, 3);
+      TrainerConfig cfg = cluster_config(1, 1, 1).config;
       cfg.collective = alg;
       cfg.cluster = &wet_cluster;
       TrainReport report;
@@ -544,13 +527,13 @@ TEST(ClusterAccounting, CardCombinePlusInterCardEdgesEqualFlatTree) {
 
 TEST(ClusterAccounting, ShapeHelpers) {
   // S = R·A·C global slots: the same count as a flat run of R·A·C replicas.
-  EXPECT_EQ(DataParallelTrainer(cluster_config(2, 3, 4)).slots(), 24);
-  EXPECT_EQ(DataParallelTrainer(cluster_config(24, 1, 1)).slots(), 24);
+  EXPECT_EQ(Trainer(cluster_config(2, 3, 4).config).slots(), 24);
+  EXPECT_EQ(Trainer(cluster_config(24, 1, 1).config).slots(), 24);
   // cards = 1: no communication at all.
   phi::ClusterConfig ccfg;
   ccfg.cards = 1;
   phi::Cluster cluster(phi::xeon_phi_5110p(), ccfg);
-  TrainerConfig cfg = cluster_config(2, 1, 1);
+  TrainerConfig cfg = cluster_config(2, 1, 1).config;
   cfg.cluster = &cluster;
   const TrainReport dry = dry_train(SaeConfig{12, 128}, cfg, 330);
   EXPECT_GT(dry.updates, 0);

@@ -10,9 +10,8 @@
 
 #include "baseline/seq_autoencoder.hpp"
 #include "baseline/seq_rbm.hpp"
-#include "core/autoencoder_loops.hpp"
+#include "core/loop_form.hpp"
 #include "core/rbm.hpp"
-#include "core/rbm_loops.hpp"
 #include "core/rbm_taskgraph.hpp"
 #include "core/sparse_autoencoder.hpp"
 #include "la/pack_arena.hpp"

@@ -381,7 +381,6 @@ TEST(Trainer, RbmTaskGraphPolicyLearns) {
   Rbm model(mcfg, 43);
   TrainerConfig cfg = quick_config(OptLevel::kImproved);
   cfg.use_taskgraph = true;
-  cfg.taskgraph_threads = 3;
   cfg.epochs = 2;
   Trainer trainer(cfg);
   const TrainReport report = trainer.train(model, patches);

@@ -1,19 +1,21 @@
 // Data-parallel training tests (docs/data_parallel.md): shard coverage and
-// determinism of data::shard_rows, the DataParallelTrainer determinism
-// contract — single-slot runs reproduce core::Trainer bit for bit, and any
-// (replicas, accumulation_steps) factorization of the same slot count S
+// determinism of data::shard_rows, the slot loop's determinism contract —
+// any (replicas, accumulation_steps) factorization of the same slot count S
 // trains bit-identical parameters regardless of replica thread budgets —
 // plus dry == wet: model mode (core::dry_train) counts exactly the work a
-// real data-parallel run records.
+// real data-parallel run records. The S == 1 parameters of every Table I
+// level are pinned by Determinism.ResultsMatchPinnedParentHashes.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <type_traits>
 #include <vector>
 
-#include "core/data_parallel_trainer.hpp"
 #include "core/trainer.hpp"
 #include "data/chunk_stream.hpp"
 #include "data/patches.hpp"
+#include "phi/cluster.hpp"
+#include "phi/machine_spec.hpp"
 
 namespace deepphi::core {
 namespace {
@@ -113,8 +115,7 @@ std::vector<float> train_sae_dp(const TrainerConfig& cfg,
   mcfg.visible = data.dim();
   mcfg.hidden = 8;
   SparseAutoencoder model(mcfg, 7);
-  DataParallelTrainer trainer(cfg);
-  TrainReport report = trainer.train(model, data);
+  TrainReport report = Trainer(cfg).train(model, data);
   if (report_out) *report_out = report;
   return sae_params(model);
 }
@@ -126,49 +127,9 @@ std::vector<float> train_rbm_dp(const TrainerConfig& cfg,
   mcfg.visible = data.dim();
   mcfg.hidden = 8;
   Rbm model(mcfg, 7);
-  DataParallelTrainer trainer(cfg);
-  TrainReport report = trainer.train(model, data);
+  TrainReport report = Trainer(cfg).train(model, data);
   if (report_out) *report_out = report;
   return rbm_params(model);
-}
-
-// --- single-slot parity: DataParallelTrainer(1,1) ≡ Trainer, bitwise ---
-
-TEST(DataParallel, SingleSlotMatchesTrainerBitwiseSae) {
-  const data::Dataset data = ragged_patches();
-  const TrainerConfig cfg = dp_config(1, 1);
-
-  SaeConfig mcfg;
-  mcfg.visible = data.dim();
-  mcfg.hidden = 8;
-  SparseAutoencoder reference(mcfg, 7);
-  Trainer trainer(cfg);
-  const TrainReport ref_report = trainer.train(reference, data);
-
-  TrainReport dp_report;
-  const std::vector<float> dp = train_sae_dp(cfg, data, &dp_report);
-  EXPECT_EQ(dp, sae_params(reference));
-  EXPECT_EQ(dp_report.batches, ref_report.batches);
-  EXPECT_EQ(dp_report.updates, ref_report.updates);
-  EXPECT_EQ(dp_report.chunk_mean_costs, ref_report.chunk_mean_costs);
-  EXPECT_TRUE(dp_report.stats.approx_equal(ref_report.stats, 1e-9));
-}
-
-TEST(DataParallel, SingleSlotMatchesTrainerBitwiseRbm) {
-  const data::Dataset data = ragged_patches();
-  const TrainerConfig cfg = dp_config(1, 1);
-
-  RbmConfig mcfg;
-  mcfg.visible = data.dim();
-  mcfg.hidden = 8;
-  Rbm reference(mcfg, 7);
-  Trainer trainer(cfg);
-  const TrainReport ref_report = trainer.train(reference, data);
-
-  TrainReport dp_report;
-  const std::vector<float> dp = train_rbm_dp(cfg, data, &dp_report);
-  EXPECT_EQ(dp, rbm_params(reference));
-  EXPECT_EQ(dp_report.chunk_mean_costs, ref_report.chunk_mean_costs);
 }
 
 // --- factorization parity: fixed S, any (R, A), any thread budget ---
@@ -202,21 +163,6 @@ TEST(DataParallel, ReplicaThreadBudgetDoesNotChangeParameters) {
   const std::vector<float> four = train_sae_dp(dp_config(4, 1, 3), data);
   EXPECT_EQ(one, two);
   EXPECT_EQ(one, four);
-}
-
-TEST(DataParallel, TrainerDelegatesWhenReplicasRequested) {
-  const data::Dataset data = ragged_patches();
-  const TrainerConfig cfg = dp_config(2, 2);
-
-  SaeConfig mcfg;
-  mcfg.visible = data.dim();
-  mcfg.hidden = 8;
-  SparseAutoencoder via_trainer(mcfg, 7);
-  Trainer trainer(cfg);
-  const TrainReport report = trainer.train(via_trainer, data);
-
-  EXPECT_EQ(sae_params(via_trainer), train_sae_dp(cfg, data));
-  EXPECT_LT(report.updates, report.batches);  // one update per slot group
 }
 
 // --- accumulation semantics ---
@@ -268,8 +214,14 @@ void expect_dry_equals_wet_for_every_split(const ModelConfig& model) {
       SCOPED_TRACE(testing::Message() << replicas << "x" << accum << "x"
                                       << cards);
       TrainerConfig cfg = dp_config(replicas, accum);
-      cfg.cards = cards;
       cfg.policy = policy;
+      std::unique_ptr<phi::Cluster> cluster;
+      if (cards > 1) {
+        phi::ClusterConfig ccfg;
+        ccfg.cards = cards;
+        cluster = std::make_unique<phi::Cluster>(phi::xeon_phi_5110p(), ccfg);
+        cfg.cluster = cluster.get();
+      }
       TrainReport wet;
       if constexpr (std::is_same_v<ModelConfig, SaeConfig>)
         train_sae_dp(cfg, data, &wet);
@@ -286,17 +238,6 @@ TEST(DataParallel, ModelEqualsMeasureSae) {
 
 TEST(DataParallel, ModelEqualsMeasureRbm) {
   expect_dry_equals_wet_for_every_split(RbmConfig{16, 8});
-}
-
-TEST(DataParallel, SingleSlotAccountingEqualsTrainStats) {
-  // The single-slot data-parallel path runs the flat trainer's kernels and
-  // no combine: the recorded work is identical, not just the parameters.
-  const data::Dataset data = ragged_patches();
-  TrainReport dp;
-  train_sae_dp(dp_config(1, 1), data, &dp);
-  SparseAutoencoder model(SaeConfig{data.dim(), 8}, 7);
-  const TrainReport flat = Trainer(dp_config(1, 1)).train(model, data);
-  expect_dry_equals_wet(dp, flat);
 }
 
 TEST(DataParallel, CombineStatsZeroForSingleLiveSlot) {
@@ -318,22 +259,20 @@ TEST(DataParallel, CombineStatsZeroForSingleLiveSlot) {
 TEST(DataParallel, RejectsLoopFormLevels) {
   TrainerConfig cfg = dp_config(2, 1);
   cfg.level = OptLevel::kOpenMp;
-  EXPECT_THROW(DataParallelTrainer{cfg}, util::Error);
   EXPECT_THROW(Trainer{cfg}, util::Error);
 }
 
 TEST(DataParallel, RejectsTaskGraphCombination) {
   TrainerConfig cfg = dp_config(2, 1);
   cfg.use_taskgraph = true;
-  EXPECT_THROW(DataParallelTrainer{cfg}, util::Error);
   EXPECT_THROW(Trainer{cfg}, util::Error);
 }
 
 TEST(DataParallel, RejectsNonPositiveGeometry) {
   TrainerConfig bad_replicas = dp_config(0, 1);
-  EXPECT_THROW(DataParallelTrainer{bad_replicas}, util::Error);
+  EXPECT_THROW(Trainer{bad_replicas}, util::Error);
   TrainerConfig bad_accum = dp_config(1, 0);
-  EXPECT_THROW(DataParallelTrainer{bad_accum}, util::Error);
+  EXPECT_THROW(Trainer{bad_accum}, util::Error);
 }
 
 }  // namespace

@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/rbm.hpp"
 #include "core/trainer.hpp"
@@ -122,18 +124,30 @@ TEST(Determinism, ReductionsBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(Determinism, ChunkMeanCostsBitIdenticalAcrossThreadCounts) {
-  // Batches of 1024 × 64 = 65536 elements: each cost reduction spans chunks.
+  // Batches of 1024 × 64 = 65536 elements: each cost reduction spans chunks,
+  // on the loop-form OpenMP rung as on the matrix-form one.
   const data::Dataset patches = data::make_digit_patch_dataset(4096, 8, 12);
-  auto costs = [&patches](int threads) {
+  auto costs = [&patches](bool rbm, core::OptLevel level, int threads) {
     OmpThreadGuard guard(threads);
-    core::SparseAutoencoder model(core::SaeConfig{patches.dim(), 32}, 13);
     core::TrainerConfig tcfg;
     tcfg.batch_size = 1024;
     tcfg.chunk_examples = 2048;
+    tcfg.level = level;
     tcfg.policy = core::ExecPolicy::kHost;
+    if (rbm) {
+      core::Rbm model(core::RbmConfig{patches.dim(), 32}, 13);
+      return core::Trainer(tcfg).train(model, patches).chunk_mean_costs;
+    }
+    core::SparseAutoencoder model(core::SaeConfig{patches.dim(), 32}, 13);
     return core::Trainer(tcfg).train(model, patches).chunk_mean_costs;
   };
-  EXPECT_EQ(costs(1), costs(4));
+  for (const core::OptLevel level :
+       {core::OptLevel::kOpenMp, core::OptLevel::kImproved}) {
+    for (const bool rbm : {false, true}) {
+      EXPECT_EQ(costs(rbm, level, 1), costs(rbm, level, 4))
+          << (rbm ? "RBM" : "SAE") << " at " << core::to_string(level);
+    }
+  }
 }
 #endif  // _OPENMP
 
@@ -179,11 +193,15 @@ TEST(Determinism, RbmTrainerReproducibleWithSampling) {
 //
 // Every other bitwise test here compares tiers or thread counts with each
 // other, so a change that moves all of them the same way (a different kc,
-// say) would pass. This one pins FNV-1a hashes of actual results, recorded
-// with the 4×16-tile GEMM that preceded the per-tier register tiles: a GEMM
-// sweep and the parameters after short SAE and RBM training runs. A register
-// tile, a packing layout, a blocking or a thread split may change; these
-// hashes may not.
+// say) would pass. This one pins FNV-1a hashes of actual results: a GEMM
+// sweep, and the parameters after short SAE and RBM training runs. The sweep
+// and the two improved-level runs were recorded with the 4×16-tile GEMM that
+// preceded the per-tier register tiles; the other runs (the other Table I
+// levels, the Fig. 6 task graph, momentum and Adagrad) were recorded with
+// the trainer that still had a single-team step of its own beside the slot
+// loop.
+// A register tile, a packing layout, a blocking, a thread split or a
+// trainer refactor may change; these hashes may not.
 
 class Fnv1a {
  public:
@@ -283,12 +301,13 @@ core::TrainerConfig pinned_trainer_config() {
   return tcfg;
 }
 
-std::string sae_params_hash() {
+std::string sae_params_hash(
+    const core::TrainerConfig& tcfg = pinned_trainer_config()) {
   core::SaeConfig mcfg;
   mcfg.visible = 50;
   mcfg.hidden = 40;
   core::SparseAutoencoder model(mcfg, 11);
-  core::Trainer(pinned_trainer_config()).train(model, pinned_dataset());
+  core::Trainer(tcfg).train(model, pinned_dataset());
   Fnv1a hash;
   hash.add(model.w1());
   hash.add(model.b1());
@@ -297,19 +316,58 @@ std::string sae_params_hash() {
   return hash.hex();
 }
 
-std::string rbm_params_hash() {
+std::string rbm_params_hash(
+    const core::TrainerConfig& tcfg = pinned_trainer_config()) {
   core::RbmConfig mcfg;
   mcfg.visible = 50;
   mcfg.hidden = 40;
   mcfg.cd_k = 1;
   mcfg.sample_visible = true;
   core::Rbm model(mcfg, 13);
-  core::Trainer(pinned_trainer_config()).train(model, pinned_dataset());
+  core::Trainer(tcfg).train(model, pinned_dataset());
   Fnv1a hash;
   hash.add(model.w());
   hash.add(model.b());
   hash.add(model.c());
   return hash.hex();
+}
+
+// One pinned training run beyond the two improved-level ones.
+struct TrainPin {
+  std::string what;
+  bool rbm = false;
+  core::TrainerConfig config;
+  std::string hash;
+};
+
+std::vector<TrainPin> train_pins() {
+  const std::pair<core::OptLevel, std::array<const char*, 2>> levels[] = {
+      {core::OptLevel::kBaseline,
+       {"0x2930d3fa1a1ee8ad", "0xd42cf55214017808"}},
+      {core::OptLevel::kOpenMp, {"0x2930d3fa1a1ee8ad", "0xd42cf55214017808"}},
+      {core::OptLevel::kOpenMpMkl,
+       {"0x0d8b7728ad22fcb9", "0x8bd8d0b7f2806c44"}}};
+  std::vector<TrainPin> pins;
+  for (const auto& [level, hashes] : levels) {
+    core::TrainerConfig tcfg = pinned_trainer_config();
+    tcfg.level = level;
+    pins.push_back({std::string("SAE at ") + core::to_string(level), false,
+                    tcfg, hashes[0]});
+    pins.push_back({std::string("RBM at ") + core::to_string(level), true,
+                    tcfg, hashes[1]});
+  }
+  core::TrainerConfig graph = pinned_trainer_config();
+  graph.use_taskgraph = true;
+  pins.push_back({"RBM on the Fig. 6 task graph", true, graph,
+                  "0x07f3c70fa76c9ddd"});
+  core::TrainerConfig momentum = pinned_trainer_config();
+  momentum.optimizer.kind = core::OptimizerKind::kMomentum;
+  momentum.optimizer.lr_decay = 0.01f;
+  pins.push_back({"SAE with momentum", false, momentum, "0x3e36985b48ec2013"});
+  core::TrainerConfig adagrad = pinned_trainer_config();
+  adagrad.optimizer.kind = core::OptimizerKind::kAdagrad;
+  pins.push_back({"RBM with Adagrad", true, adagrad, "0xa23f91eeb2d020bb"});
+  return pins;
 }
 
 TEST(Determinism, ResultsMatchPinnedParentHashes) {
@@ -329,6 +387,11 @@ TEST(Determinism, ResultsMatchPinnedParentHashes) {
       EXPECT_EQ(gemm_sweep_hash(), kGemmSweep) << "GEMM sweep, " << where;
       EXPECT_EQ(sae_params_hash(), kSaeParams) << "SAE parameters, " << where;
       EXPECT_EQ(rbm_params_hash(), kRbmParams) << "RBM parameters, " << where;
+      for (const TrainPin& pin : train_pins()) {
+        const std::string got = pin.rbm ? rbm_params_hash(pin.config)
+                                        : sae_params_hash(pin.config);
+        EXPECT_EQ(got, pin.hash) << pin.what << " parameters, " << where;
+      }
     }
   }
   la::simd::reset_tier();

@@ -15,8 +15,7 @@
 #include "la/reduce.hpp"
 #include "la/transpose.hpp"
 #include "core/online_sgd.hpp"
-#include "core/rbm_loops.hpp"
-#include "core/autoencoder_loops.hpp"
+#include "core/loop_form.hpp"
 #include "core/rbm_taskgraph.hpp"
 #include "core/trainer.hpp"
 #include "data/digits.hpp"

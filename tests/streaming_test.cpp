@@ -3,8 +3,8 @@
 // Dataset for f32 and u8, shard-boundary spans, gathers, corruption and
 // truncation errors), the deterministic WindowShuffle, the typed IoError
 // paths of the DPDS/IDX loaders, and the headline contract — training from
-// shards is bitwise identical to training in memory, for the single-team
-// Trainer and every factorization of the data-parallel trainer, with the
+// shards is bitwise identical to training in memory, for a plain Trainer
+// run and every replicas × accumulation_steps factorization, with the
 // windowed shuffle on or off.
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/data_parallel_trainer.hpp"
 #include "core/sparse_autoencoder.hpp"
 #include "core/rbm.hpp"
 #include "core/trainer.hpp"
@@ -578,7 +577,7 @@ TEST(StreamingParity, DataParallelFactorizationsMatchAcrossBackings) {
   for (const auto& [r, a] : {std::pair{1, 4}, {2, 2}, {4, 1}}) {
     for (const bool use_shards : {false, true}) {
       core::SparseAutoencoder model = reference_init;
-      core::DataParallelTrainer trainer(parity_config(128, r, a));
+      core::Trainer trainer(parity_config(128, r, a));
       if (use_shards)
         trainer.train(model, s);
       else

@@ -97,8 +97,9 @@ void print_report(const char* label, const core::TrainReport& report) {
 
 // Per-slot row counts of one full gradient group, e.g. "128,128,128,128" —
 // the shard layout every full group of the run uses (ragged tails shrink it).
-std::string shard_layout(const core::TrainerConfig& tcfg) {
-  const int slots = tcfg.replicas * tcfg.accumulation_steps * tcfg.cards;
+std::string shard_layout(const core::Trainer& trainer) {
+  const core::TrainerConfig& tcfg = trainer.config();
+  const int slots = trainer.slots();
   const la::Index group = std::min(
       static_cast<la::Index>(slots) * tcfg.batch_size, tcfg.chunk_examples);
   std::string out;
@@ -226,17 +227,18 @@ int run(int argc, char** argv) {
   tcfg.replicas = static_cast<int>(options.get_int("replicas"));
   tcfg.replica_threads = static_cast<int>(options.get_int("replica-threads"));
   tcfg.accumulation_steps = static_cast<int>(options.get_int("accum"));
-  tcfg.cards = static_cast<int>(options.get_int("cards"));
+  const int cards = static_cast<int>(options.get_int("cards"));
+  DEEPPHI_CHECK_MSG(cards >= 1, "--cards must be >= 1");
   tcfg.collective = par::parse_collective(options.get_string("collective"));
   std::unique_ptr<phi::Cluster> cluster;
-  if (tcfg.cards > 1) {
+  if (cards > 1) {
     phi::ClusterConfig ccfg;
-    ccfg.cards = tcfg.cards;
+    ccfg.cards = cards;
     ccfg.interconnect =
         phi::parse_interconnect(options.get_string("interconnect"));
     cluster = std::make_unique<phi::Cluster>(phi::xeon_phi_5110p(), ccfg);
     tcfg.cluster = cluster.get();
-    std::printf("cluster: %d cards, %s\n", tcfg.cards,
+    std::printf("cluster: %d cards, %s\n", cards,
                 ccfg.interconnect.to_string().c_str());
   }
   tcfg.optimizer.kind = parse_optimizer(options.get_string("optimizer"));
@@ -249,6 +251,11 @@ int run(int argc, char** argv) {
   if (options.has("telemetry")) {
     telemetry =
         std::make_unique<obs::TelemetrySink>(options.get_string("telemetry"));
+    tcfg.telemetry = telemetry.get();
+  }
+  core::Trainer trainer(tcfg);
+
+  if (telemetry) {
     using obs::TelemetryField;
     telemetry->emit_run_header(
         "deepphi_train",
@@ -280,7 +287,7 @@ int run(int argc, char** argv) {
          TelemetryField::integer("replica_threads", tcfg.replica_threads),
          TelemetryField::integer("accumulation_steps",
                                  tcfg.accumulation_steps),
-         TelemetryField::integer("cards", tcfg.cards),
+         TelemetryField::integer("cards", cards),
          TelemetryField::str("interconnect",
                              cluster ? cluster->interconnect().name
                                      : std::string("none")),
@@ -288,20 +295,14 @@ int run(int argc, char** argv) {
              "collective",
              par::collective_name(
                  // The env override changes what actually runs; record that.
-                 // Guarded on cards like the trainer's own resolution, so a
-                 // stray DEEPPHI_COLLECTIVE can't fail a single-card run.
-                 tcfg.cards > 1 ? par::effective_collective(tcfg.collective)
-                                : tcfg.collective)),
-         TelemetryField::integer(
-             "slots",
-             static_cast<std::int64_t>(tcfg.replicas) *
-                 tcfg.accumulation_steps * tcfg.cards),
-         TelemetryField::str("shard_rows", shard_layout(tcfg)),
+                 // Guarded on the cluster like the trainer's own resolution,
+                 // so a stray DEEPPHI_COLLECTIVE can't fail a one-card run.
+                 cluster ? par::effective_collective(tcfg.collective)
+                         : tcfg.collective)),
+         TelemetryField::integer("slots", trainer.slots()),
+         TelemetryField::str("shard_rows", shard_layout(trainer)),
          TelemetryField::integer("seed", static_cast<std::int64_t>(seed))});
-    tcfg.telemetry = telemetry.get();
   }
-
-  core::Trainer trainer(tcfg);
 
   if (model_kind == "sae") {
     core::SaeConfig cfg;
