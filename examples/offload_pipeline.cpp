@@ -1,14 +1,15 @@
-// The offload pipeline end to end: train for real on this machine while the
-// simulated Xeon Phi device replays the recorded work, then show the Fig. 5
-// overlap on the device timeline and what the run would have cost on the
-// paper's machines.
+// The offload pipeline end to end: train for real on this machine while a
+// simulated Xeon Phi card (a one-card phi::Cluster) replays the recorded
+// work, then show the Fig. 5 overlap on the card's timeline and what the run
+// would have cost on the paper's machines.
 //
 //   $ ./offload_pipeline [--examples=8192]
 #include <cstdio>
 
 #include "core/trainer.hpp"
 #include "data/patches.hpp"
-#include "phi/offload.hpp"
+#include "obs/profiler.hpp"
+#include "phi/cluster.hpp"
 #include "util/options.hpp"
 #include "util/string_util.hpp"
 
@@ -30,7 +31,8 @@ int main(int argc, char** argv) {
 
   // The trainer drives the simulated card live: memory reservations in the
   // 8 GB arena plus one DMA + one compute event per chunk.
-  phi::Device live_device(phi::xeon_phi_5110p_paper_loading());
+  phi::Cluster card(phi::xeon_phi_5110p_paper_loading(), {});
+  const phi::Device& live_device = card.device(0);
   core::TrainerConfig tcfg;
   tcfg.batch_size = 256;
   tcfg.chunk_examples = 2048;
@@ -38,7 +40,7 @@ int main(int argc, char** argv) {
   tcfg.level = core::OptLevel::kImproved;
   tcfg.policy = core::ExecPolicy::kPhiOffload;
   tcfg.optimizer.lr = 0.2f;
-  tcfg.device = &live_device;
+  tcfg.cluster = &card;
   const core::TrainReport report = core::Trainer(tcfg).train(model, patches);
 
   std::printf("measured work: %s gemm, %s elementwise, %s transferred, "
@@ -84,7 +86,7 @@ int main(int argc, char** argv) {
               live_device.trace().busy_s(phi::TraceEvent::Resource::kDma),
               live_device.trace().overlap_s(), live_device.elapsed_s());
   const std::string trace_path = "/tmp/deepphi_trace.json";
-  live_device.trace().write_chrome_json(trace_path);
+  obs::Profiler::write_chrome_json(trace_path, &live_device.trace());
   std::printf("Chrome-tracing JSON written to %s (open in ui.perfetto.dev)\n",
               trace_path.c_str());
   return 0;

@@ -1,8 +1,9 @@
 // The chunk-granular shell of core::Trainer: Algorithm 1's outer structure
 // — pop a chunk from the Fig. 5 ring, record its h2d transfer, time it,
-// drive the simulated device or cluster timeline, emit per-chunk/epoch/run
-// telemetry, apply the stop conditions — with the per-chunk gradient work
-// (the slot loop in trainer.cpp) supplied as a callback.
+// drive the attached cluster's timeline (one card or many), emit
+// per-chunk/epoch/run telemetry, apply the stop conditions — with the
+// per-chunk gradient work (the slot loop in trainer.cpp) supplied as a
+// callback.
 #pragma once
 
 #include <algorithm>
@@ -45,50 +46,19 @@ struct ChunkOutcome {
   // the chunk's accumulated collective schedule on the interconnect.
   std::vector<phi::KernelStats> card_stats;
   std::vector<double> card_h2d_bytes;
-  double comm_seconds = 0;
-  double comm_wire_bytes = 0;
-  std::int64_t comm_rounds = 0;
-  std::int64_t comm_collectives = 0;
+  phi::ClusterCommStats comm;
 };
 
-// RAII over the device-arena reservations a monitored training run makes.
-class DeviceReservation {
- public:
-  DeviceReservation(phi::Device* device, double model_bytes,
-                    double workspace_bytes, double ring_bytes)
-      : device_(device) {
-    if (!device_) return;
-    try {
-      ids_.push_back(device_->alloc("model+gradients", model_bytes));
-      ids_.push_back(device_->alloc("workspace", workspace_bytes));
-      ids_.push_back(device_->alloc("chunk-ring", ring_bytes));
-    } catch (...) {
-      // A partially constructed object gets no destructor call: release
-      // whatever was reserved before the OOM, then rethrow.
-      for (auto id : ids_) device_->free(id);
-      throw;
-    }
-  }
-  ~DeviceReservation() {
-    if (device_)
-      for (auto id : ids_) device_->free(id);
-  }
-  DeviceReservation(const DeviceReservation&) = delete;
-  DeviceReservation& operator=(const DeviceReservation&) = delete;
-
- private:
-  phi::Device* device_;
-  std::vector<phi::Device::BufferId> ids_;
-};
-
-// Same, over every card of a cluster: each card reserves ITS copy of the
-// model + its slot block's gradients, its replicas' workspaces, and its
-// 1/cards share of the chunk ring (the loading thread scatters each chunk's
-// shards to the cards that own them).
+// RAII over the arena reservations a run makes on every card of the attached
+// cluster: each card reserves ITS copy of the model + its slot block's
+// gradients, its replicas' workspaces, and its 1/cards share of the chunk
+// ring (the loading thread scatters each chunk's shards to the cards that
+// own them). A partially constructed object gets no destructor call, so an
+// OOM releases whatever was reserved before it, then rethrows.
 class ClusterReservation {
  public:
   ClusterReservation(phi::Cluster* cluster, double card_model_bytes,
-                     double card_workspace_bytes, double card_ring_bytes)
+                     double card_workspace_bytes, double ring_bytes)
       : cluster_(cluster) {
     if (!cluster_) return;
     try {
@@ -96,7 +66,8 @@ class ClusterReservation {
         phi::Device& dev = cluster_->device(c);
         ids_.emplace_back(c, dev.alloc("model+gradients", card_model_bytes));
         ids_.emplace_back(c, dev.alloc("workspace", card_workspace_bytes));
-        ids_.emplace_back(c, dev.alloc("chunk-ring", card_ring_bytes));
+        ids_.emplace_back(
+            c, dev.alloc("chunk-ring", ring_bytes / cluster_->cards()));
       }
     } catch (...) {
       release();
@@ -122,8 +93,8 @@ class ClusterReservation {
 /// in-memory Dataset or mmap'd ShardedDataset). `process(chunk)` performs
 /// the chunk's gradient work (called inside a StatsScope that captures the
 /// chunk's KernelStats) and returns its ChunkOutcome. `model_bytes` /
-/// `workspace_bytes` size the device-arena reservation for a monitored run —
-/// PER CARD when config.cluster drives the run, whole-run otherwise.
+/// `workspace_bytes` size each card's arena reservation when config.cluster
+/// drives the run.
 template <typename ChunkFn>
 TrainReport run_train_loop(const TrainerConfig& config,
                            const data::StreamingSource& dataset, la::Index dim,
@@ -134,9 +105,6 @@ TrainReport run_train_loop(const TrainerConfig& config,
                     "dataset dim " << dataset.dim() << " != model visible "
                                    << dim);
   DEEPPHI_CHECK_MSG(!dataset.empty(), "empty dataset");
-  DEEPPHI_CHECK_MSG(!(config.device && config.cluster),
-                    "config.device and config.cluster are mutually exclusive "
-                    "(a cluster owns its per-card devices)");
   phi::Cluster* cluster = config.cluster;
 
   TrainReport report;
@@ -144,14 +112,9 @@ TrainReport run_train_loop(const TrainerConfig& config,
   util::Timer timer;
   phi::StatsScope scope(report.stats);
 
-  phi::Device* device = config.device;
-  const double ring_bytes =
-      static_cast<double>(config.ring_chunks) * report.chunk_bytes;
-  DeviceReservation reservation(device, model_bytes, workspace_bytes,
-                                ring_bytes);
-  ClusterReservation cluster_reservation(
+  ClusterReservation reservation(
       cluster, model_bytes, workspace_bytes,
-      cluster ? ring_bytes / cluster->cards() : 0.0);
+      static_cast<double>(config.ring_chunks) * report.chunk_bytes);
   const bool async_loading = config.policy == ExecPolicy::kPhiOffload;
   phi::ChunkRing ring(static_cast<int>(config.ring_chunks), async_loading);
 
@@ -184,13 +147,8 @@ TrainReport run_train_loop(const TrainerConfig& config,
       ring_gauge.set(static_cast<double>(ring_buffered));
       util::Timer chunk_timer;
       // The chunk crosses the host→device link (Fig. 5).
-      const double chunk_bytes = 4.0 * static_cast<double>(chunk->size());
-      phi::record(phi::h2d_contribution(chunk_bytes));
-      double transfer_end = 0.0;
-      if (device)
-        transfer_end = device->submit_transfer(
-            "chunk[" + std::to_string(report.chunks) + "] h2d", chunk_bytes,
-            ring.transfer_ready(report.chunks));
+      phi::record(
+          phi::h2d_contribution(4.0 * static_cast<double>(chunk->size())));
 
       ChunkOutcome outcome;
       phi::KernelStats chunk_stats;
@@ -201,22 +159,15 @@ TrainReport run_train_loop(const TrainerConfig& config,
       phi::record(chunk_stats);  // merge the chunk's work into report.stats
       stream.recycle(std::move(*chunk));  // buffer returns to the decode pool
       report.final_cost = outcome.final_cost;
-      if (device)
-        ring.trained(report.chunks,
-                     device->submit_compute(
-                         "chunk[" + std::to_string(report.chunks) + "] train",
-                         chunk_stats, transfer_end));
       if (cluster) {
-        // The cluster analogue of the device branch: each card DMAs its
-        // shards and computes its share, then the chunk's collectives occupy
-        // the interconnect; the step barrier frees the ring slot.
+        // Each card DMAs its shards and computes its share, then the chunk's
+        // collectives occupy the interconnect; the step barrier frees the
+        // ring slot.
         ring.trained(report.chunks,
                      cluster->submit_step(
                          "chunk[" + std::to_string(report.chunks) + "]",
                          outcome.card_stats, outcome.card_h2d_bytes,
-                         outcome.comm_seconds, outcome.comm_wire_bytes,
-                         outcome.comm_rounds, outcome.comm_collectives,
-                         ring.transfer_ready(report.chunks)));
+                         outcome.comm, ring.transfer_ready(report.chunks)));
       }
 
       report.batches += outcome.batches;

@@ -162,8 +162,8 @@ TrainReport run_slots(const TrainerConfig& config, int S, const Ops& ops,
   // One global step consumes up to S micro-batches of the chunk at once.
   const la::Index group_capacity =
       static_cast<la::Index>(S) * config.batch_size;
-  // Arena (per card under a cluster): model + the card's R·A gradient
-  // slots, R concurrent 4-matrix workspaces.
+  // Each card's arena: model + the card's R·A gradient slots, R concurrent
+  // 4-matrix workspaces.
   const double model_bytes = Ops::model_bytes(model);
   const double arena_model_bytes =
       model_bytes * (1.0 + static_cast<double>(R * A));
@@ -297,10 +297,10 @@ TrainReport run_slots(const TrainerConfig& config, int S, const Ops& ops,
                   static_cast<double>(dim);
             }
             if (C > 1) {
-              outcome.comm_seconds += comm_step_s;
-              outcome.comm_wire_bytes += comm_schedule.wire_bytes;
-              outcome.comm_rounds += comm_schedule.rounds;
-              outcome.comm_collectives += 1;
+              outcome.comm.seconds += comm_step_s;
+              outcome.comm.wire_bytes += comm_schedule.wire_bytes;
+              outcome.comm.rounds += comm_schedule.rounds;
+              outcome.comm.collectives += 1;
             }
           }
         }

@@ -12,7 +12,9 @@
 // finished TrainReport can be replayed on any simulated machine via
 // simulate() — that replay is how the benches obtain Phi/CPU/Matlab times on
 // hardware that no longer exists. dry_train() runs the same trainer under
-// phi::DryRun ("model mode") for configurations too large to execute.
+// phi::DryRun ("model mode") for configurations too large to execute. A run
+// can also drive simulated cards live: TrainerConfig::cluster is the one way
+// to attach them, and a single card is a one-card phi::Cluster.
 //
 // Every run takes the same slot loop (docs/data_parallel.md). A global step
 // evaluates S = replicas × accumulation_steps × cards gradient slots — one
@@ -107,23 +109,18 @@ struct TrainerConfig {
   /// the data backing and of the S factorization — so shuffled runs stay
   /// bitwise reproducible.
   la::Index shuffle_window = 0;
-  /// Optional simulated coprocessor. When set, train() reserves the model,
-  /// gradients, workspace and chunk ring in the device's 8 GB arena (throws
-  /// on OOM — the paper's "keep all the parameters ... in our global memory
-  /// permanently" is a real constraint), and drives the device timeline
-  /// chunk by chunk as the real training executes: one DMA event per chunk
-  /// load (overlapped per Fig. 5 under kPhiOffload, serialized under kHost)
-  /// and one compute event per chunk of training. The populated trace is
-  /// available on the device afterwards. The device must outlive train().
-  phi::Device* device = nullptr;
-  /// Optional simulated multi-card cluster (mutually exclusive with
-  /// `device`): the global step spreads over its cards (docs/cluster.md).
-  /// Card c owns the slot block [c·R·A, (c+1)·R·A), computed by the same R
-  /// replica workers sweeping the cards in order. Each card's arena takes
-  /// its share of the reservation, each card's timeline is driven by its
-  /// replicas' measured work plus its analytic combine share, and the
-  /// per-update collective schedule occupies the interconnect between
-  /// steps. The cluster must outlive the Trainer.
+  /// Optional simulated hardware: one card is phi::Cluster(spec, {}), and
+  /// the global step spreads over the cards of a larger one
+  /// (docs/cluster.md). train() reserves each card's copy of the model and
+  /// gradients, its workspaces and its share of the chunk ring in the card's
+  /// 8 GB arena (throws on OOM — the paper's "keep all the parameters ... in
+  /// our global memory permanently" is a real constraint). Per chunk, each
+  /// card's timeline gets one DMA event ("chunk[i] h2d", overlapped per
+  /// Fig. 5 under kPhiOffload, serialized under kHost) and one compute event
+  /// ("chunk[i] train") charged with its replicas' measured work plus its
+  /// share of the combine; card c owns the slot block [c·R·A, (c+1)·R·A),
+  /// and with several cards the per-update collective schedule occupies the
+  /// interconnect between steps. The cluster must outlive train().
   phi::Cluster* cluster = nullptr;
   /// Optional JSONL telemetry sink: train() emits one record per chunk
   /// (cost, batches/s, GF/s, ring occupancy, wall seconds), one per epoch,
@@ -202,8 +199,8 @@ phi::KernelStats card_combine_stats(Rbm& model, int card_live_slots,
 /// shard, combine and update is counted by the code that performs it while
 /// no kernel computes and no matrix allocates. The report's stats, batches,
 /// chunks and updates equal those of a real run of the same configuration;
-/// its costs are zero. A device or cluster in `config` is driven as in a
-/// real run. Per-step stats: a dry run of one chunk holding one batch
+/// its costs are zero. A cluster in `config` is driven as in a real run.
+/// Per-step stats: a dry run of one chunk holding one batch
 /// (rows == batch_size == chunk_examples), read through
 /// per_chunk_compute_stats().
 TrainReport dry_train(const SaeConfig& model, const TrainerConfig& config,

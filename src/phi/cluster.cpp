@@ -19,8 +19,7 @@ Cluster::Cluster(MachineSpec card_spec, ClusterConfig config)
 double Cluster::submit_step(const std::string& name,
                             const std::vector<KernelStats>& per_card_stats,
                             const std::vector<double>& per_card_h2d_bytes,
-                            double comm_seconds, double comm_wire_bytes,
-                            long long comm_rounds, long long comm_collectives,
+                            const ClusterCommStats& comm,
                             double transfer_ready_s) {
   DEEPPHI_CHECK_MSG(
       per_card_stats.size() == devices_.size(),
@@ -35,24 +34,24 @@ double Cluster::submit_step(const std::string& name,
     Device& dev = *devices_[c];
     double ready = transfer_ready_s;
     if (per_card_h2d_bytes[c] > 0)
-      ready = dev.submit_transfer(name + "/h2d", per_card_h2d_bytes[c],
+      ready = dev.submit_transfer(name + " h2d", per_card_h2d_bytes[c],
                                   transfer_ready_s);
     const double done = dev.submit_compute(
-        name, per_card_stats[c], std::max(ready, barrier_s_));
+        name + " train", per_card_stats[c], std::max(ready, barrier_s_));
     compute_done = std::max(compute_done, done);
   }
-  barrier_s_ = compute_done + comm_seconds;
-  if (cards() > 1 && (comm_seconds > 0 || comm_rounds > 0)) {
+  barrier_s_ = compute_done + comm.seconds;
+  if (cards() > 1 && (comm.seconds > 0 || comm.rounds > 0)) {
     TraceEvent ev;
-    ev.name = name + "/allreduce";
+    ev.name = name + " allreduce";
     ev.resource = TraceEvent::Resource::kDma;
     ev.start_s = compute_done;
     ev.end_s = barrier_s_;
     comm_trace_.add(ev);
-    comm_.seconds += comm_seconds;
-    comm_.wire_bytes += comm_wire_bytes;
-    comm_.rounds += comm_rounds;
-    comm_.collectives += comm_collectives;
+    comm_.seconds += comm.seconds;
+    comm_.wire_bytes += comm.wire_bytes;
+    comm_.rounds += comm.rounds;
+    comm_.collectives += comm.collectives;
   }
   return barrier_s_;
 }

@@ -1,9 +1,11 @@
 // A rack of simulated Xeon Phi cards in one host (docs/cluster.md): N
-// phi::Device timelines joined by an InterconnectSpec. Like the single
-// Device, the Cluster never computes anything — the trainer runs the real
-// kernels on the host, then charges each card's measured KernelStats and the
-// collective's communication schedule here to learn what the step *would
-// have cost* on the modeled machines.
+// phi::Device timelines joined by an InterconnectSpec. It is the trainer's
+// only attachment point for simulated hardware, so a single card is a
+// one-card Cluster. Like the single Device, the Cluster never computes
+// anything — the trainer runs the real kernels on the host, then charges
+// each card's measured KernelStats and the collective's communication
+// schedule here to learn what the step *would have cost* on the modeled
+// machines.
 //
 // Timeline model of one global step:
 //   per card:  h2d shard transfer (DMA) -> card compute (its replicas'
@@ -32,7 +34,7 @@ struct ClusterConfig {
   int threads_per_card = 0;
 };
 
-/// Accumulated interconnect activity across all steps.
+/// Interconnect activity: one step's collectives, or the accumulated total.
 struct ClusterCommStats {
   double seconds = 0;
   double wire_bytes = 0;
@@ -53,17 +55,15 @@ class Cluster {
   int threads_per_card() const { return devices_.front()->threads(); }
 
   /// Advances every card through one global step (a step may batch a whole
-  /// chunk's worth of updates): card c DMAs `per_card_h2d_bytes[c]` (not
-  /// before `transfer_ready_s`), computes `per_card_stats[c]` (not before
-  /// the previous step's barrier), and the accumulated collective activity
-  /// of `comm_seconds` / `comm_wire_bytes` / `comm_rounds` /
-  /// `comm_collectives` runs after the slowest card. Returns the new
-  /// barrier (simulated completion).
+  /// chunk's worth of updates): card c DMAs `per_card_h2d_bytes[c]` (event
+  /// "<name> h2d", not before `transfer_ready_s`), computes
+  /// `per_card_stats[c]` ("<name> train", not before the previous step's
+  /// barrier), and the step's collective activity `comm` runs after the
+  /// slowest card. Returns the new barrier (simulated completion).
   double submit_step(const std::string& name,
                      const std::vector<KernelStats>& per_card_stats,
                      const std::vector<double>& per_card_h2d_bytes,
-                     double comm_seconds, double comm_wire_bytes,
-                     long long comm_rounds, long long comm_collectives,
+                     const ClusterCommStats& comm,
                      double transfer_ready_s = 0.0);
 
   /// Simulated completion time of the last collective (0 before any step).

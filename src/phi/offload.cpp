@@ -40,18 +40,6 @@ Offload::Offload(Device& device, OffloadConfig config)
                     "ring_chunks must be >= 1, got " << config_.ring_chunks);
 }
 
-void Offload::reserve_ring(double chunk_bytes) {
-  DEEPPHI_CHECK_MSG(ring_buffers_.empty(), "ring already reserved");
-  for (int i = 0; i < config_.ring_chunks; ++i)
-    ring_buffers_.push_back(
-        device_.alloc("chunk-ring[" + std::to_string(i) + "]", chunk_bytes));
-}
-
-void Offload::release_ring() {
-  for (Device::BufferId id : ring_buffers_) device_.free(id);
-  ring_buffers_.clear();
-}
-
 OffloadReport Offload::process_chunks(int n_chunks, double chunk_bytes,
                                       const KernelStats& per_chunk_stats) {
   DEEPPHI_PROFILE_SCOPE("offload.process_chunks");

@@ -9,7 +9,9 @@
 //
 // process_chunks() runs the discrete-event simulation at chunk granularity
 // and returns both the aggregate simulated time and per-chunk timings (used
-// by tests to assert the overlap really happens).
+// by tests to assert the overlap really happens). It replays a finished run
+// (core::simulate); a run that attaches a phi::Cluster drives the same
+// ChunkRing live, and the ring's arena reservation is the trainer's.
 #pragma once
 
 #include <cstdint>
@@ -48,8 +50,8 @@ struct OffloadReport {
 /// start once ring slot i % ring_chunks is free again (the slot's previous
 /// chunk has trained) and, without the loading thread, only after the
 /// previous chunk finished training. The one home of this arithmetic:
-/// Offload::process_chunks and the trainers' device and cluster timelines
-/// all step through it.
+/// Offload::process_chunks and the trainer's cluster timeline both step
+/// through it.
 class ChunkRing {
  public:
   ChunkRing(int ring_chunks, bool async_loading);
@@ -71,13 +73,6 @@ class Offload {
 
   const OffloadConfig& config() const { return config_; }
 
-  /// Reserves the ring buffer in device memory (ring_chunks × chunk_bytes);
-  /// throws on device OOM. Optional — process_chunks() also works without
-  /// an explicit reservation (benches that only need the timeline).
-  void reserve_ring(double chunk_bytes);
-  /// Releases the ring reservation.
-  void release_ring();
-
   /// Simulates feeding and training `n_chunks` chunks, each `chunk_bytes` of
   /// training data costing `per_chunk_stats` of compute. The device timeline
   /// is advanced; the report carries per-chunk timings.
@@ -87,7 +82,6 @@ class Offload {
  private:
   Device& device_;
   OffloadConfig config_;
-  std::vector<Device::BufferId> ring_buffers_;
 };
 
 }  // namespace deepphi::phi

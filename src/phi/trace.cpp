@@ -1,11 +1,9 @@
 #include "phi/trace.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 
 #include "util/error.hpp"
-#include "util/json_writer.hpp"
 
 namespace deepphi::phi {
 
@@ -61,43 +59,6 @@ std::string Trace::to_string(std::size_t max_events) const {
        << "] " << e.start_s << " - " << e.end_s << "  " << e.name << "\n";
   }
   return os.str();
-}
-
-std::string Trace::to_chrome_json() const {
-  std::ostringstream os;
-  util::JsonWriter w(os);
-  w.begin_array();
-  for (const auto& e : events_) {
-    w.begin_object();
-    w.member("name", e.name);  // JsonWriter escapes quotes/backslashes
-    w.member("ph", "X");
-    w.member("pid", 1);
-    w.member("tid", e.resource == TraceEvent::Resource::kCompute ? 1 : 2);
-    w.member("ts", e.start_s * 1e6);
-    w.member("dur", e.duration_s() * 1e6);
-    w.end_object();
-  }
-  // Name the tracks.
-  if (!events_.empty()) {
-    for (int tid = 1; tid <= 2; ++tid) {
-      w.begin_object();
-      w.member("name", "thread_name").member("ph", "M").member("pid", 1);
-      w.member("tid", tid);
-      w.key("args").begin_object();
-      w.member("name", tid == 1 ? "compute" : "dma");
-      w.end_object();
-      w.end_object();
-    }
-  }
-  w.end_array();
-  return os.str();
-}
-
-void Trace::write_chrome_json(const std::string& path) const {
-  std::ofstream out(path);
-  DEEPPHI_CHECK_MSG(out.good(), "cannot open '" << path << "' for writing");
-  out << to_chrome_json();
-  DEEPPHI_CHECK_MSG(out.good(), "write to '" << path << "' failed");
 }
 
 }  // namespace deepphi::phi

@@ -35,17 +35,9 @@ class Trace {
   /// overlap the Fig. 5 loading thread buys.
   double overlap_s() const;
 
-  /// Multi-line listing (debugging / examples).
+  /// Multi-line listing (debugging / examples). The Chrome-tracing view of
+  /// a trace is the simulated process of obs::Profiler's export.
   std::string to_string(std::size_t max_events = 50) const;
-
-  /// Chrome tracing (catapult) JSON: load the result in chrome://tracing or
-  /// https://ui.perfetto.dev to see the compute/DMA overlap visually.
-  /// Timestamps are microseconds of simulated time; the two resources appear
-  /// as two tracks.
-  std::string to_chrome_json() const;
-
-  /// Writes to_chrome_json() to `path`; throws util::Error on I/O failure.
-  void write_chrome_json(const std::string& path) const;
 
  private:
   std::vector<TraceEvent> events_;

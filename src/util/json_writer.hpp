@@ -1,6 +1,6 @@
 // Minimal streaming JSON emitter shared by every JSON-producing path in the
-// repo: phi::Trace::to_chrome_json, the obs:: profiler/telemetry exports, and
-// the bench --json output. Centralizing it fixes the escaping bug the ad-hoc
+// repo: the obs:: profiler (Chrome trace, simulated tracks included) and
+// telemetry exports, and the bench --json output. Centralizing it fixes the escaping bug the ad-hoc
 // emitters shared (event names containing '"' produced invalid JSON) and
 // keeps number formatting consistent (non-finite doubles become null — JSON
 // has no NaN/Inf).

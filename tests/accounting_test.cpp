@@ -9,16 +9,25 @@
 // reproduction depends on (the Table I ladder, Phi vs single core, Matlab).
 #include <sys/resource.h>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <type_traits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "baseline/matlab_like.hpp"
 #include "core/trainer.hpp"
+#include "data/sharded_dataset.hpp"
+#include "la/simd/dispatch.hpp"
+#include "phi/cluster.hpp"
 #include "phi/cost_model.hpp"
-#include "phi/device.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -270,16 +279,17 @@ TEST(ModelMode, PaperScaleSaeIsFastAndAllocatesNoStorage) {
   EXPECT_EQ(report.stats.gemm_flops, 1000 * 5 * (2.0 * 1000 * 4096 * 16384));
 }
 
-// --- the trainer's device timeline is Fig. 5's chunk ring ---
+// --- a one-card cluster's timeline is Fig. 5's chunk ring ---
 
 TEST(TrainAccounting, DeviceTimelineEqualsProcessChunks) {
   // Four identical chunks, so the average chunk Offload replays is exactly
   // each chunk the trainer submitted.
   for (ExecPolicy policy : {ExecPolicy::kHost, ExecPolicy::kPhiOffload}) {
-    phi::Device trained(phi::xeon_phi_5110p(), 240);
+    phi::Cluster card(phi::xeon_phi_5110p(), {});  // 240 threads
+    const phi::Device& trained = card.device(0);
     TrainerConfig cfg = run_config(OptLevel::kImproved, policy);
     cfg.ring_chunks = 2;
-    cfg.device = &trained;
+    cfg.cluster = &card;
     const TrainReport report = wet_train(SaeConfig{16, 8}, cfg, 256);
     ASSERT_EQ(report.chunks, 4);
 
@@ -298,6 +308,125 @@ TEST(TrainAccounting, DeviceTimelineEqualsProcessChunks) {
     }
     EXPECT_EQ(trained.elapsed_s(), replayed.elapsed_s());
   }
+}
+
+// --- the one-card timeline, pinned by hashes ---
+
+#ifdef _OPENMP
+class OmpThreadGuard {
+ public:
+  explicit OmpThreadGuard(int threads) : prev_(omp_get_max_threads()) {
+    omp_set_num_threads(threads);
+  }
+  ~OmpThreadGuard() { omp_set_num_threads(prev_); }
+
+ private:
+  int prev_;
+};
+#endif
+
+// FNV-1a over a card's simulated timeline: every event's name, resource,
+// start and end bits, then the card's elapsed_s().
+std::uint64_t timeline_hash(const phi::Device& card) {
+  std::uint64_t h = data::kFnvOffsetBasis;
+  const auto add = [&h](const void* bytes, std::size_t n) {
+    h = data::fnv1a64(bytes, n, h);
+  };
+  for (const phi::TraceEvent& e : card.trace().events()) {
+    add(e.name.data(), e.name.size());
+    const auto resource = static_cast<std::uint8_t>(e.resource);
+    add(&resource, sizeof resource);
+    add(&e.start_s, sizeof e.start_s);
+    add(&e.end_s, sizeof e.end_s);
+  }
+  const double elapsed = card.elapsed_s();
+  add(&elapsed, sizeof elapsed);
+  return h;
+}
+
+struct TimelinePin {
+  std::string what;
+  bool rbm = false;
+  TrainerConfig config;
+  std::uint64_t hash = 0;
+};
+
+// Both models, the four Table I levels, both policies, S = 1 and
+// replicas × accumulation = 2 × 2, the Fig. 6 task graph and ring depths
+// 1–4. 200 rows in chunks of 64 leave a ragged last chunk of 8 rows.
+std::vector<TimelinePin> timeline_pins() {
+  const auto cfg = [](OptLevel level, ExecPolicy policy, std::size_t ring) {
+    TrainerConfig c = run_config(level, policy);
+    c.epochs = 2;
+    c.ring_chunks = ring;
+    return c;
+  };
+  TrainerConfig sae_dp = cfg(OptLevel::kImproved, ExecPolicy::kPhiOffload, 2);
+  sae_dp.replicas = 2;
+  sae_dp.accumulation_steps = 2;
+  TrainerConfig rbm_dp = cfg(OptLevel::kImproved, ExecPolicy::kHost, 3);
+  rbm_dp.replicas = 2;
+  rbm_dp.accumulation_steps = 2;
+  TrainerConfig graph = cfg(OptLevel::kImproved, ExecPolicy::kPhiOffload, 4);
+  graph.use_taskgraph = true;
+  return {
+      {"SAE at Baseline", false,
+       cfg(OptLevel::kBaseline, ExecPolicy::kHost, 1), 0x12d9b08f5c45c58f},
+      {"SAE at OpenMP", false,
+       cfg(OptLevel::kOpenMp, ExecPolicy::kPhiOffload, 2), 0xbf0b51c1af081efb},
+      {"SAE at OpenMP+MKL", false,
+       cfg(OptLevel::kOpenMpMkl, ExecPolicy::kHost, 3), 0x3ce178167395d0bb},
+      {"SAE at Improved", false,
+       cfg(OptLevel::kImproved, ExecPolicy::kPhiOffload, 4), 0x7f914b6a3c454b14},
+      {"RBM at Baseline", true,
+       cfg(OptLevel::kBaseline, ExecPolicy::kPhiOffload, 2), 0x668b5c401753f4ef},
+      {"RBM at OpenMP", true, cfg(OptLevel::kOpenMp, ExecPolicy::kHost, 4),
+       0xad5f56ef15d44c4f},
+      {"RBM at OpenMP+MKL", true,
+       cfg(OptLevel::kOpenMpMkl, ExecPolicy::kPhiOffload, 1), 0x394ac173313a5dd5},
+      {"RBM at Improved", true,
+       cfg(OptLevel::kImproved, ExecPolicy::kHost, 3), 0xae1b974a2ca61f2b},
+      {"SAE at 2 replicas x 2 accumulation", false, sae_dp,
+       0xefaf59f09d69927a},
+      {"RBM at 2 replicas x 2 accumulation", true, rbm_dp,
+       0x7ad9c4c50ed9b851},
+      {"RBM on the Fig. 6 task graph", true, graph, 0x08d1ba0e54ec76ed},
+  };
+}
+
+std::uint64_t one_card_timeline_hash(const TimelinePin& pin) {
+  phi::Cluster card(phi::xeon_phi_5110p(), {});
+  TrainerConfig cfg = pin.config;
+  cfg.cluster = &card;
+  if (pin.rbm)
+    wet_train(RbmConfig{16, 8}, cfg, 200);
+  else
+    wet_train(SaeConfig{16, 8}, cfg, 200);
+  return timeline_hash(card.device(0));
+}
+
+// The constants were recorded on the standalone-device timeline that the
+// one-card cluster replaced, so the two paths agree event for event. The
+// timeline is a function of the recorded work only, so one constant per
+// configuration holds on every SIMD tier and thread count.
+TEST(TrainAccounting, OneCardTimelineMatchesPinnedParentHashes) {
+  for (int t = 0; t < la::simd::kNumTiers; ++t) {
+    const auto tier = static_cast<la::simd::Tier>(t);
+    if (!la::simd::tier_available(tier)) continue;
+    ASSERT_TRUE(la::simd::force_tier(tier));
+    for (int threads : {1, 4}) {
+#ifdef _OPENMP
+      OmpThreadGuard guard(threads);
+#endif
+      for (const TimelinePin& pin : timeline_pins()) {
+        const std::uint64_t got = one_card_timeline_hash(pin);
+        EXPECT_EQ(got, pin.hash)
+            << pin.what << ", " << la::simd::tier_name(tier) << " at "
+            << threads << " threads: 0x" << std::hex << got;
+      }
+    }
+  }
+  la::simd::reset_tier();
 }
 
 // --- simulated-time orderings (the reproduction's qualitative claims) ---
@@ -374,10 +503,10 @@ TEST(MatlabAccounting, TrainStatsSumBatches) {
 // run total). Absolute times are machine-dependent, so that part is not
 // asserted.
 TEST(TrainAccounting, ChunkWallSecondsMatchSimulatedChunkTimeline) {
-  phi::Device device(phi::xeon_phi_5110p());
+  phi::Cluster card(phi::xeon_phi_5110p(), {});
   TrainerConfig tcfg = run_config(OptLevel::kImproved, ExecPolicy::kPhiOffload);
   tcfg.epochs = 2;
-  tcfg.device = &device;
+  tcfg.cluster = &card;
   const TrainReport report = wet_train(SaeConfig{16, 8}, tcfg, 256);
 
   ASSERT_GT(report.chunks, 0);

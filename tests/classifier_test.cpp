@@ -1,91 +1,16 @@
-// Tests for the classification head (softmax), the labeled digit generator,
-// and the pool-based parallel_for.
+// Tests for the classification head (softmax) and the labeled digit
+// generator.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
-#include <numeric>
 #include <set>
 
 #include "core/softmax.hpp"
 #include "data/digits.hpp"
-#include "parallel/parallel_for.hpp"
 #include "util/rng.hpp"
 
 namespace deepphi::core {
 namespace {
-
-// --- parallel_for ---
-
-TEST(ParallelFor, CoversRangeExactlyOnce) {
-  par::ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(100);
-  par::parallel_for(pool, 0, 100, [&](std::int64_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelFor, StaticScheduleCovers) {
-  par::ThreadPool pool(3);
-  std::atomic<std::int64_t> sum{0};
-  par::parallel_for(
-      pool, 5, 55, [&](std::int64_t i) { sum += i; }, par::Schedule::kStatic);
-  EXPECT_EQ(sum.load(), (5 + 54) * 50 / 2);
-}
-
-TEST(ParallelFor, ChunksAreDisjointAndOrderedInternally) {
-  par::ThreadPool pool(4);
-  std::mutex mu;
-  std::vector<std::pair<std::int64_t, std::int64_t>> ranges;
-  par::parallel_for_chunks(pool, 0, 1000, 64,
-                           [&](std::int64_t b, std::int64_t e) {
-                             std::lock_guard<std::mutex> lock(mu);
-                             ranges.emplace_back(b, e);
-                           });
-  std::int64_t covered = 0;
-  std::set<std::int64_t> begins;
-  for (const auto& [b, e] : ranges) {
-    EXPECT_LT(b, e);
-    EXPECT_TRUE(begins.insert(b).second);
-    covered += e - b;
-  }
-  EXPECT_EQ(covered, 1000);
-}
-
-TEST(ParallelFor, EmptyRangeIsNoop) {
-  par::ThreadPool pool(2);
-  std::atomic<int> calls{0};
-  par::parallel_for(pool, 10, 10, [&](std::int64_t) { ++calls; });
-  par::parallel_for(pool, 10, 5, [&](std::int64_t) { ++calls; });
-  EXPECT_EQ(calls.load(), 0);
-}
-
-TEST(ParallelFor, PropagatesException) {
-  par::ThreadPool pool(2);
-  EXPECT_THROW(par::parallel_for(pool, 0, 100,
-                                 [&](std::int64_t i) {
-                                   if (i == 42) throw std::runtime_error("x");
-                                 }),
-               std::runtime_error);
-}
-
-TEST(ParallelFor, RejectsBadGrain) {
-  par::ThreadPool pool(1);
-  EXPECT_THROW(
-      par::parallel_for_chunks(pool, 0, 10, 0, [](std::int64_t, std::int64_t) {}),
-      util::Error);
-}
-
-TEST(ParallelFor, LargeGrainSingleChunk) {
-  par::ThreadPool pool(4);
-  std::atomic<int> calls{0};
-  par::parallel_for_chunks(pool, 0, 10, 1000,
-                           [&](std::int64_t b, std::int64_t e) {
-                             ++calls;
-                             EXPECT_EQ(b, 0);
-                             EXPECT_EQ(e, 10);
-                           });
-  EXPECT_EQ(calls.load(), 1);
-}
 
 // --- labeled digits ---
 

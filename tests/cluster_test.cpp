@@ -262,11 +262,11 @@ TEST(Cluster, SubmitStepAdvancesBarrierAndAccumulatesComm) {
   stats[1] += phi::loop_contribution(1 << 20, 2.0, 2.0, 1.0);
   const std::vector<double> h2d = {1e6, 1e6};
 
-  const double b1 = cluster.submit_step("step0", stats, h2d,
-                                        /*comm_seconds=*/0.25,
-                                        /*comm_wire_bytes=*/3e6,
-                                        /*comm_rounds=*/4,
-                                        /*comm_collectives=*/2);
+  const phi::ClusterCommStats comm{.seconds = 0.25,
+                                   .wire_bytes = 3e6,
+                                   .rounds = 4,
+                                   .collectives = 2};
+  const double b1 = cluster.submit_step("step0", stats, h2d, comm);
   EXPECT_GT(b1, 0.25);  // compute + transfer happened before the collective
   EXPECT_DOUBLE_EQ(cluster.barrier_s(), b1);
   EXPECT_DOUBLE_EQ(cluster.comm().seconds, 0.25);
@@ -277,8 +277,7 @@ TEST(Cluster, SubmitStepAdvancesBarrierAndAccumulatesComm) {
   EXPECT_DOUBLE_EQ(cluster.comm_trace().events()[0].duration_s(), 0.25);
 
   // The next step's compute cannot start before the previous barrier.
-  const double b2 =
-      cluster.submit_step("step1", stats, h2d, 0.25, 3e6, 4, 2);
+  const double b2 = cluster.submit_step("step1", stats, h2d, comm);
   EXPECT_GT(b2, b1 + 0.25);
   EXPECT_GE(cluster.elapsed_s(), b2);
   EXPECT_GT(cluster.comm_share(), 0.0);
@@ -446,14 +445,6 @@ TEST(ClusterTrainer, RejectsBadConfigurations) {
   ClusterRun run = cluster_config(1, 1, 2);
   run.config.level = OptLevel::kOpenMp;  // loop-form
   EXPECT_THROW(Trainer{run.config}, util::Error);
-
-  // device and cluster are mutually exclusive.
-  phi::Device device(phi::xeon_phi_5110p());
-  run = cluster_config(1, 1, 2);
-  run.config.device = &device;
-  SparseAutoencoder model(SaeConfig{16, 8}, 7);
-  EXPECT_THROW(Trainer(run.config).train(model, ragged_patches()),
-               util::Error);
 }
 
 // --- accounting: dry == wet ---

@@ -14,6 +14,7 @@
 #include "core/stacked_autoencoder.hpp"
 #include "core/trainer.hpp"
 #include "data/patches.hpp"
+#include "phi/cluster.hpp"
 #include "util/rng.hpp"
 
 namespace deepphi::core {
@@ -611,7 +612,8 @@ TEST(MachineSpec, ModernServerDwarfsThePhi) {
   EXPECT_LT(m_new.evaluate(work, 64).gemm_s, m_old.evaluate(work, 240).gemm_s);
 }
 
-// --- device-integrated training (Fig. 5 timeline on the 8 GB arena) ---
+// --- device-integrated training (Fig. 5 timeline on the 8 GB arena of a
+// one-card cluster) ---
 
 TEST(TrainerDevice, PopulatesTimelineOneEventPairPerChunk) {
   data::Dataset patches = data::make_digit_patch_dataset(200, 4, 211);
@@ -619,10 +621,11 @@ TEST(TrainerDevice, PopulatesTimelineOneEventPairPerChunk) {
   mcfg.visible = 16;
   mcfg.hidden = 8;
   SparseAutoencoder model(mcfg, 213);
-  phi::Device device(phi::xeon_phi_5110p());
+  phi::Cluster card(phi::xeon_phi_5110p(), {});
+  const phi::Device& device = card.device(0);
   TrainerConfig cfg = quick_config(OptLevel::kImproved);
   cfg.policy = ExecPolicy::kPhiOffload;
-  cfg.device = &device;
+  cfg.cluster = &card;
   const TrainReport report = Trainer(cfg).train(model, patches);
   // One DMA + one compute event per chunk.
   EXPECT_EQ(device.trace().events().size(),
@@ -640,12 +643,13 @@ TEST(TrainerDevice, AsyncOverlapsSyncDoesNot) {
     mcfg.hidden = 8;
     SparseAutoencoder model(mcfg, 219);
     // The paper-measured (slow) loading path makes overlap visible.
-    phi::Device device(phi::xeon_phi_5110p_paper_loading());
+    phi::Cluster card(phi::xeon_phi_5110p_paper_loading(), {});
+    const phi::Device& device = card.device(0);
     TrainerConfig cfg;
     cfg.batch_size = 16;
     cfg.chunk_examples = 64;
     cfg.policy = policy;
-    cfg.device = &device;
+    cfg.cluster = &card;
     Trainer(cfg).train(model, patches);
     return std::pair<double, double>{device.elapsed_s(),
                                      device.trace().overlap_s()};
@@ -664,11 +668,12 @@ TEST(TrainerDevice, OomForImplausibleModel) {
   mcfg.visible = 16;
   mcfg.hidden = 8;
   SparseAutoencoder model(mcfg, 223);
-  phi::Device device(phi::xeon_phi_5110p());
+  phi::Cluster card(phi::xeon_phi_5110p(), {});
+  phi::Device& device = card.device(0);
   device.alloc("pre-existing hog", 7.9e9);  // almost-full card
   TrainerConfig cfg = quick_config(OptLevel::kImproved);
   cfg.chunk_examples = 1000000;  // ring alone needs 4 x 64 MB > the free 100 MB
-  cfg.device = &device;
+  cfg.cluster = &card;
   EXPECT_THROW(Trainer(cfg).train(model, patches), util::Error);
   // The failed reservation must not leak partial allocations.
   EXPECT_DOUBLE_EQ(device.used_bytes(), 7.9e9);
@@ -680,9 +685,12 @@ TEST(TrainerDevice, RbmRunAlsoMonitored) {
   mcfg.visible = 16;
   mcfg.hidden = 8;
   Rbm model(mcfg, 229);
-  phi::Device device(phi::xeon_phi_5110p(), 60);
+  phi::ClusterConfig one_card;
+  one_card.threads_per_card = 60;
+  phi::Cluster card(phi::xeon_phi_5110p(), one_card);
+  const phi::Device& device = card.device(0);
   TrainerConfig cfg = quick_config(OptLevel::kImproved);
-  cfg.device = &device;
+  cfg.cluster = &card;
   const TrainReport report = Trainer(cfg).train(model, patches);
   EXPECT_EQ(device.trace().events().size(),
             2 * static_cast<std::size_t>(report.chunks));

@@ -1,6 +1,6 @@
 // Tests for the extension modules: model checkpointing, Gaussian-visible
 // RBMs, the denoising autoencoder, deep-autoencoder fine-tuning, online SGD,
-// IDX (MNIST-format) I/O, thread/hybrid tuning, and Chrome trace export.
+// IDX (MNIST-format) I/O, and thread/hybrid tuning.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -862,38 +862,6 @@ TEST(Tuning, HybridDegeneratesToPhiWhenHostUseless) {
   const auto result = phi::tune_hybrid_split(phi_model, 240, host_model, 1,
                                              batch_stats, 1000, 1e6);
   EXPECT_DOUBLE_EQ(result.best_fraction, 1.0);
-}
-
-// --- Chrome trace export ---
-
-TEST(TraceJson, ContainsEventsAndTracks) {
-  phi::Trace trace;
-  trace.add({"kernel-a", phi::TraceEvent::Resource::kCompute, 0.0, 0.5});
-  trace.add({"dma-b", phi::TraceEvent::Resource::kDma, 0.1, 0.3});
-  const std::string json = trace.to_chrome_json();
-  EXPECT_NE(json.find("\"kernel-a\""), std::string::npos);
-  EXPECT_NE(json.find("\"dma-b\""), std::string::npos);
-  EXPECT_NE(json.find("\"compute\""), std::string::npos);
-  EXPECT_NE(json.find("\"dma\""), std::string::npos);
-  EXPECT_EQ(json.front(), '[');
-  EXPECT_EQ(json.back(), ']');
-}
-
-TEST(TraceJson, EmptyTraceIsValid) {
-  phi::Trace trace;
-  EXPECT_EQ(trace.to_chrome_json(), "[]");
-}
-
-TEST(TraceJson, WritesFile) {
-  phi::Trace trace;
-  trace.add({"x", phi::TraceEvent::Resource::kCompute, 0.0, 1.0});
-  const std::string path = tmp_path("trace.json");
-  trace.write_chrome_json(path);
-  std::ifstream in(path);
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  EXPECT_NE(contents.find("\"x\""), std::string::npos);
-  std::remove(path.c_str());
 }
 
 }  // namespace

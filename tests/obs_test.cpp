@@ -1,11 +1,15 @@
 // Tests for the host-side observability layer: util::JsonWriter, the scoped
-// wall-clock profiler, the metrics registry, the JSONL telemetry sink, and
+// wall-clock profiler and its Chrome-trace export (simulated tracks
+// included), the metrics registry, the JSONL telemetry sink, and
 // the leveled logger's prefix/sink/env plumbing.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <future>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <sstream>
@@ -26,7 +30,6 @@
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/telemetry.hpp"
-#include "parallel/parallel_for.hpp"
 #include "parallel/pipeline.hpp"
 #include "parallel/thread_pool.hpp"
 #include "phi/trace.hpp"
@@ -113,9 +116,11 @@ TEST(JsonValidator, AcceptsAndRejects) {
 
 TEST(JsonValidator, TraceChromeJsonWithHostileNamesIsValid) {
   phi::Trace trace;
+  const std::string empty = obs::Profiler::to_chrome_json(&trace);
+  EXPECT_TRUE(util::json_is_valid(empty)) << empty;
   trace.add(phi::TraceEvent{"gemm \"quoted\" \\ back\nslash",
                             phi::TraceEvent::Resource::kCompute, 0.0, 1.0});
-  const std::string json = trace.to_chrome_json();
+  const std::string json = obs::Profiler::to_chrome_json(&trace);
   EXPECT_TRUE(util::json_is_valid(json)) << json;
 }
 
@@ -199,6 +204,31 @@ TEST_F(ProfilerTest, ChromeJsonIsValidAndMergesSimulatedTrace) {
   EXPECT_NE(json.find("phi (simulated)"), std::string::npos);
   EXPECT_NE(json.find("\"work\""), std::string::npos);
   EXPECT_NE(json.find("\"main\""), std::string::npos);
+}
+
+// The simulated tracks of the export (pid 2).
+TEST(TraceJson, ContainsEventsAndTracks) {
+  phi::Trace trace;
+  trace.add({"kernel-a", phi::TraceEvent::Resource::kCompute, 0.0, 0.5});
+  trace.add({"dma-b", phi::TraceEvent::Resource::kDma, 0.1, 0.3});
+  const std::string json = obs::Profiler::to_chrome_json(&trace);
+  EXPECT_TRUE(util::json_is_valid(json)) << json;
+  EXPECT_NE(json.find("\"kernel-a\""), std::string::npos);
+  EXPECT_NE(json.find("\"dma-b\""), std::string::npos);
+  EXPECT_NE(json.find("\"compute (simulated)\""), std::string::npos);
+  EXPECT_NE(json.find("\"dma (simulated)\""), std::string::npos);
+}
+
+TEST(TraceJson, WritesFile) {
+  phi::Trace trace;
+  trace.add({"x", phi::TraceEvent::Resource::kCompute, 0.0, 1.0});
+  const std::string path = testing::TempDir() + "/trace.json";
+  obs::Profiler::write_chrome_json(path, &trace);
+  std::ifstream in(path);
+  std::string contents((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  EXPECT_NE(contents.find("\"x\""), std::string::npos);
+  std::remove(path.c_str());
 }
 
 TEST_F(ProfilerTest, ClearDropsSpans) {
@@ -286,22 +316,27 @@ TEST_F(ProfilerTest, ThreadSafeUnderParallelForAndPipeline) {
   par::ThreadPool pool(4);
   std::atomic<std::int64_t> sum{0};
   int consumed = 0;
+  std::vector<std::future<void>> work;
   while (auto item = pipeline.pop()) {
     ++consumed;
-    par::parallel_for(pool, 0, 64, [&](std::int64_t i) {
-      DEEPPHI_PROFILE_SCOPE("test.work");
-      sum.fetch_add(i, std::memory_order_relaxed);
-    });
+    work.clear();
+    for (std::int64_t i = 0; i < 64; ++i)
+      work.push_back(pool.submit([&sum, i] {
+        DEEPPHI_PROFILE_SCOPE("test.work");
+        sum.fetch_add(i, std::memory_order_relaxed);
+      }));
     // Snapshot while workers and the loading thread are still active.
     for (const obs::Span& s : obs::Profiler::snapshot()) {
       EXPECT_GE(s.end_s, s.start_s);
       EXPECT_NE(s.label, nullptr);
     }
+    for (std::future<void>& f : work) f.get();
   }
   pool.wait_idle();
   obs::Profiler::enable(false);
 
   EXPECT_EQ(consumed, 32);
+  EXPECT_EQ(sum.load(), 32 * (63 * 64 / 2));
   const std::vector<obs::Span> spans = obs::Profiler::snapshot();
   std::int64_t work_spans = 0;
   for (const obs::Span& s : spans) {

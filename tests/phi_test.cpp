@@ -419,17 +419,6 @@ TEST(Offload, RingDepthOneStillCorrectButSlower) {
   EXPECT_LE(deep, shallow + 1e-9);
 }
 
-TEST(Offload, RingReservationRespectsDeviceMemory) {
-  Device d(xeon_phi_5110p());
-  Offload off(d, OffloadConfig{true, 4});
-  off.reserve_ring(1e9);
-  EXPECT_DOUBLE_EQ(d.used_bytes(), 4e9);
-  off.release_ring();
-  EXPECT_DOUBLE_EQ(d.used_bytes(), 0.0);
-  Offload too_big(d, OffloadConfig{true, 4});
-  EXPECT_THROW(too_big.reserve_ring(3e9), util::Error);
-}
-
 TEST(Offload, ZeroChunks) {
   Device d(xeon_phi_5110p());
   Offload off(d, OffloadConfig{true, 2});
