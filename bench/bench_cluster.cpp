@@ -207,7 +207,7 @@ void run_real_cluster(const util::Options& options) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -229,4 +229,8 @@ int main(int argc, char** argv) {
   run_collective_sweep(options);
   if (!options.has("skip-host")) run_real_cluster(options);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return deepphi::bench::guarded_main(argc, argv, bench_main);
 }

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <exception>
 #include <fstream>
 #include <future>
 #include <sstream>
@@ -179,6 +180,17 @@ double fma_peak_gflops(int threads) {
   }
   (void)sink;
   return best;
+}
+
+int guarded_main(int argc, char** argv, int (*bench_main)(int, char**)) {
+  try {
+    return bench_main(argc, argv);
+  } catch (const std::exception& e) {
+    const std::string path = argc > 0 ? argv[0] : "bench";
+    const std::string name = path.substr(path.find_last_of('/') + 1);
+    std::fprintf(stderr, "%s: %s\n", name.c_str(), e.what());
+    return 1;
+  }
 }
 
 void banner(const std::string& title, const std::string& description) {

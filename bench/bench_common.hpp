@@ -27,6 +27,11 @@
 
 namespace deepphi::bench {
 
+/// Runs a bench's entry point the way the tools run theirs: any exception,
+/// a usage error included, prints "<bench>: <what>" to stderr and exits 1
+/// instead of aborting. <bench> is the file name of argv[0].
+int guarded_main(int argc, char** argv, int (*bench_main)(int, char**));
+
 /// Prints the standard bench banner (what is reproduced, from where) and
 /// records `title` as the bench name for --json output.
 void banner(const std::string& title, const std::string& description);

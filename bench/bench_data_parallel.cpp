@@ -130,7 +130,7 @@ void run_host_table(const util::Options& options) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -148,4 +148,8 @@ int main(int argc, char** argv) {
   if (which == "rbm" || which == "both") run_model(options, /*rbm=*/true);
   if (!options.has("skip-host")) run_host_table(options);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return deepphi::bench::guarded_main(argc, argv, bench_main);
 }

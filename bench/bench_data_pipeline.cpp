@@ -114,7 +114,7 @@ std::string fmt(const char* spec, double v) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   util::Options options = util::Options::parse(argc, argv);
   options.declare("examples", "corpus rows to generate", "32768");
   options.declare("patch", "patch side (dim = patch^2)", "8");
@@ -237,4 +237,8 @@ int main(int argc, char** argv) {
   }
   bench::emit(options, train_table, bench::Clock::kMeasured);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return deepphi::bench::guarded_main(argc, argv, bench_main);
 }

@@ -11,7 +11,7 @@
 #include "baseline/matlab_like.hpp"
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -46,4 +46,8 @@ int main(int argc, char** argv) {
   bench::emit(options, table, bench::Clock::kSimulated);
   std::printf("paper reports ~16x; shape target is Phi >> Matlab at this scale\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return deepphi::bench::guarded_main(argc, argv, bench_main);
 }

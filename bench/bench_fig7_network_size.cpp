@@ -53,7 +53,7 @@ void run_model(const util::Options& options, bool rbm) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -67,4 +67,8 @@ int main(int argc, char** argv) {
   if (which == "sae" || which == "both") run_model(options, /*rbm=*/false);
   if (which == "rbm" || which == "both") run_model(options, /*rbm=*/true);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return deepphi::bench::guarded_main(argc, argv, bench_main);
 }

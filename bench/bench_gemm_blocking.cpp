@@ -56,7 +56,7 @@ const char* trans_name(la::Trans ta, la::Trans tb) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -153,4 +153,8 @@ int main(int argc, char** argv) {
   }
   bench::emit(options, table, bench::Clock::kMeasured);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return deepphi::bench::guarded_main(argc, argv, bench_main);
 }

@@ -37,7 +37,7 @@ using bench::best_of;
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -112,4 +112,8 @@ int main(int argc, char** argv) {
   }
   bench::emit(options, tier_table, bench::Clock::kMeasured);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return deepphi::bench::guarded_main(argc, argv, bench_main);
 }

@@ -11,7 +11,7 @@
 #include "bench_common.hpp"
 #include "core/levels.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -50,4 +50,8 @@ int main(int argc, char** argv) {
   std::printf("the fused step replaces scalar-class elementwise passes (incl.\n"
               "scalar exp) with single vectorized passes and fewer launches.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return deepphi::bench::guarded_main(argc, argv, bench_main);
 }

@@ -11,7 +11,7 @@
 #include "core/levels.hpp"
 #include "phi/tuning.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -50,4 +50,8 @@ int main(int argc, char** argv) {
               result.best_time_s * 1e3, result.best_fraction,
               result.phi_only_s / result.best_time_s);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return deepphi::bench::guarded_main(argc, argv, bench_main);
 }

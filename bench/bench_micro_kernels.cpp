@@ -226,7 +226,7 @@ void emit_tier_table(const util::Options& options) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace deepphi;
   // google-benchmark owns the --benchmark* flags; everything else goes to
   // util::Options (BENCHMARK_MAIN would abort on --json=...).
@@ -273,4 +273,8 @@ int main(int argc, char** argv) {
       "the forced-scalar kernel on the same shape.");
   emit_tier_table(options);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return deepphi::bench::guarded_main(argc, argv, bench_main);
 }

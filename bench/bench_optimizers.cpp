@@ -18,7 +18,7 @@
 #include "data/patches.hpp"
 #include "util/timer.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -118,4 +118,8 @@ int main(int argc, char** argv) {
   std::printf("note: SGD-family evals are mini-batch gradients (cheap); batch-\n"
               "method evals are full-dataset gradients (grad_evals x dataset).\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return deepphi::bench::guarded_main(argc, argv, bench_main);
 }

@@ -45,7 +45,7 @@ void run_scenario(const util::Options& options, const std::string& name,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -82,4 +82,8 @@ int main(int argc, char** argv) {
       "bottleneck and overlap alone cannot hide it (\"the transferring cost\n"
       "can be intolerable\").\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return deepphi::bench::guarded_main(argc, argv, bench_main);
 }

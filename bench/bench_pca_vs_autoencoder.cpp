@@ -62,7 +62,7 @@ double head_accuracy(const data::Dataset& train_x, const std::vector<int>& train
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -152,4 +152,8 @@ int main(int argc, char** argv) {
       "concerns deep stacks on real image corpora (Hinton & Salakhutdinov\n"
       "2006); reproduce it there via --idx with real MNIST in deepphi_train.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return deepphi::bench::guarded_main(argc, argv, bench_main);
 }

@@ -3,11 +3,13 @@
 //
 // The related Xeon Phi studies (Viebke & Pllana; CHAOS) find these wide
 // encoder GEMMs bandwidth-bound, which is exactly where int8 pays: weights
-// shrink 4x and the VNNI-class dot kernel retires 4 multiply-accumulates
+// shrink 4x and the blocked VNNI int8 GEMM retires 4 multiply-accumulates
 // per lane per instruction. This bench measures the real serving path
 // (RequestQueue -> batcher -> ThreadPool -> Encoder::encode) on Fig. 7-class
 // single-layer shapes, fp32 vs the same model quantized with
-// core::QuantizedEncoder, at the paper-favored coalesce size of 64 — plus
+// core::QuantizedEncoder, at the paper-favored coalesce size of 64. Both
+// register through serve::ModelRegistry, so the fp32 column is the packed
+// twin (core::PackedEncoder) the registry serves fp32 models through — plus
 // the accuracy side of the trade: mean/max |int8 - fp32| encode delta on a
 // probe batch, reported in the same table (and JSON document) as the
 // throughput.
@@ -43,7 +45,7 @@ double served_rps(std::shared_ptr<const core::Encoder> model,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -60,7 +62,7 @@ int main(int argc, char** argv) {
       "Int8 quantized serving vs fp32",
       "Served rows/s of InferenceServer at the paper-favored batch size, "
       "fp32 encoder vs the same weights groupwise-quantized to int8 "
-      "(VNNI-class quant_dot kernels), with the encode-accuracy delta.");
+      "(the blocked VNNI int8 GEMM), with the encode-accuracy delta.");
   bench::set_precision("int8");
 
   const double seconds = options.get_double("seconds");
@@ -118,4 +120,8 @@ int main(int argc, char** argv) {
   std::printf("\n");
   bench::emit(options, table, bench::Clock::kMeasured);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return deepphi::bench::guarded_main(argc, argv, bench_main);
 }

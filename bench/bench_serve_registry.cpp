@@ -110,7 +110,7 @@ std::map<std::string, LaneResult> run_scenario(
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -200,4 +200,8 @@ int main(int argc, char** argv) {
       static_misses ? "MISSES" : "unexpectedly met", p99_ms["adaptive.tight"],
       adaptive_holds ? "holds" : "MISSED");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return deepphi::bench::guarded_main(argc, argv, bench_main);
 }

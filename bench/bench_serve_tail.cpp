@@ -185,7 +185,7 @@ serve::ServerStats serve_probe(serve::ModelRegistry& registry, double rate,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -278,4 +278,8 @@ int main(int argc, char** argv) {
                        util::Table::cell(polled.latency.p99_s * 1e3)});
   bench::emit(options, probe_table, bench::Clock::kMeasured);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return deepphi::bench::guarded_main(argc, argv, bench_main);
 }

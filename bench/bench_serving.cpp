@@ -67,7 +67,7 @@ serve::ServerStats run_moderate(serve::ModelRegistry& registry, double rate,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -130,4 +130,8 @@ int main(int argc, char** argv) {
                  util::Table::cell(bound_ms)});
   bench::emit(options, probe, bench::Clock::kMeasured);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return deepphi::bench::guarded_main(argc, argv, bench_main);
 }

@@ -36,7 +36,7 @@ double stacked_time(const phi::MachineSpec& spec, OptLevel level) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -72,4 +72,8 @@ int main(int argc, char** argv) {
                  util::Table::cell(base30 / final30), "302.7"});
   bench::emit(options, table, bench::Clock::kSimulated);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return deepphi::bench::guarded_main(argc, argv, bench_main);
 }

@@ -15,7 +15,7 @@
 #include "core/rbm_taskgraph.hpp"
 #include "data/patches.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -79,4 +79,8 @@ int main(int argc, char** argv) {
   std::printf("critical path: %zu of %zu nodes\n",
               step.graph().critical_path_length(), step.graph().node_count());
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return deepphi::bench::guarded_main(argc, argv, bench_main);
 }

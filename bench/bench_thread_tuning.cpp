@@ -12,7 +12,7 @@
 #include "core/levels.hpp"
 #include "phi/tuning.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -44,4 +44,8 @@ int main(int argc, char** argv) {
   std::printf("small networks leave most of the 240-thread fork/join bill\n"
               "unamortized; the tuner finds the knee automatically.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return deepphi::bench::guarded_main(argc, argv, bench_main);
 }

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "la/matrix.hpp"
 
@@ -38,5 +39,19 @@ class Encoder {
   /// eval and serve CLIs.
   virtual std::string describe() const;
 };
+
+/// One layer of a sigmoid chain: out = sigmoid(in · wᵀ + bias), w stored
+/// units × inputs.
+struct SigmoidLayer {
+  const la::Matrix* w = nullptr;
+  const la::Vector* bias = nullptr;
+};
+
+/// The layers of `model`'s encode() when it is a chain of sigmoid layers —
+/// SparseAutoencoder (w1, b1), Rbm (w, c), StackedAutoencoder and Dbn (each
+/// layer's) — else empty. The pointers alias `model`. This is the one walk
+/// over model types that both the int8 quantizer and the packed serving
+/// twin build on.
+std::vector<SigmoidLayer> sigmoid_chain(const Encoder& model);
 
 }  // namespace deepphi::core

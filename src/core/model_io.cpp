@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -238,13 +239,16 @@ std::unique_ptr<QuantizedEncoder> read_quantized(Reader& in) {
                           static_cast<std::uint64_t>(units * groups * group),
                       "quantized layer " + std::to_string(k));
     QuantizedEncoder::Layer l;
-    l.w = la::quant::QuantizedWeights::allocate(units, inputs, group);
     l.bias = la::Vector::uninitialized(units);
     in.read(l.bias.data(), units);
-    in.read(l.w.scales(0), units * l.w.groups());
-    in.read(l.w.codes(0), units * l.w.padded_cols());
-    // Derived group sums come from the codes, which also range-checks them.
-    l.w.rebuild_wsums();
+    std::vector<float> scales(static_cast<std::size_t>(units * groups));
+    std::vector<std::int8_t> codes(
+        static_cast<std::size_t>(units * groups * group));
+    in.read(scales.data(), units * groups);
+    in.read(codes.data(), units * groups * group);
+    // Validates the codes and padding, derives the group sums and packs.
+    l.w = la::quant::QuantizedWeights::from_planes(units, inputs, group,
+                                                   scales.data(), codes.data());
     loaded.push_back(std::move(l));
   }
   return std::make_unique<QuantizedEncoder>(std::move(loaded));

@@ -3,10 +3,6 @@
 #include <sstream>
 #include <utility>
 
-#include "core/dbn.hpp"
-#include "core/rbm.hpp"
-#include "core/sparse_autoencoder.hpp"
-#include "core/stacked_autoencoder.hpp"
 #include "util/error.hpp"
 
 namespace deepphi::core {
@@ -35,28 +31,15 @@ QuantizedEncoder::QuantizedEncoder(std::vector<Layer> layers)
 std::unique_ptr<QuantizedEncoder> QuantizedEncoder::from(const Encoder& model,
                                                          la::Index group) {
   la::quant::check_group(group);
-  std::vector<Layer> layers;
-  auto push = [&](const la::Matrix& w, const la::Vector& bias) {
-    Layer l;
-    l.w = la::quant::QuantizedWeights::quantize(w, group);
-    l.bias = bias;
-    layers.push_back(std::move(l));
-  };
-  if (const auto* sae = dynamic_cast<const SparseAutoencoder*>(&model)) {
-    push(sae->w1(), sae->b1());
-  } else if (const auto* rbm = dynamic_cast<const Rbm*>(&model)) {
-    push(rbm->w(), rbm->c());
-  } else if (const auto* stack = dynamic_cast<const StackedAutoencoder*>(&model)) {
-    for (std::size_t k = 0; k < stack->layers(); ++k)
-      push(stack->layer(k).w1(), stack->layer(k).b1());
-  } else if (const auto* dbn = dynamic_cast<const Dbn*>(&model)) {
-    for (std::size_t k = 0; k < dbn->layers(); ++k)
-      push(dbn->layer(k).w(), dbn->layer(k).c());
-  } else if (dynamic_cast<const QuantizedEncoder*>(&model) != nullptr) {
+  if (dynamic_cast<const QuantizedEncoder*>(&model) != nullptr)
     throw util::Error("model is already int8-quantized");
-  } else {
+  const std::vector<SigmoidLayer> chain = sigmoid_chain(model);
+  if (chain.empty())
     throw util::Error("cannot quantize encoder type: " + model.describe());
-  }
+  std::vector<Layer> layers;
+  for (const SigmoidLayer& l : chain)
+    layers.push_back(
+        {la::quant::QuantizedWeights::quantize(*l.w, group), *l.bias});
   return std::make_unique<QuantizedEncoder>(std::move(layers));
 }
 

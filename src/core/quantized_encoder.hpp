@@ -37,8 +37,9 @@ class QuantizedEncoder : public Encoder {
   explicit QuantizedEncoder(std::vector<Layer> layers);
 
   /// Quantizes a trained float model's encode path layer by layer. Supports
-  /// SparseAutoencoder, Rbm, StackedAutoencoder, and Dbn; throws util::Error
-  /// for other encoder types (including an already-quantized model).
+  /// every sigmoid chain (core::sigmoid_chain: SparseAutoencoder, Rbm,
+  /// StackedAutoencoder, Dbn); throws util::Error for other encoder types
+  /// (including an already-quantized model).
   static std::unique_ptr<QuantizedEncoder> from(
       const Encoder& model, la::Index group = la::quant::kDefaultGroup);
 

@@ -82,17 +82,19 @@ void pack_b(const Matrix& b, Trans tb, Index pc, Index jc, Index kc, Index nc,
 
 // Serial blocked GEMM over the C tile [row_begin, row_end) × [col_begin,
 // col_end). `a_buf` and `b_buf` are caller-provided packing buffers sized for
-// the blocking and `tab`'s register tile. Beta is folded into the first
-// k-panel's write-back and the epilogue into the last one's, so the tile is
-// touched exactly once per k-panel and never in a separate elementwise pass.
+// the blocking and `tab`'s register tile; with `packed_b` set, B's panels
+// are read from it instead of packed from `b` into b_buf. Beta is folded
+// into the first k-panel's write-back and the epilogue into the last one's,
+// so the tile is touched exactly once per k-panel and never in a separate
+// elementwise pass.
 // The MR×NR micro-kernel itself lives in the dispatch layer (src/la/simd/),
 // one explicit-intrinsics instantiation per ISA tier and EpilogueOp; `tab`
 // is the bound tier's table.
 void gemm_tile(Trans ta, Trans tb, float alpha, float beta, const Matrix& a,
-               const Matrix& b, Matrix& c, Index row_begin, Index row_end,
-               Index col_begin, Index col_end, Index k, const GemmBlocking& bl,
-               float* a_buf, float* b_buf, const GemmEpilogue& ep,
-               const simd::KernelTable& tab) {
+               const Matrix* b, const PackedB* packed_b, Matrix& c,
+               Index row_begin, Index row_end, Index col_begin, Index col_end,
+               Index k, const GemmBlocking& bl, float* a_buf, float* b_buf,
+               const GemmEpilogue& ep, const simd::KernelTable& tab) {
   const simd::KernelTable::GemmMicroFn micro =
       tab.gemm_micro[static_cast<int>(ep.op)];
   const Index mr = tab.gemm_mr;
@@ -107,16 +109,22 @@ void gemm_tile(Trans ta, Trans tb, float alpha, float beta, const Matrix& a,
       const Index kc_eff = std::min(bl.kc, k - pc);
       const bool first_k = pc == 0;
       const bool last_k = pc + kc_eff == k;
-      pack_b(b, tb, pc, jc, kc_eff, nc_eff, nr, b_buf);
+      const float* b_block = b_buf;
+      if (packed_b != nullptr) {
+        b_block = packed_b->panels() + pc * packed_b->padded_cols() +
+                  jc * kc_eff;
+      } else {
+        pack_b(*b, tb, pc, jc, kc_eff, nc_eff, nr, b_buf);
+      }
       for (Index ic = row_begin; ic < row_end; ic += bl.mc) {
         const Index mc_eff = std::min(bl.mc, row_end - ic);
         pack_a(a, ta, ic, pc, mc_eff, kc_eff, mr, a_buf);
         for (Index jr = 0; jr < nc_eff; jr += nr) {
-          const float* bp = b_buf + jr * kc_eff;
+          const float* bp = b_block + jr * kc_eff;
 #ifndef NDEBUG
           // B-panel rows feed the aligned vector loads; each panel starts a
           // kc_eff·nr·4 byte multiple of 64 past the aligned base.
-          simd::check_panel_alignment(b_buf, bp);
+          simd::check_panel_alignment(b_block, bp);
 #endif
           const Index c0 = jc + jr;
           const float* bias = bias_base != nullptr ? bias_base + c0 : nullptr;
@@ -231,8 +239,9 @@ void record_beta_epilogue_pass(const GemmEpilogue& ep, float beta, Index m,
 // Grid decomposition + parallel tile loop over the table bound at the call
 // (its register tile sizes the grid, the arena and the packing).
 void run_blocked(Trans trans_a, Trans trans_b, float alpha, const Matrix& a,
-                 const Matrix& b, float beta, Matrix& c, const GemmBlocking& bl,
-                 const GemmEpilogue& ep, Index m, Index n, Index k) {
+                 const Matrix* b, const PackedB* packed_b, float beta,
+                 Matrix& c, const GemmBlocking& bl, const GemmEpilogue& ep,
+                 Index m, Index n, Index k) {
   const simd::KernelTable& tab = simd::active();
   const Index mr = tab.gemm_mr;
   const Index nr = tab.gemm_nr;
@@ -294,23 +303,24 @@ void run_blocked(Trans trans_a, Trans trans_b, float alpha, const Matrix& a,
         const Index row_end = std::min(row_begin + tile_m, m);
         const Index col_begin = tc * tile_n;
         const Index col_end = std::min(col_begin + tile_n, n);
-        gemm_tile(trans_a, trans_b, alpha, beta, a, b, c, row_begin, row_end,
-                  col_begin, col_end, k, bl, a_buf, b_buf, ep, tab);
+        gemm_tile(trans_a, trans_b, alpha, beta, a, b, packed_b, c,
+                  row_begin, row_end, col_begin, col_end, k, bl, a_buf, b_buf,
+                  ep, tab);
       }
     }
   }
 }
 
-}  // namespace
-
-void gemm_blocked(Trans trans_a, Trans trans_b, float alpha, const Matrix& a,
-                  const Matrix& b, float beta, Matrix& c,
-                  const GemmBlocking& bl, const GemmEpilogue& ep) {
+// The body both gemm entries share once op(B) is k×n: argument checks,
+// accounting, the degenerate beta/epilogue pass, then the blocked product
+// with B packed per call from `b`, or read from `packed_b`.
+void gemm_checked(Trans trans_a, Trans trans_b, float alpha, const Matrix& a,
+                  const Matrix* b, const PackedB* packed_b, Index kb, Index n,
+                  float beta, Matrix& c, const GemmBlocking& bl,
+                  const GemmEpilogue& ep) {
   DEEPPHI_PROFILE_SCOPE("gemm");
   const Index m = trans_a == Trans::kNo ? a.rows() : a.cols();
   const Index ka = trans_a == Trans::kNo ? a.cols() : a.rows();
-  const Index kb = trans_b == Trans::kNo ? b.rows() : b.cols();
-  const Index n = trans_b == Trans::kNo ? b.cols() : b.rows();
   DEEPPHI_CHECK_MSG(ka == kb, "gemm inner dims: op(A) is " << m << "x" << ka
                                                            << ", op(B) is " << kb
                                                            << "x" << n);
@@ -344,7 +354,50 @@ void gemm_blocked(Trans trans_a, Trans trans_b, float alpha, const Matrix& a,
 
   record_epilogue(ep, m, n);
   if (phi::dry_run()) return;
-  run_blocked(trans_a, trans_b, alpha, a, b, beta, c, bl, ep, m, n, ka);
+  run_blocked(trans_a, trans_b, alpha, a, b, packed_b, beta, c, bl, ep, m, n,
+              ka);
+}
+
+}  // namespace
+
+PackedB::PackedB(Trans trans, const Matrix& b) {
+  const simd::KernelTable& tab = simd::active();
+  const GemmBlocking bl;
+  const Index nr = tab.gemm_nr;
+  // gemm_tile finds column jc's panel at jc·kc_eff into a k-panel, which
+  // holds when every jc it visits is a multiple of nr.
+  DEEPPHI_CHECK_MSG(bl.nc % nr == 0, "default nc " << bl.nc
+                                                   << " is not a multiple of "
+                                                   << "nr " << nr);
+  tier_ = tab.tier;
+  k_ = trans == Trans::kNo ? b.rows() : b.cols();
+  n_ = trans == Trans::kNo ? b.cols() : b.rows();
+  padded_cols_ = (n_ + nr - 1) / nr * nr;
+  if (phi::dry_run() || k_ == 0 || n_ == 0) return;
+  panels_ =
+      util::make_aligned<float>(static_cast<std::size_t>(k_ * padded_cols_));
+  for (Index pc = 0; pc < k_; pc += bl.kc)
+    pack_b(b, trans, pc, 0, std::min(bl.kc, k_ - pc), n_, nr,
+           panels_.get() + pc * padded_cols_);
+}
+
+void gemm(Trans trans_a, float alpha, const Matrix& a, const PackedB& b,
+          float beta, Matrix& c, const GemmEpilogue& ep) {
+  DEEPPHI_CHECK_MSG(b.tier() == simd::active_tier(),
+                    "gemm operand B was packed for the "
+                        << simd::tier_name(b.tier()) << " tier, but "
+                        << simd::tier_name(simd::active_tier())
+                        << " is bound");
+  gemm_checked(trans_a, Trans::kNo, alpha, a, nullptr, &b, b.rows(), b.cols(),
+               beta, c, GemmBlocking{}, ep);
+}
+
+void gemm_blocked(Trans trans_a, Trans trans_b, float alpha, const Matrix& a,
+                  const Matrix& b, float beta, Matrix& c,
+                  const GemmBlocking& bl, const GemmEpilogue& ep) {
+  const Index kb = trans_b == Trans::kNo ? b.rows() : b.cols();
+  const Index n = trans_b == Trans::kNo ? b.cols() : b.rows();
+  gemm_checked(trans_a, trans_b, alpha, a, &b, nullptr, kb, n, beta, c, bl, ep);
 }
 
 void gemm_blocked(Trans trans_a, Trans trans_b, float alpha, const Matrix& a,

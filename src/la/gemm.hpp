@@ -19,6 +19,11 @@
 //  * Persistent packing workspaces: packing buffers come from a per-thread
 //    arena (la/pack_arena.hpp) that is grown once and reused, so steady-state
 //    training performs zero heap allocations inside GEMM.
+//  * A packed-once B operand: PackedB holds op(B) already in the panels one
+//    tier's micro-kernel reads, and its gemm() entry skips B's pack step.
+//    Serving packs each model version's weights once (core::PackedEncoder)
+//    instead of on every batch; the panels hold the same values in the same
+//    k order, so results are bit-identical to the per-call path.
 //  * 2-D tile parallelism: C is partitioned into an (ic, jc) grid of disjoint
 //    tiles, one per thread where the shape allows, in near-equal bands of
 //    whole register tiles along the longer dimension, so the grid covers the
@@ -31,6 +36,8 @@
 #pragma once
 
 #include "la/matrix.hpp"
+#include "la/simd/dispatch.hpp"
+#include "util/aligned.hpp"
 
 namespace deepphi::la {
 
@@ -126,6 +133,38 @@ struct GemmBlocking {
   Index kc = 256;   // shared dimension panel
   Index nc = 1024;  // cols of B packed at once
 };
+
+/// op(B) packed once into the nr-column panels gemm() packs per call: the
+/// bound tier's nr at the default GemmBlocking{} kc, for all n columns. The
+/// panels are tied to the tier bound at construction, so the gemm() entry
+/// below throws util::Error under any other tier. Immutable; move-only.
+/// Under phi::DryRun it keeps only the shape.
+class PackedB {
+ public:
+  PackedB() = default;
+  PackedB(Trans trans, const Matrix& b);
+
+  Index rows() const { return k_; }  ///< k of op(B)
+  Index cols() const { return n_; }  ///< n of op(B)
+  simd::Tier tier() const { return tier_; }
+  /// k-panel p (rows [p·kc, p·kc + kc_eff) of op(B)) starts at
+  /// panels() + p·kc·padded_cols(); within it the nr-column panel holding
+  /// column j starts j·kc_eff floats in.
+  const float* panels() const { return panels_.get(); }
+  Index padded_cols() const { return padded_cols_; }
+
+ private:
+  Index k_ = 0;
+  Index n_ = 0;
+  Index padded_cols_ = 0;
+  simd::Tier tier_ = simd::Tier::kScalar;
+  util::AlignedBuffer<float> panels_;
+};
+
+/// C = alpha · op(A) · B + beta · C at the default blocking, B packed once.
+/// Bit-identical to gemm() on the matrix B was packed from; same accounting.
+void gemm(Trans trans_a, float alpha, const Matrix& a, const PackedB& b,
+          float beta, Matrix& c, const GemmEpilogue& epilogue);
 
 /// GEMM with explicit blocking (tests sweep this; the default entry uses
 /// GemmBlocking{}).

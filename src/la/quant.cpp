@@ -19,9 +19,8 @@ Index groups_for(Index cols, Index group) {
   return (cols + group - 1) / group;
 }
 
-/// Round-to-nearest used everywhere codes are produced. Quantization runs in
-/// scalar code only (never per-tier vector code), so its rounding mode is a
-/// file-local choice, not part of the cross-tier parity contract.
+/// Round-to-nearest, half away from zero, for weight codes. The dispatched
+/// activation quantizer (simd quantize_row) reproduces the same rounding.
 std::int32_t round_code(float v) {
   return static_cast<std::int32_t>(std::lround(v));
 }
@@ -34,6 +33,12 @@ void check_group(Index group) {
                         << kGroupAlign << " no larger than " << kMaxGroup
                         << ", got " << group);
 }
+
+static_assert(kActivationMaxCode == simd::kQuantMaxActivationCode,
+              "the quantize_row kernel clamps to the activation code range");
+static_assert(2 * kActivationMaxCode * kWeightMaxCode * kMaxGroup <
+                  (std::int64_t{1} << 31),
+              "the int8 micro-kernel's corrected group sums must fit int32");
 
 QuantizedWeights QuantizedWeights::allocate(Index rows, Index cols,
                                             Index group) {
@@ -52,20 +57,49 @@ QuantizedWeights QuantizedWeights::allocate(Index rows, Index cols,
       static_cast<std::size_t>(rows) * static_cast<std::size_t>(q.groups_);
   q.codes_ = util::make_aligned<std::int8_t>(ncodes);
   q.scales_ = util::make_aligned<float>(nscales);
-  q.wsums_ = util::make_aligned<std::int32_t>(nscales);
   std::memset(q.codes_.get(), 0, ncodes);
   std::memset(q.scales_.get(), 0, nscales * sizeof(float));
-  std::memset(q.wsums_.get(), 0, nscales * sizeof(std::int32_t));
   return q;
+}
+
+void QuantizedWeights::pack_panels() {
+  const Index tiles =
+      (rows_ + simd::kQuantTileUnits - 1) / simd::kQuantTileUnits;
+  constexpr Index pu = simd::kQuantPanelUnits;
+  panels_ = tiles * (simd::kQuantTileUnits / pu);
+  const Index kp = padded_cols();
+  const std::size_t ncodes = static_cast<std::size_t>(panels_ * pu * kp);
+  const std::size_t nsums = static_cast<std::size_t>(panels_ * pu * groups_);
+  panel_codes_ = util::make_aligned<std::int8_t>(ncodes);
+  panel_scales_ = util::make_aligned<float>(nsums);
+  panel_wsums_ = util::make_aligned<std::int32_t>(nsums);
+  std::memset(panel_codes_.get(), 0, ncodes);
+  std::memset(panel_scales_.get(), 0, nsums * sizeof(float));
+  std::memset(panel_wsums_.get(), 0, nsums * sizeof(std::int32_t));
+  for (Index r = 0; r < rows_; ++r) {
+    const Index p = r / pu;
+    const Index u = r % pu;
+    // Code (r, k) sits in k-step k / 4 of its panel, at byte 4u + k % 4.
+    std::int8_t* pc = panel_codes_.get() + p * pu * kp;
+    const std::int8_t* src = codes(r);
+    for (Index k = 0; k < kp; k += 4)
+      std::memcpy(pc + k * pu + 4 * u, src + k, 4);
+    const Index at = p * pu * groups_ + u;
+    for (Index g = 0; g < groups_; ++g) {
+      std::int32_t sum = 0;  // zero padding contributes 0 by construction
+      for (Index j = 0; j < group_; ++j) sum += src[g * group_ + j];
+      panel_scales_.get()[at + g * pu] = scales(r)[g];
+      panel_wsums_.get()[at + g * pu] = sum;
+    }
+  }
 }
 
 QuantizedWeights QuantizedWeights::quantize(const Matrix& w, Index group) {
   QuantizedWeights q = allocate(w.rows(), w.cols(), group);
   for (Index r = 0; r < q.rows_; ++r) {
     const float* src = w.row(r);
-    std::int8_t* dst = q.codes(r);
-    float* sc = q.scales(r);
-    std::int32_t* ws = q.wsums_.get() + r * q.groups_;
+    std::int8_t* dst = q.codes_.get() + r * q.padded_cols();
+    float* sc = q.scales_.get() + r * q.groups_;
     for (Index g = 0; g < q.groups_; ++g) {
       const Index c0 = g * group;
       const Index len = std::min(group, q.cols_ - c0);
@@ -76,40 +110,39 @@ QuantizedWeights QuantizedWeights::quantize(const Matrix& w, Index group) {
       // exactly 0 and contributes nothing to the dot.
       const float scale = amax / static_cast<float>(kWeightMaxCode);
       sc[g] = scale;
-      std::int32_t sum = 0;
       if (scale > 0.0f) {
-        for (Index j = 0; j < len; ++j) {
-          const std::int32_t code = std::clamp(
-              round_code(src[c0 + j] / scale), -kWeightMaxCode, kWeightMaxCode);
-          dst[c0 + j] = static_cast<std::int8_t>(code);
-          sum += code;
-        }
+        for (Index j = 0; j < len; ++j)
+          dst[c0 + j] = static_cast<std::int8_t>(std::clamp(
+              round_code(src[c0 + j] / scale), -kWeightMaxCode, kWeightMaxCode));
       }
-      ws[g] = sum;  // zero padding contributes 0 by construction
     }
   }
+  q.pack_panels();
   return q;
 }
 
-void QuantizedWeights::rebuild_wsums() {
-  for (Index r = 0; r < rows_; ++r) {
-    const std::int8_t* src = codes(r);
-    std::int32_t* ws = wsums_.get() + r * groups_;
-    for (Index g = 0; g < groups_; ++g) {
-      const Index c0 = g * group_;
-      std::int32_t sum = 0;
-      for (Index j = 0; j < group_; ++j) {
-        const std::int32_t code = src[c0 + j];
-        DEEPPHI_CHECK_MSG(code >= -kWeightMaxCode && code <= kWeightMaxCode,
-                          "weight code " << code << " at row " << r
-                                         << " out of [-127, 127]");
-        DEEPPHI_CHECK_MSG(c0 + j < cols_ || code == 0,
-                          "nonzero code in the zero-padded tail of row " << r);
-        sum += code;
-      }
-      ws[g] = sum;
+QuantizedWeights QuantizedWeights::from_planes(Index rows, Index cols,
+                                               Index group,
+                                               const float* scales,
+                                               const std::int8_t* codes) {
+  QuantizedWeights q = allocate(rows, cols, group);
+  const Index kp = q.padded_cols();
+  std::memcpy(q.scales_.get(), scales,
+              sizeof(float) * static_cast<std::size_t>(rows * q.groups_));
+  std::memcpy(q.codes_.get(), codes, static_cast<std::size_t>(rows * kp));
+  for (Index r = 0; r < rows; ++r) {
+    const std::int8_t* src = q.codes(r);
+    for (Index c = 0; c < kp; ++c) {
+      const std::int32_t code = src[c];
+      DEEPPHI_CHECK_MSG(code >= -kWeightMaxCode && code <= kWeightMaxCode,
+                        "weight code " << code << " at row " << r
+                                       << " out of [-127, 127]");
+      DEEPPHI_CHECK_MSG(c < cols || code == 0,
+                        "nonzero code in the zero-padded tail of row " << r);
     }
   }
+  q.pack_panels();
+  return q;
 }
 
 Matrix QuantizedWeights::dequantize() const {
@@ -146,30 +179,11 @@ void QuantizedActivations::quantize(const Matrix& x, Index group) {
     zps_ = util::make_aligned<std::int32_t>(static_cast<std::size_t>(rows_));
     row_capacity_ = rows_;
   }
+  const simd::KernelTable& tab = simd::active();
   const Index pad = padded_cols();
-  for (Index r = 0; r < rows_; ++r) {
-    const float* src = x.row(r);
-    std::uint8_t* dst = codes_.get() + r * pad;
-    // Row range anchored at 0 so the zero point is always representable;
-    // per-row so codes are independent of batch composition.
-    float lo = 0.0f, hi = 0.0f;
-    for (Index c = 0; c < cols_; ++c) {
-      lo = std::min(lo, src[c]);
-      hi = std::max(hi, src[c]);
-    }
-    float scale = (hi - lo) / static_cast<float>(kActivationMaxCode);
-    if (scale <= 0.0f) scale = 1.0f;  // all-zero row: codes collapse to zp
-    const std::int32_t zp =
-        std::clamp(round_code(-lo / scale), 0, kActivationMaxCode);
-    for (Index c = 0; c < cols_; ++c) {
-      const std::int32_t code =
-          std::clamp(round_code(src[c] / scale) + zp, 0, kActivationMaxCode);
-      dst[c] = static_cast<std::uint8_t>(code);
-    }
-    if (pad > cols_) std::memset(dst + cols_, 0, static_cast<std::size_t>(pad - cols_));
-    scales_.get()[r] = scale;
-    zps_.get()[r] = zp;
-  }
+  for (Index r = 0; r < rows_; ++r)
+    tab.quantize_row(x.row(r), cols_, pad, codes_.get() + r * pad,
+                     scales_.get() + r, zps_.get() + r);
 }
 
 void encode_sigmoid(const QuantizedActivations& xq, const QuantizedWeights& w,
@@ -201,22 +215,30 @@ void encode_sigmoid(const QuantizedActivations& xq, const QuantizedWeights& w,
   }
 
   const simd::KernelTable& tab = simd::active();
+  const Index mr = tab.quant_mr;
   const Index groups = w.groups();
   const Index group = w.group();
-  // Weight-stationary: each weight row (codes + scales + sums, the large
-  // operand) is loaded once and streamed against every activation row, which
-  // stays L2-resident for serving-sized batches.
+  const Index ldx = xq.padded_cols();
+  constexpr Index pu = simd::kQuantPanelUnits;
+  constexpr Index tile_units = simd::kQuantTileUnits;
+  const Index tiles = w.panels() * pu / tile_units;
+  // Unit tiles outside, row tiles inside: a tile's two panels stay in L1
+  // while every activation row streams past them. Each output belongs to
+  // one tile, so the split over threads cannot change its bits.
   const bool big = batch * w.padded_cols() >= kParallelThreshold;
 #pragma omp parallel for if (big) schedule(static)
-  for (Index n = 0; n < units; ++n) {
-    const std::int8_t* wrow = w.codes(n);
-    const float* sc = w.scales(n);
-    const std::int32_t* ws = w.wsums(n);
-    for (Index m = 0; m < batch; ++m) {
-      const float dot = tab.quant_dot(xq.codes(m), wrow, sc, ws, groups, group,
-                                      xq.zero_point(m));
-      out(m, n) = xq.scale(m) * dot;
-    }
+  for (Index t = 0; t < tiles; ++t) {
+    const Index u0 = t * tile_units;
+    const Index p0 = u0 / pu;
+    const std::int8_t* panels = w.panel_codes() + p0 * pu * w.padded_cols();
+    const float* scales = w.panel_scales() + p0 * pu * groups;
+    const std::int32_t* wsums = w.panel_wsums() + p0 * pu * groups;
+    const Index nu = std::min(tile_units, units - u0);
+    for (Index m0 = 0; m0 < batch; m0 += mr)
+      tab.quant_micro(xq.codes(m0), ldx, xq.scales_from(m0),
+                      xq.zero_points_from(m0), panels, scales, wsums, groups,
+                      group, out.row(m0) + u0, units, std::min(mr, batch - m0),
+                      nu);
   }
   bias_sigmoid(out, bias);
 }

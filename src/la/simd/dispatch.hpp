@@ -7,7 +7,8 @@
 // use the dispatcher CPUID-probes the machine, picks the widest available
 // tier, and binds one KernelTable of function pointers that every hot
 // kernel (GEMM micro-kernel incl. fused epilogues, sigmoid family, Bernoulli
-// sampling compare, axpy/dot) routes through.
+// sampling compare, axpy/dot, the int8 micro-kernel and activation
+// quantizer) routes through.
 //
 // Numerical contract — identical results on every tier:
 //  * every tier runs the SAME generic kernel body (kernels_body.inl)
@@ -38,6 +39,15 @@
 #include <string>
 
 namespace deepphi::la::simd {
+
+/// Geometry of the int8 weight panel plane (la/quant.hpp), shared by the
+/// packer and the int8 micro-kernel: a panel interleaves kQuantPanelUnits
+/// units per 4-byte k-step (the B operand of one 512-bit vpdpbusd), and a
+/// micro-tile covers kQuantTileUnits units, two adjacent panels.
+inline constexpr std::int64_t kQuantPanelUnits = 16;
+inline constexpr std::int64_t kQuantTileUnits = 32;
+/// Largest activation code the quantize_row kernel produces.
+inline constexpr int kQuantMaxActivationCode = 127;
 
 /// Dispatch tiers, widest last. kAvx2 requires AVX2 + FMA; kAvx512 requires
 /// AVX-512F, plus BW+VNNI when its table was compiled with the real
@@ -102,23 +112,40 @@ struct KernelTable {
   /// pairwise tree. Same result for W=1/8/16 hardware.
   double (*dot8)(const float* x, const float* y, std::int64_t n) = nullptr;
 
-  /// Groupwise int8 dot (the quantized-inference kernel, docs/simd.md).
-  /// `xq` holds u8 activation codes in [0,127], `wq` s8 weight codes in
-  /// [-127,127]; both are `groups * group` bytes, zero-padded. Per group g it
-  /// accumulates acc_g = sum_j xq[j]*wq[j] exactly in int32 (group <= 65536
-  /// keeps that safe), corrects the activation zero point with the
-  /// precomputed code sums (`wsum[g] = sum_j wq[j]`) in int64, and combines
-  /// r = fma(scales[g], float(acc_g - zp*wsum[g]), r) in ascending group
-  /// order with scalar std::fma. Integer accumulation is exact on every tier
-  /// and the float combine is a fixed scalar sequence, so the result is
-  /// bitwise identical across tiers by construction.
-  float (*quant_dot)(const std::uint8_t* xq, const std::int8_t* wq,
-                     const float* scales, const std::int32_t* wsum,
-                     std::int64_t groups, std::int64_t group,
-                     std::int32_t zp) = nullptr;
+  /// Rows of activations the int8 micro-kernel holds in registers.
+  std::int64_t quant_mr = 0;
+
+  /// The int8 forward pass over one quant_mr × kQuantTileUnits tile
+  /// (docs/simd.md, "Int8 kernel tier"). `x` points at the tile's first
+  /// activation row of u8 codes in [0, 127] (leading dimension `ldx`, rows
+  /// zero-padded to groups·group bytes), `a_scale`/`zp` at its rows' scales
+  /// and zero points; `panels`, `scales` and `wsums` at the tile's first
+  /// weight panel of the plane QuantizedWeights packs. Each output is
+  ///   a_scale · Σ_g fma(scale_g, float(acc_g − zp·wsum_g), ·)
+  /// with acc_g the exact int32 group dot and the groups combined in
+  /// ascending order from +0, so every tier returns the same bits. Writes
+  /// the mr_eff × nu_eff clip of the tile to `out` (leading dimension ldo).
+  using QuantMicroFn = void (*)(const std::uint8_t* x, std::int64_t ldx,
+                                const float* a_scale, const std::int32_t* zp,
+                                const std::int8_t* panels, const float* scales,
+                                const std::int32_t* wsums, std::int64_t groups,
+                                std::int64_t group, float* out,
+                                std::int64_t ldo, std::int64_t mr_eff,
+                                std::int64_t nu_eff);
+  QuantMicroFn quant_micro = nullptr;
+
+  /// Quantizes one activation row of `cols` floats (la/quant.hpp): range
+  /// [lo, hi] anchored at 0, scale = (hi − lo)/127 (1 for an all-zero row),
+  /// zp = clamp(lround(−lo/scale), 0, 127), and codes clamp(lround(x/scale)
+  /// + zp, 0, 127) with lround's round-half-away rounding, then zero bytes
+  /// up to `padded`. The vector divide is correctly rounded like the scalar
+  /// one, so every tier produces the same codes.
+  void (*quantize_row)(const float* x, std::int64_t cols, std::int64_t padded,
+                       std::uint8_t* codes, float* scale,
+                       std::int32_t* zp) = nullptr;
 
   /// True when this table was compiled with AVX-512BW+VNNI instructions
-  /// (real vpdpbusd in quant_dot). tier_available() then additionally
+  /// (real vpdpbusd in quant_micro). tier_available() then additionally
   /// requires those CPUID bits, so an F-only machine never binds it.
   bool needs_avx512_vnni = false;
 };

@@ -20,6 +20,14 @@ constexpr int kGemmNR = 16;
 static_assert(gemm_tile_registers<Avx2Ops>(kGemmMR, kGemmNR) <= 16,
               "the avx2 GEMM tile must fit the ymm register file");
 
+// Int8 tile: 2 rows × 4 ymm of int32 accumulators, the activation and two
+// zero-point broadcasts; the madd-pair emulation reads the four panel
+// vectors straight from memory, and its constant and pair sums take their
+// registers: 15 of the 16 ymm registers.
+constexpr int kQuantMR = 2;
+static_assert(quant_tile_registers<Avx2Ops>(kQuantMR) <= 16,
+              "the avx2 int8 tile must fit the ymm register file");
+
 // dot8 on 256-bit doubles: two accumulators hold lanes 0..3 / 4..7 of the
 // fixed 8-lane scheme. Products are exact (float×float in double), so the
 // fma here is bit-identical to dot8_ref's mul+add; the masked tail adds
@@ -55,7 +63,8 @@ double dot8_avx2(const float* x, const float* y, std::int64_t n) {
 
 const KernelTable* avx2_table() {
   static const KernelTable table =
-      make_table<Avx2Ops, kGemmMR, kGemmNR>(Tier::kAvx2, &dot8_avx2);
+      make_table<Avx2Ops, kGemmMR, kGemmNR, kQuantMR>(Tier::kAvx2,
+                                                      &dot8_avx2);
   return &table;
 }
 

@@ -1,9 +1,9 @@
 // AVX-512F dispatch tier. This translation unit alone is compiled with
 // -mavx512f (which pulls in AVX2/FMA as prerequisites) plus
 // -ffp-contract=off; when the compiler also accepts -mavx512bw
-// -mavx512vnni the int8 quant_dot kernel uses the real vpdpbusd and the
-// table is flagged needs_avx512_vnni so the dispatcher gates the tier on
-// those CPUID bits. Everything vector goes through the Avx512Ops policy.
+// -mavx512vnni the int8 micro-kernel uses the real vpdpbusd and the table
+// is flagged needs_avx512_vnni so the dispatcher gates the tier on those
+// CPUID bits. Everything vector goes through the Avx512Ops policy.
 // Without the flags (non-x86 host) the getter returns nullptr and the
 // dispatcher skips the tier.
 
@@ -21,6 +21,20 @@ constexpr int kGemmMR = 12;
 constexpr int kGemmNR = 32;
 static_assert(gemm_tile_registers<Avx512Ops>(kGemmMR, kGemmNR) <= 32,
               "the avx512 GEMM tile must fit the zmm register file");
+
+#if defined(__AVX512VNNI__) && defined(__AVX512BW__)
+// Int8 tile: 8 rows × 2 zmm of int32 accumulators, two panel vectors, the
+// activation broadcast and 8 zero-point broadcasts, 27 of the 32 zmm
+// registers.
+constexpr int kQuantMR = 8;
+static_assert(quant_tile_registers<Avx512Ops::Int8>(kQuantMR) <= 32,
+              "the avx512 int8 tile must fit the zmm register file");
+#else
+// The F-only build runs the 256-bit int8 emulation: the avx2 tier's tile.
+constexpr int kQuantMR = 2;
+static_assert(quant_tile_registers<Avx512Ops::Int8>(kQuantMR) <= 16,
+              "the emulated int8 tile must fit the ymm register file");
+#endif
 
 // float→double of 8 lanes, and the low 8 floats of a 512-bit vector. The
 // all-ones maskz forms are the plain instructions without the operand GCC 12
@@ -58,10 +72,10 @@ double dot8_avx512(const float* x, const float* y, std::int64_t n) {
 
 const KernelTable* avx512_table() {
   static const KernelTable table = [] {
-    KernelTable t = make_table<Avx512Ops, kGemmMR, kGemmNR>(Tier::kAvx512,
-                                                     &dot8_avx512);
+    KernelTable t = make_table<Avx512Ops, kGemmMR, kGemmNR, kQuantMR>(
+        Tier::kAvx512, &dot8_avx512);
 #if defined(__AVX512VNNI__) && defined(__AVX512BW__)
-    // quant_dot uses the real vpdpbusd; the dispatcher must gate this tier
+    // quant_micro uses the real vpdpbusd; the dispatcher must gate this tier
     // on the BW+VNNI CPUID bits, not just AVX-512F.
     t.needs_avx512_vnni = true;
 #endif

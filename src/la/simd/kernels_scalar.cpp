@@ -7,11 +7,12 @@
 
 namespace deepphi::la::simd {
 
-// GEMM register tile: 4×16. The scalar tier is the numerical reference, not
-// a fast path, so its tile is not sized to a register file.
+// GEMM register tile: 4×16, int8 tile: 4 rows. The scalar tier is the
+// numerical reference, not a fast path, so its tiles are not sized to a
+// register file.
 const KernelTable* scalar_table() {
   static const KernelTable table =
-      make_table<ScalarOps, 4, 16>(Tier::kScalar, &dot8_ref);
+      make_table<ScalarOps, 4, 16, 4>(Tier::kScalar, &dot8_ref);
   return &table;
 }
 

@@ -14,14 +14,15 @@
 // tier. Do not add an op whose scalar and vector forms can round
 // differently.
 //
-// Each policy also carries an int8 sub-policy for the quantized inference
-// kernels (la/quant.hpp): VI is a vector of WI int32 accumulator lanes and
-// dpbusd() performs the VNNI-class u8×s8 multiply-accumulate — for each lane
-// i, acc[i] += Σ_{j<4} a[4i+j]·b[4i+j] over 4·WI code bytes. Integer
-// arithmetic is exact, so any lane count and any reduction order produce the
-// same int32 sum; cross-tier parity for the int8 kernels is therefore free
-// as long as the float dequantization runs the same scalar sequence
-// everywhere (see quant_dot_k in kernels_body.inl).
+// Each policy also names the policy its int8 kernels (la/quant.hpp) run on,
+// `Int8`: one whose float vector V and int32 vector VI have the same W
+// lanes, so a lane's exact integer group sum converts straight into the
+// float combine. Its dpbusd() performs the VNNI-class u8×s8
+// multiply-accumulate — for each lane i, acc[i] += Σ_{j<4} a[4i+j]·b[4i+j]
+// over 4·W code bytes. Integer arithmetic is exact, so any lane count
+// produces the same int32 sums; cross-tier parity for the int8 kernels then
+// only needs the float combine to run the same per-lane sequence everywhere
+// (see quant_micro in kernels_body.inl).
 //
 // On AVX2 dpbusd is emulated with the classic madd pair
 // (maddubs u8×s8 → s16, madd ×1 → s32). maddubs SATURATES the s16 pair sum;
@@ -29,12 +30,13 @@
 // la/quant.hpp), which bounds a pair at 2·127·127 = 32258 < 32767 so the
 // emulation is exact. The AVX-512 tier uses the real vpdpbusd when the TU is
 // compiled with BW+VNNI (the dispatcher then gates the tier on those CPUID
-// bits); an F-only build falls back to the 256-bit emulation.
+// bits); an F-only build runs its int8 kernels on the AVX2 policy.
 #pragma once
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -68,9 +70,11 @@ struct ScalarOps {
   // Correctly rounded — bit-identical to the vfmadd the vector tiers use.
   static V fma(V a, V b, V c) { return std::fma(a, b, c); }
   static V neg(V a) { return -a; }
+  static V abs_(V a) { return std::fabs(a); }
   static V min_(V a, V b) { return a < b ? a : b; }
   static V max_(V a, V b) { return a > b ? a : b; }
   static V floor_(V a) { return std::floor(a); }
+  static V trunc_(V a) { return std::trunc(a); }
 
   static M lt(V a, V b) { return a < b; }
   static V select(M m, V a, V b) { return m ? a : b; }
@@ -81,16 +85,35 @@ struct ScalarOps {
     return std::bit_cast<float>(bits);
   }
 
-  // --- int8 sub-policy (reference semantics) ---
+  /// Stores the first `n` lanes of v, integer-valued floats in [0, 255], as
+  /// bytes.
+  static void store_u8(std::uint8_t* p, int n, V v) {
+    if (n > 0) *p = static_cast<std::uint8_t>(v);
+  }
+
+  // --- int8 policy (reference semantics): one int32 lane, whose k-step
+  // operand is 4 code bytes read as one int32. ---
+  using Int8 = ScalarOps;
   using VI = std::int32_t;
-  static constexpr int WI = 1;
-  static VI izero() { return 0; }
-  static VI dpbusd(VI acc, const std::uint8_t* a, const std::int8_t* b) {
-    for (int j = 0; j < 4; ++j)
-      acc += static_cast<std::int32_t>(a[j]) * static_cast<std::int32_t>(b[j]);
+  static VI iload(const void* p) {  // aligned
+    VI v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+  }
+  static VI iset1(std::int32_t x) { return x; }
+  static VI imul(VI a, VI b) { return a * b; }
+  static V cvt(VI a) { return static_cast<float>(a); }
+  /// acc + Σ_j u8 byte j of a × s8 byte j of b.
+  static VI dpbusd(VI acc, VI a, VI b) {
+    for (int j = 0; j < 4; ++j) {
+      const auto u =
+          static_cast<std::uint8_t>(static_cast<std::uint32_t>(a) >> (8 * j));
+      const auto s =
+          static_cast<std::int8_t>(static_cast<std::uint32_t>(b) >> (8 * j));
+      acc += static_cast<std::int32_t>(u) * static_cast<std::int32_t>(s);
+    }
     return acc;
   }
-  static std::int32_t ireduce(VI acc) { return acc; }
 };
 
 // ---------------------------------------------------------------------------
@@ -126,9 +149,13 @@ struct Avx2Ops {
   static V div(V a, V b) { return _mm256_div_ps(a, b); }
   static V fma(V a, V b, V c) { return _mm256_fmadd_ps(a, b, c); }
   static V neg(V a) { return _mm256_sub_ps(_mm256_setzero_ps(), a); }
+  static V abs_(V a) { return _mm256_andnot_ps(_mm256_set1_ps(-0.0f), a); }
   static V min_(V a, V b) { return _mm256_min_ps(b, a); }
   static V max_(V a, V b) { return _mm256_max_ps(b, a); }
   static V floor_(V a) { return _mm256_floor_ps(a); }
+  static V trunc_(V a) {
+    return _mm256_round_ps(a, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+  }
 
   static M lt(V a, V b) { return _mm256_cmp_ps(a, b, _CMP_LT_OQ); }
   static V select(M m, V a, V b) { return _mm256_blendv_ps(b, a, m); }
@@ -140,27 +167,44 @@ struct Avx2Ops {
     return _mm256_castsi256_ps(bits);
   }
 
-  // --- int8 sub-policy: vpdpbusd emulated with the madd pair. Exact for
-  // 7-bit activation codes (see the header comment). ---
-  using VI = __m256i;
-  static constexpr int WI = 8;
-  static VI izero() { return _mm256_setzero_si256(); }
-  static VI dpbusd(VI acc, const std::uint8_t* a, const std::int8_t* b) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b));
-    const __m256i pairs = _mm256_maddubs_epi16(va, vb);  // u8×s8 → s16 pairs
-    const __m256i quads =
-        _mm256_madd_epi16(pairs, _mm256_set1_epi16(1));  // s16 pairs → s32
-    return _mm256_add_epi32(acc, quads);
+  static void store_u8(std::uint8_t* p, int n, V v) {
+    const __m256i i32 = _mm256_cvttps_epi32(v);
+    const __m128i i16 = _mm_packs_epi32(_mm256_castsi256_si128(i32),
+                                        _mm256_extracti128_si256(i32, 1));
+    const __m128i u8 = _mm_packus_epi16(i16, i16);  // lanes 0..7 in order
+    if (n == W) {
+      _mm_storel_epi64(reinterpret_cast<__m128i*>(p), u8);
+    } else {
+      alignas(16) std::uint8_t bytes[16];
+      _mm_store_si128(reinterpret_cast<__m128i*>(bytes), u8);
+      std::memcpy(p, bytes, static_cast<std::size_t>(n));
+    }
   }
-  static std::int32_t ireduce(VI acc) {
-    __m128i s = _mm_add_epi32(_mm256_castsi256_si128(acc),
-                              _mm256_extracti128_si256(acc, 1));
-    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
-    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
-    return _mm_cvtsi128_si32(s);
+
+  // --- int8 policy: vpdpbusd emulated with the madd pair. Exact for 7-bit
+  // activation codes (see the header comment). VI is a plain int32 vector
+  // rather than __m256i: the intrinsics view __m256i as 64-bit lanes, and
+  // those views, carried around the k-loop, cost GCC a register copy of
+  // every accumulator per step. ---
+  using Int8 = Avx2Ops;
+  using VI = std::int32_t __attribute__((vector_size(32)));
+  static VI iload(const void* p) {
+    return reinterpret_cast<VI>(
+        _mm256_load_si256(static_cast<const __m256i*>(p)));
+  }
+  static VI iset1(std::int32_t x) {
+    return reinterpret_cast<VI>(_mm256_set1_epi32(x));
+  }
+  static VI imul(VI a, VI b) { return a * b; }
+  static V cvt(VI a) {
+    return _mm256_cvtepi32_ps(reinterpret_cast<__m256i>(a));
+  }
+  static VI dpbusd(VI acc, VI a, VI b) {
+    // u8×s8 → s16 pairs, then s16 pairs → s32.
+    const __m256i pairs = _mm256_maddubs_epi16(reinterpret_cast<__m256i>(a),
+                                               reinterpret_cast<__m256i>(b));
+    return acc + reinterpret_cast<VI>(
+                     _mm256_madd_epi16(pairs, _mm256_set1_epi16(1)));
   }
 };
 #endif  // __AVX2__ && __FMA__
@@ -200,11 +244,16 @@ struct Avx512Ops {
   // intrinsics, which GCC 12 implements with an _mm512_undefined_* operand
   // that trips -Wmaybe-uninitialized (so -DDEEPPHI_WERROR=ON would fail).
   static constexpr __mmask16 kAll = 0xFFFF;
+  static V abs_(V a) { return _mm512_abs_ps(a); }
   static V min_(V a, V b) { return _mm512_maskz_min_ps(kAll, b, a); }
   static V max_(V a, V b) { return _mm512_maskz_max_ps(kAll, b, a); }
   static V floor_(V a) {
     return _mm512_maskz_roundscale_ps(
         kAll, a, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+  }
+  static V trunc_(V a) {
+    return _mm512_maskz_roundscale_ps(kAll, a,
+                                      _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
   }
 
   static M lt(V a, V b) { return _mm512_cmp_ps_mask(a, b, _CMP_LT_OQ); }
@@ -217,40 +266,39 @@ struct Avx512Ops {
     return _mm512_castsi512_ps(bits);
   }
 
-#if defined(__AVX512VNNI__) && defined(__AVX512BW__)
-  // --- int8 sub-policy: the real 512-bit vpdpbusd. The dispatcher gates
-  // this tier on the BW+VNNI CPUID bits when the TU is built this way
-  // (KernelTable::needs_avx512_vnni). ---
-  using VI = __m512i;
-  static constexpr int WI = 16;
-  static VI izero() { return _mm512_setzero_si512(); }
-  static VI dpbusd(VI acc, const std::uint8_t* a, const std::int8_t* b) {
-    return _mm512_dpbusd_epi32(acc, _mm512_loadu_si512(a),
-                               _mm512_loadu_si512(b));
+  static void store_u8(std::uint8_t* p, int n, V v) {
+    _mm512_mask_cvtepi32_storeu_epi8(p, tail_mask(n),
+                                     _mm512_maskz_cvttps_epi32(kAll, v));
   }
-  // Integer sums are exact, so folding halves gives the same result as
-  // _mm512_reduce_add_epi32, which GCC 12 flags (see kAll).
-  static std::int32_t ireduce(VI acc) {
-    const __m256i h =
-        _mm256_add_epi32(_mm512_maskz_extracti64x4_epi64(0xF, acc, 0),
-                         _mm512_maskz_extracti64x4_epi64(0xF, acc, 1));
-    __m128i s = _mm_add_epi32(_mm256_castsi256_si128(h),
-                              _mm256_extracti128_si256(h, 1));
-    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
-    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
-    return _mm_cvtsi128_si32(s);
+
+#if defined(__AVX512VNNI__) && defined(__AVX512BW__)
+  // --- int8 policy: the real 512-bit vpdpbusd. The dispatcher gates this
+  // tier on the BW+VNNI CPUID bits when the TU is built this way
+  // (KernelTable::needs_avx512_vnni). ---
+  // VI is a plain int32 vector for the reason given at Avx2Ops::VI.
+  using Int8 = Avx512Ops;
+  using VI = std::int32_t __attribute__((vector_size(64)));
+  static VI iload(const void* p) {
+    return reinterpret_cast<VI>(_mm512_load_si512(p));
+  }
+  static VI iset1(std::int32_t x) {
+    return reinterpret_cast<VI>(_mm512_set1_epi32(x));
+  }
+  static VI imul(VI a, VI b) { return a * b; }
+  static V cvt(VI a) {
+    return _mm512_maskz_cvtepi32_ps(kAll, reinterpret_cast<__m512i>(a));
+  }
+  static VI dpbusd(VI acc, VI a, VI b) {
+    return reinterpret_cast<VI>(
+        _mm512_dpbusd_epi32(reinterpret_cast<__m512i>(acc),
+                            reinterpret_cast<__m512i>(a),
+                            reinterpret_cast<__m512i>(b)));
   }
 #else
   // F-only build: no byte-granularity 512-bit integer ops exist below BW, so
-  // this tier runs the 256-bit madd-pair emulation (AVX2 is an architectural
-  // prerequisite of AVX-512F, so Avx2Ops exists in this TU).
-  using VI = Avx2Ops::VI;
-  static constexpr int WI = Avx2Ops::WI;
-  static VI izero() { return Avx2Ops::izero(); }
-  static VI dpbusd(VI acc, const std::uint8_t* a, const std::int8_t* b) {
-    return Avx2Ops::dpbusd(acc, a, b);
-  }
-  static std::int32_t ireduce(VI acc) { return Avx2Ops::ireduce(acc); }
+  // the int8 kernels run the 256-bit madd-pair emulation (AVX2 is an
+  // architectural prerequisite of AVX-512F, so Avx2Ops exists in this TU).
+  using Int8 = Avx2Ops;
 #endif
 };
 #endif  // __AVX512F__

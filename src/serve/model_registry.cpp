@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "core/packed_encoder.hpp"
 #include "core/quantized_encoder.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -62,6 +63,7 @@ std::uint64_t ModelRegistry::add_model(
     double budget_s, std::string magic, std::uint64_t file_bytes) {
   DEEPPHI_CHECK_MSG(model != nullptr,
                     "registry add '" << name << "': null model");
+  model = core::PackedEncoder::twin_or_self(std::move(model));
   std::lock_guard<std::mutex> lock(mutex_);
   DEEPPHI_CHECK_MSG(valid_name(name),
                     "invalid model name '"
@@ -93,6 +95,7 @@ std::uint64_t ModelRegistry::publish_model(
     std::string magic, std::uint64_t file_bytes) {
   DEEPPHI_CHECK_MSG(model != nullptr,
                     "registry publish '" << name << "': null model");
+  model = core::PackedEncoder::twin_or_self(std::move(model));
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(name);
   DEEPPHI_CHECK_MSG(it != entries_.end(),

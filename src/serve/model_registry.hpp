@@ -10,6 +10,11 @@
 // reader-side locking beyond one shared_ptr copy. The old version is freed
 // when the last in-flight batch drops its snapshot.
 //
+// Every sigmoid-chain fp32 model (SAE, RBM, stacked autoencoder, DBN) is
+// served through its core::PackedEncoder twin, which packs the weights once
+// per version instead of on every batch: a version serves the weights as of
+// add/publish, so publish again to change them. Other models serve as given.
+//
 // The registry also carries the serving metadata the data plane and the
 // stats endpoint want without re-opening checkpoints: format magic, numeric
 // precision, checkpoint size, dims, and the per-model latency budget the

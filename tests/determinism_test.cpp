@@ -5,19 +5,20 @@
 // performance comparison rather than four different algorithms.
 #include <gtest/gtest.h>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <cstdio>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/dbn.hpp"
+#include "core/packed_encoder.hpp"
 #include "core/rbm.hpp"
+#include "core/sparse_autoencoder.hpp"
+#include "core/stacked_autoencoder.hpp"
 #include "core/trainer.hpp"
 #include "data/dataset.hpp"
 #include "data/patches.hpp"
@@ -26,6 +27,7 @@
 #include "la/gemm.hpp"
 #include "la/reduce.hpp"
 #include "la/simd/dispatch.hpp"
+#include "pinned_hash.hpp"
 #include "util/rng.hpp"
 
 namespace deepphi {
@@ -40,16 +42,7 @@ la::Matrix random_matrix(la::Index rows, la::Index cols, std::uint64_t seed) {
 }
 
 #ifdef _OPENMP
-class OmpThreadGuard {
- public:
-  explicit OmpThreadGuard(int threads) : prev_(omp_get_max_threads()) {
-    omp_set_num_threads(threads);
-  }
-  ~OmpThreadGuard() { omp_set_num_threads(prev_); }
-
- private:
-  int prev_;
-};
+using test::OmpThreadGuard;
 
 TEST(Determinism, GemmBitIdenticalAcrossThreadCounts) {
   la::Matrix a = random_matrix(130, 90, 1);
@@ -203,27 +196,7 @@ TEST(Determinism, RbmTrainerReproducibleWithSampling) {
 // A register tile, a packing layout, a blocking, a thread split or a
 // trainer refactor may change; these hashes may not.
 
-class Fnv1a {
- public:
-  void add(const float* p, la::Index n) {
-    const auto* bytes = reinterpret_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < sizeof(float) * static_cast<std::size_t>(n); ++i) {
-      h_ ^= bytes[i];
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  void add(const la::Matrix& m) { add(m.data(), m.size()); }
-  void add(const la::Vector& v) { add(v.data(), v.size()); }
-  std::string hex() const {
-    char buf[19];
-    std::snprintf(buf, sizeof buf, "0x%016llx",
-                  static_cast<unsigned long long>(h_));
-    return buf;
-  }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
+using test::Fnv1a;
 
 la::Vector random_vector(la::Index n, std::uint64_t seed) {
   util::Rng rng(seed);
@@ -374,27 +347,78 @@ TEST(Determinism, ResultsMatchPinnedParentHashes) {
   const std::string kGemmSweep = "0x5a074befeff16295";
   const std::string kSaeParams = "0x43998573c6e5ec1e";
   const std::string kRbmParams = "0x8bd8d0b7f2806c44";
-  for (int t = 0; t < la::simd::kNumTiers; ++t) {
-    const auto tier = static_cast<la::simd::Tier>(t);
-    if (!la::simd::tier_available(tier)) continue;
-    ASSERT_TRUE(la::simd::force_tier(tier));
-    for (int threads : {1, 4}) {
-#ifdef _OPENMP
-      OmpThreadGuard guard(threads);
-#endif
-      const std::string where = std::string(la::simd::tier_name(tier)) +
-                                " at " + std::to_string(threads) + " threads";
-      EXPECT_EQ(gemm_sweep_hash(), kGemmSweep) << "GEMM sweep, " << where;
-      EXPECT_EQ(sae_params_hash(), kSaeParams) << "SAE parameters, " << where;
-      EXPECT_EQ(rbm_params_hash(), kRbmParams) << "RBM parameters, " << where;
-      for (const TrainPin& pin : train_pins()) {
-        const std::string got = pin.rbm ? rbm_params_hash(pin.config)
-                                        : sae_params_hash(pin.config);
-        EXPECT_EQ(got, pin.hash) << pin.what << " parameters, " << where;
-      }
+  test::for_each_tier_and_thread_count([&](const std::string& where) {
+    EXPECT_EQ(gemm_sweep_hash(), kGemmSweep) << "GEMM sweep, " << where;
+    EXPECT_EQ(sae_params_hash(), kSaeParams) << "SAE parameters, " << where;
+    EXPECT_EQ(rbm_params_hash(), kRbmParams) << "RBM parameters, " << where;
+    for (const TrainPin& pin : train_pins()) {
+      const std::string got = pin.rbm ? rbm_params_hash(pin.config)
+                                      : sae_params_hash(pin.config);
+      EXPECT_EQ(got, pin.hash) << pin.what << " parameters, " << where;
+    }
+  });
+}
+
+// The packed twin the registry serves sigmoid-chain fp32 models through
+// (core::PackedEncoder). These hashes pin the twin's outputs to what the
+// models' own encode() returned before the twin existed, over the shapes of
+// Quant.EncodeMatchesPinnedParentHashes: units 1000 and 37 are ragged
+// against every tier's NR and the row counts straddle every MR. It lives
+// here rather than in serve_test, whose TSan leg runs one OpenMP thread.
+
+/// `rows` x `dim` uniform [0, 1) requests, drawn as serve_test draws them.
+la::Matrix request_rows(la::Index rows, la::Index dim, std::uint64_t seed) {
+  util::Rng rng(seed, /*stream=*/0x5E17);
+  la::Matrix m(rows, dim);
+  for (la::Index i = 0; i < m.size(); ++i) m.data()[i] = rng.uniform_float();
+  return m;
+}
+
+std::string packed_encode_hash() {
+  Fnv1a hash;
+  std::uint64_t seed = 1;
+  auto encode_rows = [&](std::shared_ptr<const core::Encoder> model,
+                         std::initializer_list<la::Index> row_counts) {
+    const core::PackedEncoder twin(model);
+    for (const la::Index rows : row_counts) {
+      const la::Matrix x = request_rows(rows, model->input_dim(), ++seed);
+      la::Matrix out, direct;
+      twin.encode(x, out);
+      model->encode(x, direct);
+      EXPECT_TRUE(out.rows() == direct.rows() && out.cols() == direct.cols() &&
+                  std::memcmp(out.data(), direct.data(),
+                              sizeof(float) *
+                                  static_cast<std::size_t>(out.size())) == 0)
+          << model->describe() << ", " << rows << " rows";
+      hash.add(out);
+    }
+  };
+  for (const la::Index inputs : {576, 100}) {
+    for (const la::Index units : {1024, 1000, 37}) {
+      auto sae = std::make_shared<core::SparseAutoencoder>(
+          core::SaeConfig{inputs, units}, ++seed);
+      sae->b1() = random_vector(units, ++seed);
+      encode_rows(sae, {1, 5, 12, 13, 64, 65, 200});
     }
   }
-  la::simd::reset_tier();
+  auto stack = std::make_shared<core::StackedAutoencoder>(
+      std::vector<la::Index>{100, 64, 37}, core::SaeConfig{}, ++seed);
+  auto dbn = std::make_shared<core::Dbn>(std::vector<la::Index>{576, 100, 37},
+                                         core::RbmConfig{}, ++seed);
+  for (std::size_t k = 0; k < 2; ++k) {
+    stack->layer(k).b1() = random_vector(stack->layer(k).b1().size(), ++seed);
+    dbn->layer(k).c() = random_vector(dbn->layer(k).c().size(), ++seed);
+  }
+  encode_rows(stack, {1, 13, 65});
+  encode_rows(dbn, {1, 13, 65});
+  return hash.hex();
+}
+
+TEST(Serve, PackedEncoderMatchesPinnedParentHashes) {
+  const std::string kPackedEncode = "0xf986ea4182c49dd3";
+  test::for_each_tier_and_thread_count([&](const std::string& where) {
+    EXPECT_EQ(packed_encode_hash(), kPackedEncode) << "fp32 encode, " << where;
+  });
 }
 
 TEST(Determinism, StatsIdenticalAcrossPolicies) {

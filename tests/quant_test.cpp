@@ -2,9 +2,10 @@
 // docs/simd.md "Int8 kernel tier").
 //
 // Pins the three contracts of the quantized path:
-//  * cross-tier parity — quant_dot and the whole QuantizedEncoder forward
-//    are BITWISE identical on every dispatched tier (integer accumulation is
-//    exact; the float combine is a fixed scalar sequence);
+//  * cross-tier parity — the int8 micro-kernel, the activation quantizer
+//    and the whole QuantizedEncoder forward are BITWISE identical on every
+//    dispatched tier (integer accumulation is exact; each output's float
+//    combine is the same sequence everywhere);
 //  * numerics — quantize/dequantize round-trip error is bounded by half a
 //    code step, and int8 encode output stays within a documented tolerance
 //    of fp32 (the same delta bench_quant reports);
@@ -13,6 +14,7 @@
 //    matter how the batcher coalesced it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -23,12 +25,15 @@
 #include <string>
 #include <vector>
 
+#include "core/dbn.hpp"
 #include "core/model_io.hpp"
 #include "core/quantized_encoder.hpp"
 #include "core/sparse_autoencoder.hpp"
+#include "core/stacked_autoencoder.hpp"
 #include "la/quant.hpp"
 #include "la/simd/dispatch.hpp"
 #include "phi/kernel_stats.hpp"
+#include "pinned_hash.hpp"
 #include "serve/inference_server.hpp"
 #include "serve/model_registry.hpp"
 #include "util/error.hpp"
@@ -71,111 +76,168 @@ la::Matrix random_matrix(la::Index rows, la::Index cols, std::uint64_t seed,
   return m;
 }
 
-/// Reference for the dispatched kernel: int64 accumulation (a superset of
-/// any tier's exact int32 group arithmetic) and the same fixed scalar fma
-/// combine. Every tier must match this bitwise.
+/// Reference for one output of the int8 micro-kernel before the a_scale
+/// multiply: int64 accumulation (a superset of any tier's exact int32 group
+/// arithmetic) and the fixed fma combine in ascending group order. Every
+/// tier must match this bitwise.
 float ref_quant_dot(const std::uint8_t* xq, const std::int8_t* wq,
-                    const float* scales, const std::int32_t* wsum,
-                    std::int64_t groups, std::int64_t group, std::int32_t zp) {
+                    const float* scales, std::int64_t groups,
+                    std::int64_t group, std::int32_t zp) {
   float r = 0.0f;
   for (std::int64_t g = 0; g < groups; ++g) {
     std::int64_t acc = 0;
-    for (std::int64_t j = 0; j < group; ++j)
+    std::int64_t wsum = 0;
+    for (std::int64_t j = 0; j < group; ++j) {
       acc += static_cast<std::int64_t>(xq[g * group + j]) *
              static_cast<std::int64_t>(wq[g * group + j]);
-    const std::int64_t s =
-        acc - static_cast<std::int64_t>(zp) * static_cast<std::int64_t>(wsum[g]);
+      wsum += wq[g * group + j];
+    }
+    const std::int64_t s = acc - static_cast<std::int64_t>(zp) * wsum;
     r = std::fma(scales[g], static_cast<float>(s), r);
   }
   return r;
 }
 
-struct QuantDotInput {
-  std::vector<std::uint8_t> xq;
-  std::vector<std::int8_t> wq;
-  std::vector<float> scales;
-  std::vector<std::int32_t> wsums;
+/// Random operands of the int8 micro-kernel: weights built from random code
+/// planes, and `rows` activation rows of codes, scales and zero points.
+/// `extremes` draws every code from the ends of its range.
+struct QuantTileInput {
+  la::quant::QuantizedWeights w;
+  la::Index rows = 0;
+  std::vector<std::uint8_t> x;  // rows x w.padded_cols(), zero-padded
+  std::vector<float> a_scale;
+  std::vector<std::int32_t> zp;
 };
 
-QuantDotInput random_quant_input(std::int64_t groups, std::int64_t group,
+QuantTileInput random_tile_input(la::Index rows, la::Index units,
+                                 la::Index cols, la::Index group,
                                  std::uint64_t seed, bool extremes = false) {
   util::Rng rng(seed);
-  QuantDotInput in;
-  in.xq.resize(static_cast<std::size_t>(groups * group));
-  in.wq.resize(static_cast<std::size_t>(groups * group));
-  for (auto& v : in.xq)
-    v = static_cast<std::uint8_t>(
-        extremes ? (rng.uniform() < 0.5 ? 0 : 127)
-                 : static_cast<int>(rng.uniform(0.0, 127.999)));
-  for (auto& v : in.wq)
-    v = static_cast<std::int8_t>(
-        extremes ? (rng.uniform() < 0.5 ? -127 : 127)
-                 : static_cast<int>(rng.uniform(-127.0, 127.999)));
-  in.scales.resize(static_cast<std::size_t>(groups));
-  in.wsums.resize(static_cast<std::size_t>(groups));
-  for (std::int64_t g = 0; g < groups; ++g) {
-    in.scales[static_cast<std::size_t>(g)] =
-        static_cast<float>(rng.uniform(1e-4, 0.05));
-    std::int32_t sum = 0;
-    for (std::int64_t j = 0; j < group; ++j)
-      sum += in.wq[static_cast<std::size_t>(g * group + j)];
-    in.wsums[static_cast<std::size_t>(g)] = sum;
+  const la::Index padded = (cols + group - 1) / group * group;
+  const la::Index groups = padded / group;
+  std::vector<std::int8_t> codes(static_cast<std::size_t>(units * padded), 0);
+  std::vector<float> scales(static_cast<std::size_t>(units * groups));
+  for (la::Index u = 0; u < units; ++u)
+    for (la::Index c = 0; c < cols; ++c)
+      codes[static_cast<std::size_t>(u * padded + c)] =
+          static_cast<std::int8_t>(
+              extremes ? (rng.uniform() < 0.5 ? -127 : 127)
+                       : static_cast<int>(rng.uniform(-127.0, 127.999)));
+  for (float& v : scales) v = static_cast<float>(rng.uniform(1e-4, 0.05));
+  QuantTileInput in;
+  in.w = la::quant::QuantizedWeights::from_planes(units, cols, group,
+                                                  scales.data(), codes.data());
+  in.rows = rows;
+  in.x.assign(static_cast<std::size_t>(rows * padded), 0);
+  for (la::Index r = 0; r < rows; ++r) {
+    for (la::Index c = 0; c < cols; ++c)
+      in.x[static_cast<std::size_t>(r * padded + c)] =
+          static_cast<std::uint8_t>(
+              extremes ? (rng.uniform() < 0.5 ? 0 : 127)
+                       : static_cast<int>(rng.uniform(0.0, 127.999)));
+    in.a_scale.push_back(static_cast<float>(rng.uniform(1e-3, 0.1)));
+    // The first rows pin both ends of the zero-point range.
+    in.zp.push_back(
+        r == 0   ? 0
+        : r == 1 ? 127
+                 : static_cast<std::int32_t>(rng.uniform(0.0, 127.999)));
   }
   return in;
 }
 
+/// The bound tier's micro-kernel over every tile of the product, in row
+/// tiles of `rows_per_call` rows (<= quant_mr), the way encode_sigmoid tiles
+/// it; row-major rows x units.
+std::vector<float> run_quant_micro(const QuantTileInput& in,
+                                   la::Index rows_per_call) {
+  const la::simd::KernelTable& tab = la::simd::active();
+  const la::quant::QuantizedWeights& w = in.w;
+  const la::Index units = w.rows();
+  const la::Index kp = w.padded_cols();
+  constexpr la::Index pu = la::simd::kQuantPanelUnits;
+  std::vector<float> out(static_cast<std::size_t>(in.rows * units), -1.0f);
+  for (la::Index u0 = 0; u0 < units; u0 += la::simd::kQuantTileUnits) {
+    const la::Index p0 = u0 / pu;
+    for (la::Index m0 = 0; m0 < in.rows; m0 += rows_per_call)
+      tab.quant_micro(in.x.data() + m0 * kp, kp, in.a_scale.data() + m0,
+                      in.zp.data() + m0, w.panel_codes() + p0 * pu * kp,
+                      w.panel_scales() + p0 * pu * w.groups(),
+                      w.panel_wsums() + p0 * pu * w.groups(), w.groups(),
+                      w.group(), out.data() + m0 * units + u0, units,
+                      std::min(rows_per_call, in.rows - m0),
+                      std::min(la::simd::kQuantTileUnits, units - u0));
+  }
+  return out;
+}
+
+/// Counts outputs of every tier and every row-tile height that differ from
+/// a_scale * ref_quant_dot bit for bit.
+void expect_micro_matches_reference(const QuantTileInput& in,
+                                    const std::string& what) {
+  const la::quant::QuantizedWeights& w = in.w;
+  const la::Index kp = w.padded_cols();
+  std::vector<float> expect;
+  for (la::Index m = 0; m < in.rows; ++m)
+    for (la::Index n = 0; n < w.rows(); ++n)
+      expect.push_back(
+          in.a_scale[static_cast<std::size_t>(m)] *
+          ref_quant_dot(in.x.data() + m * kp, w.codes(n), w.scales(n),
+                        w.groups(), w.group(),
+                        in.zp[static_cast<std::size_t>(m)]));
+  for (la::simd::Tier t : available_tiers()) {
+    ForcedTier forced(t);
+    for (la::Index rows = 1; rows <= la::simd::active().quant_mr; ++rows) {
+      const std::vector<float> got = run_quant_micro(in, rows);
+      int wrong = 0;
+      for (std::size_t i = 0; i < got.size(); ++i)
+        wrong += std::memcmp(&got[i], &expect[i], sizeof(float)) != 0;
+      EXPECT_EQ(wrong, 0) << la::simd::tier_name(t) << " " << what
+                          << ", row tiles of " << rows;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Kernel-level parity.
+// Kernel-level parity: every output of the int8 micro-kernel, row and unit
+// fringes included, equals the int64 reference on every tier.
 
 TEST(QuantDot, EveryTierExportsTheKernel) {
   for (la::simd::Tier t : available_tiers()) {
     ForcedTier forced(t);
-    EXPECT_NE(la::simd::active().quant_dot, nullptr)
-        << la::simd::tier_name(t);
+    const la::simd::KernelTable& tab = la::simd::active();
+    EXPECT_NE(tab.quant_micro, nullptr) << la::simd::tier_name(t);
+    EXPECT_NE(tab.quantize_row, nullptr) << la::simd::tier_name(t);
+    EXPECT_GT(tab.quant_mr, 0) << la::simd::tier_name(t);
   }
 }
 
 TEST(QuantDot, MatchesInt64ReferenceOnEveryTier) {
-  for (const std::int64_t group : {64, 128, 192}) {
-    for (const std::int64_t groups : {1, 2, 3, 7}) {
-      const QuantDotInput in = random_quant_input(
-          groups, group, static_cast<std::uint64_t>(group * 100 + groups));
-      for (const std::int32_t zp : {0, 37, 127}) {
-        const float expect =
-            ref_quant_dot(in.xq.data(), in.wq.data(), in.scales.data(),
-                          in.wsums.data(), groups, group, zp);
-        for (la::simd::Tier t : available_tiers()) {
-          ForcedTier forced(t);
-          const float got = la::simd::active().quant_dot(
-              in.xq.data(), in.wq.data(), in.scales.data(), in.wsums.data(),
-              groups, group, zp);
-          EXPECT_EQ(std::memcmp(&got, &expect, sizeof(float)), 0)
-              << la::simd::tier_name(t) << " group=" << group
-              << " groups=" << groups << " zp=" << zp << " got=" << got
-              << " want=" << expect;
-        }
-      }
+  // 25 rows leave a fringe at every row-tile height up to 12; 37 units are
+  // one whole 32-unit tile and a ragged one; the 5 missing inputs leave a
+  // zero-padded group tail.
+  for (const la::Index group : {64, 128, 192}) {
+    for (const la::Index groups : {1, 2, 3, 7}) {
+      const QuantTileInput in = random_tile_input(
+          25, 37, groups * group - 5, group,
+          static_cast<std::uint64_t>(group * 100 + groups));
+      expect_micro_matches_reference(
+          in, "group=" + std::to_string(group) +
+                  " groups=" + std::to_string(groups));
     }
   }
+  for (const la::Index units : {1, 16, 17, 64})
+    expect_micro_matches_reference(
+        random_tile_input(13, units, 100, 64,
+                          static_cast<std::uint64_t>(units)),
+        "units=" + std::to_string(units));
 }
 
 TEST(QuantDot, CodeExtremesCannotSaturateTheAvx2Emulation) {
   // All-extreme codes maximize the s16 pair sums the AVX2 maddubs emulation
   // forms: 127*127*2 = 32258 < 32767. Bitwise agreement here pins that the
   // 7-bit activation bound keeps the emulation exact.
-  const std::int64_t groups = 4, group = 256;
-  const QuantDotInput in = random_quant_input(groups, group, 99, true);
-  const float expect =
-      ref_quant_dot(in.xq.data(), in.wq.data(), in.scales.data(),
-                    in.wsums.data(), groups, group, 127);
-  for (la::simd::Tier t : available_tiers()) {
-    ForcedTier forced(t);
-    const float got = la::simd::active().quant_dot(
-        in.xq.data(), in.wq.data(), in.scales.data(), in.wsums.data(), groups,
-        group, 127);
-    EXPECT_EQ(std::memcmp(&got, &expect, sizeof(float)), 0)
-        << la::simd::tier_name(t);
-  }
+  expect_micro_matches_reference(random_tile_input(5, 40, 1024, 256, 99, true),
+                                 "extreme codes");
 }
 
 // ---------------------------------------------------------------------------
@@ -207,16 +269,20 @@ TEST(QuantizedWeights, DequantizeWithinHalfStepPerGroup) {
 }
 
 TEST(QuantizedWeights, ZeroPaddingAndCodeSumsAreConsistent) {
-  const la::Matrix w = random_matrix(5, 70, 7);
+  // 21 units: a whole 16-unit panel and a ragged one.
+  const la::Matrix w = random_matrix(21, 70, 7);
   const la::quant::QuantizedWeights q = la::quant::QuantizedWeights::quantize(w);
+  constexpr la::Index pu = la::simd::kQuantPanelUnits;
   for (la::Index r = 0; r < q.rows(); ++r) {
     for (la::Index c = q.cols(); c < q.padded_cols(); ++c)
       EXPECT_EQ(q.codes(r)[c], 0) << "padding must stay zero";
+    const la::Index at = (r / pu) * pu * q.groups() + r % pu;
     for (la::Index g = 0; g < q.groups(); ++g) {
       std::int32_t sum = 0;
       for (la::Index j = 0; j < q.group(); ++j)
         sum += q.codes(r)[g * q.group() + j];
-      EXPECT_EQ(q.wsums(r)[g], sum);
+      EXPECT_EQ(q.panel_wsums()[at + g * pu], sum) << "unit " << r;
+      EXPECT_EQ(q.panel_scales()[at + g * pu], q.scales(r)[g]) << "unit " << r;
     }
   }
 }
@@ -255,6 +321,72 @@ TEST(QuantizedActivations, RowCodesIndependentOfBatchNeighbors) {
   EXPECT_EQ(qa.scale(3), qb.scale(0));
   EXPECT_EQ(qa.zero_point(3), qb.zero_point(0));
   EXPECT_EQ(std::memcmp(qa.codes(3), qb.codes(0), 64), 0);
+}
+
+/// The activation quantizer as it was written before it became a dispatched
+/// kernel: the scalar reference every tier must match bit for bit.
+void ref_quantize_row(const float* x, la::Index cols, std::uint8_t* codes,
+                      float& scale_out, std::int32_t& zp_out) {
+  float lo = 0.0f, hi = 0.0f;
+  for (la::Index c = 0; c < cols; ++c) {
+    lo = std::min(lo, x[c]);
+    hi = std::max(hi, x[c]);
+  }
+  float scale = (hi - lo) / 127.0f;
+  if (scale <= 0.0f) scale = 1.0f;
+  const std::int32_t zp =
+      std::clamp(static_cast<std::int32_t>(std::lround(-lo / scale)), 0, 127);
+  for (la::Index c = 0; c < cols; ++c)
+    codes[c] = static_cast<std::uint8_t>(std::clamp(
+        static_cast<std::int32_t>(std::lround(x[c] / scale)) + zp, 0, 127));
+  scale_out = scale;
+  zp_out = zp;
+}
+
+TEST(QuantizedActivations, VectorQuantizerMatchesScalarReference) {
+  // 200 random batches of ragged widths and ranges. Every fourth batch has a
+  // row spanning [-27, 100] exactly, so scale is 1 and its half-integer
+  // values are exact .5 ties; others add -0.0, an all-zero row and a NaN
+  // (which quantizes like 0).
+  util::Rng rng(2024);
+  for (int batch = 0; batch < 200; ++batch) {
+    const auto cols = static_cast<la::Index>(1 + rng.uniform() * 300);
+    const la::Index rows = 1 + batch % 5;
+    const float span = static_cast<float>(rng.uniform(0.01, 50.0));
+    la::Matrix x =
+        random_matrix(rows, cols, 500 + static_cast<std::uint64_t>(batch),
+                      -span * static_cast<float>(rng.uniform()), span);
+    if (batch % 4 == 0 && cols >= 2) {
+      for (la::Index c = 0; c < cols; ++c)
+        x(0, c) = -27.0f + 0.5f * static_cast<float>(c % 255);
+      x(0, 0) = -27.0f;
+      x(0, 1) = 100.0f;
+    }
+    if (batch % 5 == 1) x(rows - 1, 0) = -0.0f;
+    if (batch % 7 == 2)
+      for (la::Index c = 0; c < cols; ++c) x(rows - 1, c) = 0.0f;
+    if (batch % 11 == 3) x(0, cols - 1) = std::nanf("");
+    const la::Index padded = (cols + 63) / 64 * 64;
+    std::vector<std::uint8_t> want(static_cast<std::size_t>(padded), 0);
+    for (la::simd::Tier t : available_tiers()) {
+      ForcedTier forced(t);
+      la::quant::QuantizedActivations q;
+      q.quantize(x, 64);
+      for (la::Index r = 0; r < rows; ++r) {
+        float scale = 0;
+        std::int32_t zp = 0;
+        ref_quantize_row(x.row(r), cols, want.data(), scale, zp);
+        EXPECT_EQ(std::memcmp(&scale, &q.scales_from(r)[0], sizeof scale), 0)
+            << la::simd::tier_name(t) << " batch " << batch << " row " << r;
+        EXPECT_EQ(q.zero_point(r), zp)
+            << la::simd::tier_name(t) << " batch " << batch << " row " << r;
+        EXPECT_EQ(std::memcmp(q.codes(r), want.data(),
+                              static_cast<std::size_t>(padded)),
+                  0)
+            << la::simd::tier_name(t) << " batch " << batch << " row " << r;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -332,6 +464,60 @@ TEST(QuantizedEncoder, DescribeNamesTheFormat) {
   EXPECT_EQ(q->layers(), 2u);
   EXPECT_NE(q->describe().find("Int8 Quantized Encoder"), std::string::npos);
   EXPECT_NE(q->describe().find("2 layers"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Results pinned across versions. The parity tests above compare tiers with
+// each other; these hashes pin actual int8 encode outputs, recorded with the
+// per-(row, unit) dot kernel that preceded the blocked int8 GEMM, on every
+// tier at 1 and 4 threads. Units 1000 and 37 are ragged against 16- and
+// 32-unit panels, 100 inputs leave a zero-padded group tail, and the row
+// counts straddle every tier's row tile.
+
+void randomize(la::Vector& v, std::uint64_t seed) {
+  util::Rng rng(seed);
+  for (la::Index i = 0; i < v.size(); ++i)
+    v[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+}
+
+std::string int8_encode_hash() {
+  test::Fnv1a hash;
+  std::uint64_t seed = 1;
+  auto encode_rows = [&](const core::Encoder& model, la::Index group,
+                         std::initializer_list<la::Index> row_counts) {
+    const auto q = core::QuantizedEncoder::from(model, group);
+    for (const la::Index rows : row_counts) {
+      la::Matrix out;
+      q->encode(random_matrix(rows, model.input_dim(), ++seed, 0.0f, 1.0f),
+                out);
+      hash.add(out);
+    }
+  };
+  for (const la::Index group : {64, 128}) {
+    for (const la::Index inputs : {576, 100}) {
+      for (const la::Index units : {1024, 1000, 37}) {
+        core::SparseAutoencoder sae(core::SaeConfig{inputs, units}, ++seed);
+        randomize(sae.b1(), ++seed);
+        encode_rows(sae, group, {1, 5, 12, 13, 64, 65, 200});
+      }
+    }
+    core::StackedAutoencoder stack({100, 64, 37}, core::SaeConfig{}, ++seed);
+    core::Dbn dbn({576, 100, 37}, core::RbmConfig{}, ++seed);
+    for (std::size_t k = 0; k < 2; ++k) {
+      randomize(stack.layer(k).b1(), ++seed);
+      randomize(dbn.layer(k).c(), ++seed);
+    }
+    encode_rows(stack, group, {1, 13, 65});
+    encode_rows(dbn, group, {1, 13, 65});
+  }
+  return hash.hex();
+}
+
+TEST(Quant, EncodeMatchesPinnedParentHashes) {
+  const std::string kInt8Encode = "0x5ce4c47a1af82216";
+  test::for_each_tier_and_thread_count([&](const std::string& where) {
+    EXPECT_EQ(int8_encode_hash(), kInt8Encode) << "int8 encode, " << where;
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -500,6 +686,81 @@ TEST_F(QuantIoTest, RejectsLayerDimsTheFileCannotHold) {
               std::string::npos)
         << e.what();
   }
+}
+
+TEST_F(QuantIoTest, MutatedFilesLoadOrThrowTypedErrors) {
+  // Two layers with ragged inputs (70 and 40 of 128-byte rows), so both code
+  // planes carry zero padding.
+  const core::StackedAutoencoder stack({70, 40, 20}, core::SaeConfig{}, 8);
+  const auto q = core::QuantizedEncoder::from(stack, 128);
+  core::save_model(*q, path("mut.dpqe"));
+  const std::string bytes = slurp(path("mut.dpqe"));
+  auto loads = [&](const std::string& mutated) {
+    std::ofstream(path("mutated.dpqe"), std::ios::binary) << mutated;
+    try {
+      model_io::load_any(path("mutated.dpqe"));
+      return true;
+    } catch (const util::Error&) {
+      return false;
+    }
+  };
+
+  // Header and plane boundaries: magic, version, layer count, group, then
+  // per layer its two dims, bias, scales and codes. Also where each region
+  // of the code planes starts, for the byte flips below.
+  std::vector<std::size_t> cuts = {0, 2, 4, 8, 16, 24};
+  struct Plane {
+    std::size_t begin;
+    la::Index units, cols, padded;
+  };
+  std::vector<Plane> planes;
+  std::size_t at = 24;
+  for (std::size_t k = 0; k < q->layers(); ++k) {
+    const la::quant::QuantizedWeights& w = q->layer(k).w;
+    at += 8;
+    cuts.push_back(at);
+    at += 8;
+    cuts.push_back(at);
+    at += 4 * static_cast<std::size_t>(w.rows());
+    cuts.push_back(at);
+    at += 4 * static_cast<std::size_t>(w.rows() * w.groups());
+    cuts.push_back(at);
+    planes.push_back({at, w.rows(), w.cols(), w.padded_cols()});
+    at += static_cast<std::size_t>(w.rows() * w.padded_cols());
+    cuts.push_back(at);
+  }
+  ASSERT_EQ(at, bytes.size());
+  for (const std::size_t cut : cuts) {
+    for (const std::size_t len : {cut - 1, cut, cut + 1}) {
+      if (cut == 0 && len != 0) continue;
+      if (len >= bytes.size()) continue;
+      EXPECT_FALSE(loads(bytes.substr(0, len))) << "truncated at " << len;
+    }
+  }
+
+  // Seeded byte flips inside the code planes: a value in [-127, 127] at a
+  // real input loads; -128 anywhere, or anything nonzero in the padding,
+  // must be rejected.
+  util::Rng rng(77);
+  int loaded = 0, rejected = 0;
+  for (int i = 0; i < 300; ++i) {
+    const Plane& p = planes[static_cast<std::size_t>(i) % planes.size()];
+    const auto u = static_cast<la::Index>(rng.uniform() *
+                                          static_cast<double>(p.units));
+    const auto c = static_cast<la::Index>(rng.uniform() *
+                                          static_cast<double>(p.padded));
+    const auto value = static_cast<std::int8_t>(rng.uniform(-128.0, 127.999));
+    std::string mutated = bytes;
+    mutated[p.begin + static_cast<std::size_t>(u * p.padded + c)] =
+        static_cast<char>(value);
+    const bool ok = loads(mutated);
+    const bool legal = value != -128 && (c < p.cols || value == 0);
+    EXPECT_EQ(ok, legal) << "code " << int{value} << " at unit " << u
+                         << ", byte " << c;
+    (ok ? loaded : rejected) += 1;
+  }
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST_F(QuantIoTest, UnknownMagicListsEveryKnownOne) {

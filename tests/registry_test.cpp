@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "core/model_io.hpp"
+#include "core/packed_encoder.hpp"
 #include "core/quantized_encoder.hpp"
 #include "core/stacked_autoencoder.hpp"
 #include "obs/histogram.hpp"
@@ -169,9 +170,12 @@ TEST(ModelRegistry, SnapshotKeepsOldVersionAliveAcrossPublish) {
   const serve::ModelVersion snap = registry.current("m");
   registry.publish_shared("m", make_stack({8, 3}, 8));
 
-  // The snapshot still pins version 1 (RCU: readers finish on their copy).
+  // The snapshot still pins version 1 (RCU: readers finish on their copy),
+  // served through the packed twin of the model that was added.
   EXPECT_EQ(snap.version, 1u);
-  EXPECT_EQ(snap.model.get(), v1_raw);
+  const auto* twin = dynamic_cast<const core::PackedEncoder*>(snap.model.get());
+  ASSERT_NE(twin, nullptr);
+  EXPECT_EQ(&twin->source(), v1_raw);
   EXPECT_EQ(snap.model->output_dim(), 4);
   EXPECT_EQ(registry.current("m").version, 2u);
 }

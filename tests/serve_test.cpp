@@ -21,9 +21,11 @@
 
 #include "core/deep_autoencoder.hpp"
 #include "core/model_io.hpp"
+#include "core/packed_encoder.hpp"
 #include "core/softmax.hpp"
 #include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
+#include "phi/kernel_stats.hpp"
 #include "serve/inference_server.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/request_queue.hpp"
@@ -155,6 +157,84 @@ TEST(EncoderInterface, SoftmaxEncodeIsProbabilities) {
     for (la::Index c = 0; c < a.cols(); ++c) sum += a.at(r, c);
     EXPECT_NEAR(sum, 1.0, 1e-5);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The packed twin the registry serves sigmoid-chain fp32 models through
+// (its outputs are pinned by Serve.PackedEncoderMatchesPinnedParentHashes in
+// determinism_test.cpp).
+
+TEST(Serve, PackedEncoderRecordsTheSourceStats) {
+  auto stack = std::make_shared<core::StackedAutoencoder>(
+      std::vector<la::Index>{40, 24, 9}, core::SaeConfig{}, 3);
+  const core::PackedEncoder twin(stack);
+  auto stats_of = [](const core::Encoder& model, const la::Matrix& x) {
+    phi::KernelStats stats;
+    phi::StatsScope scope(stats);
+    la::Matrix out;
+    model.encode(x, out);
+    return stats;
+  };
+  const la::Matrix x = random_rows(7, 40, 5);
+  const phi::KernelStats want = stats_of(*stack, x);
+  EXPECT_TRUE(stats_of(twin, x) == want) << stats_of(twin, x).to_string()
+                                         << "\nsource:\n" << want.to_string();
+  phi::DryRun dry;
+  EXPECT_TRUE(stats_of(twin, la::Matrix(7, 40)) == want);
+}
+
+TEST(Serve, PackedEncoderThrowsOnAnotherTier) {
+  // Keyed on the startup binding, which DEEPPHI_ISA may have narrowed.
+  la::simd::reset_tier();
+  const la::simd::Tier bound = la::simd::active_tier();
+  la::simd::Tier other = bound;
+  for (int t = 0; t < la::simd::kNumTiers; ++t) {
+    const auto tier = static_cast<la::simd::Tier>(t);
+    if (tier != bound && la::simd::tier_available(tier)) other = tier;
+  }
+  if (other == bound) GTEST_SKIP() << "one tier only";
+  const core::PackedEncoder twin(
+      std::make_shared<core::SparseAutoencoder>(core::SaeConfig{20, 8}, 4));
+  la::Matrix out;
+  ASSERT_TRUE(la::simd::force_tier(other));
+  EXPECT_THROW(twin.encode(random_rows(2, 20, 6), out), util::Error);
+  la::simd::reset_tier();
+  ASSERT_EQ(la::simd::active_tier(), bound);
+  EXPECT_NO_THROW(twin.encode(random_rows(2, 20, 6), out));
+}
+
+TEST(Serve, PackedEncoderSnapshotsTheWeights) {
+  auto sae =
+      std::make_shared<core::SparseAutoencoder>(core::SaeConfig{20, 8}, 4);
+  const core::PackedEncoder twin(sae);
+  const la::Matrix x = random_rows(3, 20, 8);
+  la::Matrix before, after;
+  twin.encode(x, before);
+  sae->w1().fill(0.5f);
+  sae->b1().fill(-1.0f);
+  twin.encode(x, after);
+  EXPECT_TRUE(rows_bitwise_equal(before.data(), after.data(), before.size()));
+}
+
+TEST(Serve, RegistryPacksOnlySigmoidChains) {
+  serve::ModelRegistry registry;
+  auto sae =
+      std::make_shared<core::SparseAutoencoder>(core::SaeConfig{12, 5}, 2);
+  auto clf =
+      std::make_shared<core::SoftmaxClassifier>(core::SoftmaxConfig{12, 3}, 2);
+  registry.add_shared("sae", sae);
+  registry.add_shared("clf", clf);
+  const serve::ModelVersion served = registry.current("sae");
+  const auto* twin =
+      dynamic_cast<const core::PackedEncoder*>(served.model.get());
+  ASSERT_NE(twin, nullptr);
+  EXPECT_EQ(&twin->source(), sae.get());
+  EXPECT_EQ(registry.info("sae").description, sae->describe());
+  EXPECT_EQ(registry.info("sae").precision, "fp32");
+  EXPECT_EQ(registry.current("clf").model.get(), clf.get());
+  // A twin handed back in is served as it is, not packed twice.
+  registry.publish_shared("sae", registry.current("sae").model);
+  EXPECT_EQ(registry.current("sae").model.get(), twin);
 }
 
 // ---------------------------------------------------------------------------

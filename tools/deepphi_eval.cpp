@@ -59,17 +59,10 @@ void print_filters(const la::Matrix& w, int count) {
                 core::ascii_filter(w, u, side).c_str());
 }
 
-/// The model's first-layer weight matrix, when it has one to render
-/// (per-type knowledge stays here, out of the shared evaluation path).
+/// The model's first-layer weight matrix, when it has one to render.
 const la::Matrix* first_layer_weights(const core::Encoder& model) {
-  if (auto* sae = dynamic_cast<const core::SparseAutoencoder*>(&model))
-    return &sae->w1();
-  if (auto* rbm = dynamic_cast<const core::Rbm*>(&model)) return &rbm->w();
-  if (auto* stack = dynamic_cast<const core::StackedAutoencoder*>(&model))
-    return &stack->layer(0).w1();
-  if (auto* dbn = dynamic_cast<const core::Dbn*>(&model))
-    return &dbn->layer(0).w();
-  return nullptr;
+  const std::vector<core::SigmoidLayer> chain = core::sigmoid_chain(model);
+  return chain.empty() ? nullptr : chain.front().w;
 }
 
 /// Type-specific quality metrics (reconstruction error needs the decoder
