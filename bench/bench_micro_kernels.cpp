@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark, real wall time on THIS machine) of the
 // compute kernels: the optimized blocked GEMM vs the naive triple loop, the
-// fused vs unfused elementwise sequences, sampling, transpose, reductions.
+// fused vs unfused elementwise sequences, sampling, transpose, reductions,
+// the along-k GEMM packer and the u8 shard decode.
 // These measure the actual library (not the simulator) — the analogue of the
 // per-kernel engineering the paper's §IV describes.
 //
@@ -127,20 +128,70 @@ void BM_ElementwiseFused(benchmark::State& state) {
 }
 BENCHMARK(BM_ElementwiseFused)->Arg(64)->Arg(512);
 
+// rows × cols means; the sizes straddle the kernel's parallel threshold
+// (la/elementwise.cpp), 200×64 is rbm_stream's hidden layer. Run it at
+// OMP_NUM_THREADS=1 and at the team size to see where splitting rows pays.
 void BM_SampleBernoulli(benchmark::State& state) {
-  const la::Index n = state.range(0);
-  la::Matrix mean = random_matrix(n, 512, 6);
+  const la::Index rows = state.range(0), cols = state.range(1);
+  la::Matrix mean = random_matrix(rows, cols, 6);
   for (la::Index i = 0; i < mean.size(); ++i)
     mean.data()[i] = 0.5f + 0.4f * mean.data()[i];
-  la::Matrix out(n, 512);
+  la::Matrix out(rows, cols);
   util::Rng rng(7);
   std::uint64_t step = 0;
   for (auto _ : state) {
     la::sample_bernoulli(mean, out, rng.split(step++));
     benchmark::DoNotOptimize(out.data());
   }
+  state.SetItemsProcessed(state.iterations() * mean.size());
 }
-BENCHMARK(BM_SampleBernoulli)->Arg(64)->Arg(512);
+BENCHMARK(BM_SampleBernoulli)
+    ->Args({16, 64})
+    ->Args({32, 64})
+    ->Args({64, 64})
+    ->Args({128, 64})
+    ->Args({200, 64})
+    ->Args({64, 512})
+    ->Args({512, 512});
+
+// The along-k GEMM packer (KernelTable::pack_along_k) on a rows × kc block
+// into the bound tier's A panels (arg 2 = 0, gemm_mr wide) or B panels
+// (arg 2 = 1, gemm_nr wide): 120 rows is one mc block of rbm_stream's
+// v1·Wᵀ, 64 its Wᵀ.
+void BM_PackAlongK(benchmark::State& state) {
+  const la::Index rows = state.range(0), kc = state.range(1);
+  const la::simd::KernelTable& tab = la::simd::active();
+  const la::Index w = state.range(2) == 0 ? tab.gemm_mr : tab.gemm_nr;
+  const la::Matrix src = random_matrix(rows, kc, 10);
+  std::vector<float> buf(static_cast<std::size_t>((rows + w - 1) / w * w * kc));
+  for (auto _ : state) {
+    tab.pack_along_k(src.data(), kc, kc, rows, w, buf.data());
+    benchmark::DoNotOptimize(buf.data());
+  }
+  state.SetBytesProcessed(state.iterations() * rows * kc *
+                          static_cast<std::int64_t>(sizeof(float)));
+}
+BENCHMARK(BM_PackAlongK)
+    ->Args({120, 256, 0})
+    ->Args({64, 256, 1})
+    ->Args({1024, 256, 1});
+
+// The u8 → float shard decode (KernelTable::decode_u8) of rows × 576
+// bytes: 10000 rows is one rbm_stream chunk.
+void BM_DecodeU8(benchmark::State& state) {
+  const la::Index n = state.range(0) * 576;
+  std::vector<std::uint8_t> src(static_cast<std::size_t>(n));
+  for (la::Index i = 0; i < n; ++i)
+    src[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(i * 131);
+  std::vector<float> dst(static_cast<std::size_t>(n));
+  const auto decode = la::simd::active().decode_u8;
+  for (auto _ : state) {
+    decode(src.data(), dst.data(), n);
+    benchmark::DoNotOptimize(dst.data());
+  }
+  state.SetBytesProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_DecodeU8)->Arg(200)->Arg(10000);
 
 void BM_Transpose(benchmark::State& state) {
   const la::Index n = state.range(0);
@@ -153,15 +204,24 @@ void BM_Transpose(benchmark::State& state) {
 }
 BENCHMARK(BM_Transpose)->Arg(256)->Arg(1024);
 
+// rows × cols column sums around the kernel's parallel threshold
+// (la/reduce.cpp): rbm_stream's hidden and visible layers, then SAE-sized.
 void BM_ColSum(benchmark::State& state) {
-  la::Matrix m = random_matrix(state.range(0), 1024, 9);
-  la::Vector out(1024);
+  la::Matrix m = random_matrix(state.range(0), state.range(1), 9);
+  la::Vector out(state.range(1));
   for (auto _ : state) {
     la::col_sum(m, out);
     benchmark::DoNotOptimize(out.data());
   }
+  state.SetItemsProcessed(state.iterations() * m.size());
 }
-BENCHMARK(BM_ColSum)->Arg(256)->Arg(2048);
+BENCHMARK(BM_ColSum)
+    ->Args({200, 64})
+    ->Args({64, 576})
+    ->Args({128, 576})
+    ->Args({200, 576})
+    ->Args({256, 1024})
+    ->Args({2048, 1024});
 
 // Times the dispatched GEMM forward product y = x*W^T per SIMD tier at the
 // paper's Fig. 7 layer shapes and emits a table with a speedup_vs_scalar

@@ -3,7 +3,9 @@
 // drive the attached cluster's timeline (one card or many), emit
 // per-chunk/epoch/run telemetry, apply the stop conditions — with the
 // per-chunk gradient work (the slot loop in trainer.cpp) supplied as a
-// callback.
+// callback. One data::ChunkStream feeds the whole run, one pass per epoch,
+// so its loading thread and buffer pool cross epoch boundaries and only the
+// run's first chunk is decoded while training waits.
 #pragma once
 
 #include <algorithm>
@@ -118,22 +120,25 @@ TrainReport run_train_loop(const TrainerConfig& config,
   const bool async_loading = config.policy == ExecPolicy::kPhiOffload;
   phi::ChunkRing ring(static_cast<int>(config.ring_chunks), async_loading);
 
+  // One stream for the whole run, one pass per epoch: its Fig. 5 loading
+  // thread and buffer pool carry across epoch boundaries, so epoch e+1's
+  // first chunk is staged while epoch e's last one trains.
+  data::ChunkStreamConfig stream_cfg;
+  stream_cfg.chunk_examples = config.chunk_examples;
+  // A dry run stages its shape-only chunks inline: the loader thread would
+  // not run dry. Loading records no kernel work, so the stats are the same.
+  stream_cfg.background = async_loading && !phi::dry_run();
+  stream_cfg.ring_chunks = config.ring_chunks;
+  stream_cfg.shuffle_window = config.shuffle_window;
+  // A fresh shuffle per epoch, derived only from (config.seed, epoch)
+  // (data::pass_shuffle_seed), so the visit order is bitwise-reproducible
+  // across backings, replica factorizations, and resumed runs.
+  stream_cfg.shuffle_seed = config.seed;
+  stream_cfg.passes = config.epochs;
+  data::ChunkStream stream(dataset, stream_cfg);
+
   bool stop = false;
   for (int epoch = 0; epoch < config.epochs && !stop; ++epoch) {
-    data::ChunkStreamConfig stream_cfg;
-    stream_cfg.chunk_examples = config.chunk_examples;
-    // A dry run stages its shape-only chunks inline: the loader thread would
-    // not run dry. Loading records no kernel work, so the stats are the same.
-    stream_cfg.background = async_loading && !phi::dry_run();
-    stream_cfg.ring_chunks = config.ring_chunks;
-    stream_cfg.shuffle_window = config.shuffle_window;
-    // A fresh shuffle per epoch, derived only from (config.seed, epoch), so
-    // the visit order is bitwise-reproducible across backings, replica
-    // factorizations, and resumed runs.
-    stream_cfg.shuffle_seed =
-        config.seed ^ (0x9e3779b97f4a7c15ULL *
-                       (static_cast<std::uint64_t>(epoch) + 1));
-    data::ChunkStream stream(dataset, stream_cfg);
     const std::int64_t epoch_first_chunk = report.chunks;
     const double epoch_start_s = timer.seconds();
 
@@ -209,8 +214,6 @@ TrainReport run_train_loop(const TrainerConfig& config,
         stop = true;
     }
 
-    report.load_stall_seconds += stream.consumer_wait_seconds();
-
     if (config.telemetry) {
       using obs::TelemetryField;
       const std::int64_t epoch_chunks = report.chunks - epoch_first_chunk;
@@ -230,6 +233,7 @@ TrainReport run_train_loop(const TrainerConfig& config,
     }
   }
 
+  report.load_stall_seconds = stream.consumer_wait_seconds();
   report.wall_seconds = timer.seconds();
   if (config.telemetry) {
     using obs::TelemetryField;

@@ -41,6 +41,11 @@ std::vector<RowShard> shard_rows(Index rows, int shards) {
   return out;
 }
 
+std::uint64_t pass_shuffle_seed(std::uint64_t seed, int pass) {
+  return seed ^
+         (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(pass) + 1));
+}
+
 ChunkStream::ChunkStream(const StreamingSource& source, ChunkStreamConfig config)
     : source_(source), config_(config) {
   DEEPPHI_CHECK_MSG(config_.chunk_examples >= 1,
@@ -53,9 +58,11 @@ ChunkStream::ChunkStream(const StreamingSource& source, ChunkStreamConfig config
   DEEPPHI_CHECK_MSG(config_.prefetch_chunks >= 0,
                     "prefetch_chunks must be >= 0, got "
                         << config_.prefetch_chunks);
+  DEEPPHI_CHECK_MSG(config_.passes >= 1,
+                    "passes must be >= 1, got " << config_.passes);
   if (config_.shuffle_window > 0)
     shuffle_.emplace(source_.rows(), config_.shuffle_window,
-                     config_.shuffle_seed);
+                     pass_shuffle_seed(config_.shuffle_seed, 0));
   if (config_.background) {
     DEEPPHI_DEBUG() << "chunk stream: background loading thread, ring of "
                     << config_.ring_chunks << " x " << config_.chunk_examples
@@ -67,10 +74,16 @@ ChunkStream::ChunkStream(const StreamingSource& source, ChunkStreamConfig config
 }
 
 ChunkStream::~ChunkStream() {
-  // Join the Fig. 5 loader thread before anything else is torn down: its
-  // produce() -> acquire() path locks pool_mutex_ and pops pool_, so those
-  // members must outlive the pipeline even when the consumer abandons the
-  // stream with the loader still running ahead.
+  // Release a loader held back at a pass boundary, then join the Fig. 5
+  // loader thread before anything else is torn down: its produce() ->
+  // acquire() path locks pool_mutex_ and pops pool_, so those members must
+  // outlive the pipeline even when the consumer abandons the stream with the
+  // loader still running ahead.
+  {
+    std::lock_guard<std::mutex> lock(pool_mutex_);
+    stopping_ = true;
+  }
+  loader_cv_.notify_all();
   pipeline_.reset();
 }
 
@@ -83,6 +96,8 @@ la::Matrix ChunkStream::acquire(Index rows) {
       return buf;
     }
   }
+  static obs::Counter& allocated = obs::counter("data.chunk_buffers_allocated");
+  allocated.add();
   return la::Matrix::uninitialized(rows, source_.dim());
 }
 
@@ -92,15 +107,40 @@ void ChunkStream::recycle(la::Matrix buffer) {
   if (buffer.rows() != config_.chunk_examples ||
       buffer.cols() != source_.dim())
     return;
-  std::lock_guard<std::mutex> lock(pool_mutex_);
-  if (pool_.size() < config_.ring_chunks + 2)
+  {
+    std::lock_guard<std::mutex> lock(pool_mutex_);
+    if (pool_.size() >= config_.ring_chunks + 2) return;
     pool_.push_back(std::move(buffer));
+  }
+  loader_cv_.notify_all();
 }
 
 std::optional<la::Matrix> ChunkStream::produce() {
   // Runs on the loading thread in background mode, or inline otherwise.
   const Index n = source_.rows();
-  if (cursor_ >= n) return std::nullopt;
+  if (cursor_ >= n) {
+    if (n == 0 || pass_ + 1 >= config_.passes) return std::nullopt;
+    // The next pass starts with a fresh shuffle plan.
+    ++pass_;
+    cursor_ = 0;
+    if (shuffle_)
+      shuffle_.emplace(n, config_.shuffle_window,
+                       pass_shuffle_seed(config_.shuffle_seed, pass_));
+  }
+  {
+    // Ahead of the consumer's pass, stage only the next pass's first chunk,
+    // and only into a recycled buffer: crossing a pass boundary early then
+    // keeps no more buffers alive than a pass does. (Inline staging is never
+    // ahead.)
+    const int pass = pass_;
+    const bool first = cursor_ == 0;
+    std::unique_lock<std::mutex> lock(pool_mutex_);
+    loader_cv_.wait(lock, [&] {
+      return stopping_ || pass == consumer_pass_ ||
+             (pass == consumer_pass_ + 1 && first && !pool_.empty());
+    });
+    if (stopping_) return std::nullopt;
+  }
   const Index count = std::min(config_.chunk_examples, n - cursor_);
 
   static obs::Histogram& io_hist = obs::histogram("data.stage.io");
@@ -150,6 +190,18 @@ std::optional<la::Matrix> ChunkStream::produce() {
 
 std::optional<la::Matrix> ChunkStream::next() {
   DEEPPHI_PROFILE_SCOPE("chunk_stream.next");
+  if (consumer_pass_ >= config_.passes) return std::nullopt;
+  if (consumed_in_pass_ == total_chunks()) {
+    // End of this pass; the loader may already have staged the next one's
+    // first chunk, and may now go on.
+    consumed_in_pass_ = 0;
+    {
+      std::lock_guard<std::mutex> lock(pool_mutex_);
+      ++consumer_pass_;
+    }
+    loader_cv_.notify_all();
+    return std::nullopt;
+  }
   std::optional<la::Matrix> chunk;
   if (pipeline_) {
     // Blocking wait is accounted inside the ring's pop (see
@@ -161,6 +213,7 @@ std::optional<la::Matrix> ChunkStream::next() {
     consumer_wait_ns_.fetch_add(since_ns(t0), std::memory_order_relaxed);
   }
   if (chunk) {
+    ++consumed_in_pass_;
     static obs::Counter& loaded = obs::counter("data.chunks_loaded");
     loaded.add();
     static obs::Gauge& occupancy = obs::gauge("data.ring_occupancy");

@@ -18,7 +18,15 @@
 // ring occupancy feeds the "data.ring_occupancy" gauge. Consumers return
 // finished chunk buffers via recycle(), so the steady state re-uses
 // ring_chunks + 2 full-size buffers instead of allocating per chunk (the
-// ragged tail chunk, at most one per pass, still allocates fresh).
+// ragged tail chunk, at most one per pass, still allocates fresh); the
+// "data.chunk_buffers_allocated" counter counts every fresh buffer.
+//
+// A stream makes `passes` passes over the source (a trainer's epochs) back
+// to back, with one loader and one buffer pool: the loader stages pass p+1's
+// first chunk, in a buffer the consumer recycled, while the consumer trains
+// pass p's last ones, so of a whole run only the first chunk is decoded
+// while the consumer waits. It stages no more of pass p+1 until the
+// consumer gets there, so a pass boundary needs no buffer a pass does not.
 //
 // The functional side is real: in background mode a par::ChunkPipeline runs
 // an actual loader thread that stages chunks ahead of the consumer. The
@@ -26,6 +34,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -63,23 +72,32 @@ struct ChunkStreamConfig {
   /// >= chunk_examples otherwise, so a chunk draws from <= 2 windows. The
   /// plan depends only on (rows, window, seed) — never on the backing.
   Index shuffle_window = 0;
+  /// Pass p shuffles with a fresh plan seeded pass_shuffle_seed(shuffle_seed,
+  /// p), so each pass's order is a function of (rows, window, seed, p).
   std::uint64_t shuffle_seed = 0;
+  /// Passes over the source, streamed back to back (>= 1).
+  int passes = 1;
   /// Chunks of readahead the io stage hints to the source each produce.
   Index prefetch_chunks = 2;
 };
 
+/// The shuffle seed of pass `pass` of a stream seeded `seed`.
+std::uint64_t pass_shuffle_seed(std::uint64_t seed, int pass);
+
 class ChunkStream {
  public:
-  /// Streams `source` once, front to back (or window-shuffled), in chunks of
-  /// chunk_examples (final chunk may be short). `source` must outlive the
-  /// stream.
+  /// Streams `source` config.passes times, each pass front to back (or
+  /// window-shuffled) in chunks of chunk_examples (a pass's final chunk may
+  /// be short). `source` must outlive the stream.
   ChunkStream(const StreamingSource& source, ChunkStreamConfig config);
   ~ChunkStream();
 
   ChunkStream(const ChunkStream&) = delete;
   ChunkStream& operator=(const ChunkStream&) = delete;
 
-  /// Next chunk (rows×dim matrix) or nullopt when the pass is done.
+  /// Next chunk (rows×dim matrix) of the current pass, or nullopt once when
+  /// the pass is done; the call after that starts the next pass. After the
+  /// last pass every call returns nullopt.
   std::optional<la::Matrix> next();
 
   /// Hands a consumed chunk's buffer back for re-use by the decode stage.
@@ -98,6 +116,7 @@ class ChunkStream {
   double consumer_wait_seconds() const;
 
   Index chunk_examples() const { return config_.chunk_examples; }
+  /// Chunks in one pass.
   Index total_chunks() const;
 
  private:
@@ -106,15 +125,27 @@ class ChunkStream {
 
   const StreamingSource& source_;
   ChunkStreamConfig config_;
+  // Producer side (the loader thread in background mode).
+  int pass_ = 0;
   Index cursor_ = 0;
   std::optional<WindowShuffle> shuffle_;
   std::vector<Index> index_buf_;  // loader-thread scratch for gather plans
+  // Consumer side: how many of its pass's chunks next() has handed out,
+  // which is how it finds a pass's end without waiting on the loader.
+  Index consumed_in_pass_ = 0;
 
   // Buffer pool: consumed full-size chunks come back via recycle() and the
   // decode stage re-uses them (bounded at ring_chunks + 2 — ring plus one in
   // flight on each side — so an over-eager consumer cannot grow it).
+  // pool_mutex_ also guards the consumer's pass (written by next() only)
+  // and stopping_: a loader ahead of the consumer's pass waits on
+  // loader_cv_ for a recycled buffer or for the consumer to catch up, and
+  // ~ChunkStream sets stopping_ to release it.
   mutable std::mutex pool_mutex_;
+  std::condition_variable loader_cv_;
   std::vector<la::Matrix> pool_;
+  int consumer_pass_ = 0;
+  bool stopping_ = false;
 
   std::atomic<std::int64_t> consumer_wait_ns_{0};
 

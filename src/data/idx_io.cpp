@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "data/io_util.hpp"
+#include "la/simd/dispatch.hpp"
 #include "util/error.hpp"
 
 namespace deepphi::data {
@@ -49,9 +50,10 @@ Dataset load_idx_images(const std::string& path, Index* rows_out,
     detail::read_exact(in, row_buf.data(), row_buf.size(), path,
                        "IDX image " + std::to_string(i) + " of " +
                            std::to_string(n));
-    float* dst = set.example(static_cast<Index>(i));
-    for (std::size_t j = 0; j < row_buf.size(); ++j)
-      dst[j] = static_cast<float>(row_buf[j]) / 255.0f;
+    // float(b) / 255, the rule u8 shards decode with too.
+    la::simd::active().decode_u8(row_buf.data(),
+                                 set.example(static_cast<Index>(i)),
+                                 static_cast<Index>(row_buf.size()));
   }
   if (rows_out) *rows_out = static_cast<Index>(rows);
   if (cols_out) *cols_out = static_cast<Index>(cols);

@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "data/io_util.hpp"
+#include "la/simd/dispatch.hpp"
 #include "util/json_reader.hpp"
 #include "util/json_writer.hpp"
 
@@ -321,11 +322,9 @@ void ShardedDataset::decode_span(std::size_t s, Index local, Index count,
     std::memcpy(dst, src,
                 sizeof(float) * static_cast<std::size_t>(count * d));
   } else {
-    const std::size_t n = static_cast<std::size_t>(count * d);
     // Same decode rule as the IDX loader, so u8 shards of an IDX corpus
     // train bitwise-identically to the in-memory load.
-    for (std::size_t i = 0; i < n; ++i)
-      dst[i] = static_cast<float>(src[i]) / 255.0f;
+    la::simd::active().decode_u8(src, dst, count * d);
   }
 }
 
@@ -356,6 +355,12 @@ void ShardedDataset::copy_rows(const std::vector<Index>& indices,
                     "gather target must be " << indices.size() << "x" << dim()
                                              << ", got " << out.rows() << "x"
                                              << out.cols());
+  // Every index is checked in one pass before any row is decoded.
+  const Index n = rows();
+  const auto bad = std::find_if(indices.begin(), indices.end(),
+                                [n](Index i) { return i < 0 || i >= n; });
+  DEEPPHI_CHECK_MSG(bad == indices.end(),
+                    "example index " << *bad << " out of " << n);
   // The window shuffle hands us runs that stay inside one window, which
   // nearly always lands in a single shard — memoize the last hit so the
   // steady state skips the binary search, and hoist the f32 row copy out
@@ -363,11 +368,10 @@ void ShardedDataset::copy_rows(const std::vector<Index>& indices,
   const Index d = dim();
   const std::size_t esize = dtype_size(manifest_.dtype);
   const std::size_t row_bytes = static_cast<std::size_t>(d) * esize;
+  const auto decode_u8 = la::simd::active().decode_u8;
   std::size_t s = 0;
   for (std::size_t r = 0; r < indices.size(); ++r) {
     const Index i = indices[r];
-    DEEPPHI_CHECK_MSG(i >= 0 && i < rows(),
-                      "example index " << i << " out of " << rows());
     if (i < row_begin_[s] || i >= row_begin_[s + 1]) s = shard_of(i);
     const unsigned char* src =
         payload_[s] + static_cast<std::size_t>(i - row_begin_[s]) * row_bytes;
@@ -375,8 +379,7 @@ void ShardedDataset::copy_rows(const std::vector<Index>& indices,
     if (manifest_.dtype == ShardDtype::kF32) {
       std::memcpy(dst, src, sizeof(float) * static_cast<std::size_t>(d));
     } else {
-      for (Index j = 0; j < d; ++j)
-        dst[j] = static_cast<float>(src[j]) / 255.0f;
+      decode_u8(src, dst, d);
     }
   }
 }

@@ -20,6 +20,12 @@ constexpr Index kFlatChunk = 1 << 12;
 // former scalar loops consumed — so the RNG stream is identical on every
 // dispatch tier and only the sigmoid + compare are vectorized.
 constexpr Index kUniformChunk = 256;
+
+// The sampling kernels split rows over the team from this many elements.
+// Row r always draws from base.split(r), so any split gives the same bits;
+// below it the fork/join costs more than the draws it spreads
+// (bench_micro_kernels BM_SampleBernoulli).
+constexpr Index kSampleParallelThreshold = 1 << 11;
 }  // namespace
 
 void sigmoid_inplace(Matrix& m) {
@@ -105,7 +111,8 @@ void sample_bernoulli(const Matrix& mean, Matrix& out, const util::Rng& base) {
   const simd::KernelTable& tab = simd::active();
   const Index rows = mean.rows();
   const Index cols = mean.cols();
-#pragma omp parallel for if (mean.size() >= kParallelThreshold) schedule(static)
+#pragma omp parallel for if (mean.size() >= kSampleParallelThreshold) \
+    schedule(static)
   for (Index r = 0; r < rows; ++r) {
     util::Rng rng = base.split(static_cast<std::uint64_t>(r));
     const float* mp = mean.row(r);
@@ -113,7 +120,7 @@ void sample_bernoulli(const Matrix& mean, Matrix& out, const util::Rng& base) {
     float u[kUniformChunk];
     for (Index c0 = 0; c0 < cols; c0 += kUniformChunk) {
       const Index len = std::min(kUniformChunk, cols - c0);
-      for (Index i = 0; i < len; ++i) u[i] = rng.uniform_float();
+      rng.fill_uniform_float(u, len);
       tab.bernoulli_compare(mp + c0, u, op + c0, len);
     }
   }
@@ -177,7 +184,8 @@ void bias_sigmoid_sample(Matrix& m, const Vector& bias, Matrix& sample,
   const Index rows = m.rows();
   const Index cols = m.cols();
   const float* bp = bias.data();
-#pragma omp parallel for if (m.size() >= kParallelThreshold) schedule(static)
+#pragma omp parallel for if (m.size() >= kSampleParallelThreshold) \
+    schedule(static)
   for (Index r = 0; r < rows; ++r) {
     util::Rng rng = base.split(static_cast<std::uint64_t>(r));
     float* mp = m.row(r);
@@ -185,7 +193,7 @@ void bias_sigmoid_sample(Matrix& m, const Vector& bias, Matrix& sample,
     float u[kUniformChunk];
     for (Index c0 = 0; c0 < cols; c0 += kUniformChunk) {
       const Index len = std::min(kUniformChunk, cols - c0);
-      for (Index i = 0; i < len; ++i) u[i] = rng.uniform_float();
+      rng.fill_uniform_float(u, len);
       tab.bias_sigmoid_sample(mp + c0, bp + c0, sp + c0, u, len);
     }
   }

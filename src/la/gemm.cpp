@@ -42,41 +42,32 @@ void pack_rows_along_width(const float* src, Index ld, Index kc, Index width,
   }
 }
 
-// Source element (kk, j) at src[j·ld + kk]: each panel column is one
-// contiguous run of a source row.
-void pack_rows_along_k(const float* src, Index ld, Index kc, Index width,
-                       Index w, float* buf) {
-  for (Index j0 = 0; j0 < width; j0 += w) {
-    const Index cols = std::min(w, width - j0);
-    float* dst = buf + j0 * kc;
-    for (Index j = 0; j < cols; ++j) {
-      const float* s = src + (j0 + j) * ld;
-      for (Index kk = 0; kk < kc; ++kk) dst[kk * w + j] = s[kk];
-    }
-    for (Index kk = 0; kk < kc; ++kk)
-      std::fill(dst + kk * w + cols, dst + kk * w + w, 0.0f);
-  }
-}
+// Source element (kk, j) at src[j·ld + kk] — each panel column is one
+// contiguous run of a source row — is the dispatched
+// simd::KernelTable::pack_along_k, which transposes in registers.
 
-// Packs the mc×kc block of op(A) at (ic, pc) into mr-row panels.
+// Packs the mc×kc block of op(A) at (ic, pc) into the tier's mr-row panels.
 void pack_a(const Matrix& a, Trans ta, Index ic, Index pc, Index mc, Index kc,
-            Index mr, float* buf) {
+            const simd::KernelTable& tab, float* buf) {
   if (ta == Trans::kNo) {
-    pack_rows_along_k(a.data() + ic * a.cols() + pc, a.cols(), kc, mc, mr, buf);
+    tab.pack_along_k(a.data() + ic * a.cols() + pc, a.cols(), kc, mc,
+                     tab.gemm_mr, buf);
   } else {
-    pack_rows_along_width(a.data() + pc * a.cols() + ic, a.cols(), kc, mc, mr,
-                          buf);
+    pack_rows_along_width(a.data() + pc * a.cols() + ic, a.cols(), kc, mc,
+                          tab.gemm_mr, buf);
   }
 }
 
-// Packs the kc×nc block of op(B) at (pc, jc) into nr-column panels.
+// Packs the kc×nc block of op(B) at (pc, jc) into the tier's nr-column
+// panels.
 void pack_b(const Matrix& b, Trans tb, Index pc, Index jc, Index kc, Index nc,
-            Index nr, float* buf) {
+            const simd::KernelTable& tab, float* buf) {
   if (tb == Trans::kNo) {
-    pack_rows_along_width(b.data() + pc * b.cols() + jc, b.cols(), kc, nc, nr,
-                          buf);
+    pack_rows_along_width(b.data() + pc * b.cols() + jc, b.cols(), kc, nc,
+                          tab.gemm_nr, buf);
   } else {
-    pack_rows_along_k(b.data() + jc * b.cols() + pc, b.cols(), kc, nc, nr, buf);
+    tab.pack_along_k(b.data() + jc * b.cols() + pc, b.cols(), kc, nc,
+                     tab.gemm_nr, buf);
   }
 }
 
@@ -114,11 +105,11 @@ void gemm_tile(Trans ta, Trans tb, float alpha, float beta, const Matrix& a,
         b_block = packed_b->panels() + pc * packed_b->padded_cols() +
                   jc * kc_eff;
       } else {
-        pack_b(*b, tb, pc, jc, kc_eff, nc_eff, nr, b_buf);
+        pack_b(*b, tb, pc, jc, kc_eff, nc_eff, tab, b_buf);
       }
       for (Index ic = row_begin; ic < row_end; ic += bl.mc) {
         const Index mc_eff = std::min(bl.mc, row_end - ic);
-        pack_a(a, ta, ic, pc, mc_eff, kc_eff, mr, a_buf);
+        pack_a(a, ta, ic, pc, mc_eff, kc_eff, tab, a_buf);
         for (Index jr = 0; jr < nc_eff; jr += nr) {
           const float* bp = b_block + jr * kc_eff;
 #ifndef NDEBUG
@@ -377,7 +368,7 @@ PackedB::PackedB(Trans trans, const Matrix& b) {
   panels_ =
       util::make_aligned<float>(static_cast<std::size_t>(k_ * padded_cols_));
   for (Index pc = 0; pc < k_; pc += bl.kc)
-    pack_b(b, trans, pc, 0, std::min(bl.kc, k_ - pc), n_, nr,
+    pack_b(b, trans, pc, 0, std::min(bl.kc, k_ - pc), n_, tab,
            panels_.get() + pc * padded_cols_);
 }
 

@@ -2,15 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "la/blas1.hpp"
+#include "la/simd/dispatch.hpp"
 #include "phi/kernel_stats.hpp"
 
 namespace deepphi::la {
 
 namespace {
 constexpr Index kParallelThreshold = 1 << 15;
+
+// col_sum splits its columns into blocks of this many (a multiple of every
+// tier's register block) and spreads them over the team from
+// kColSumParallelThreshold elements, where the fork/join pays for itself
+// (bench_micro_kernels BM_ColSum).
+constexpr Index kColSumBlock = 64;
+constexpr Index kColSumParallelThreshold = 1 << 15;
 
 float clampf(float v, float lo, float hi) { return std::min(std::max(v, lo), hi); }
 }  // namespace
@@ -21,17 +28,19 @@ void col_sum(const Matrix& m, Vector& out) {
                                                                 << m.cols());
   phi::record(phi::loop_contribution(m.size(), 1.0, 1.0, 0.0));
   if (phi::dry_run()) return;
+  const simd::KernelTable& tab = simd::active();
   const Index rows = m.rows();
   const Index cols = m.cols();
-  std::vector<double> acc(static_cast<std::size_t>(cols), 0.0);
-  // Row-major streaming accumulation; cols is small relative to rows in all
-  // training uses, so a single accumulator array stays in cache.
-  for (Index r = 0; r < rows; ++r) {
-    const float* row = m.row(r);
-    for (Index c = 0; c < cols; ++c) acc[static_cast<std::size_t>(c)] += row[c];
+  const Index blocks = (cols + kColSumBlock - 1) / kColSumBlock;
+  // Each column is summed whole by one thread, in row order, so the split
+  // never changes a bit.
+#pragma omp parallel for if (m.size() >= kColSumParallelThreshold && \
+                                 blocks > 1) schedule(static)
+  for (Index b = 0; b < blocks; ++b) {
+    const Index c0 = b * kColSumBlock;
+    tab.col_sum(m.data() + c0, cols, rows, std::min(kColSumBlock, cols - c0),
+                out.data() + c0);
   }
-  for (Index c = 0; c < cols; ++c)
-    out[c] = static_cast<float>(acc[static_cast<std::size_t>(c)]);
 }
 
 void col_mean(const Matrix& m, Vector& out) {

@@ -6,9 +6,9 @@
 // units built with per-file ISA flags (-mavx2 -mfma / -mavx512f). At first
 // use the dispatcher CPUID-probes the machine, picks the widest available
 // tier, and binds one KernelTable of function pointers that every hot
-// kernel (GEMM micro-kernel incl. fused epilogues, sigmoid family, Bernoulli
-// sampling compare, axpy/dot, the int8 micro-kernel and activation
-// quantizer) routes through.
+// kernel (GEMM micro-kernel incl. fused epilogues, the along-k GEMM packer,
+// sigmoid family, Bernoulli sampling compare, column sums, axpy/dot, the u8
+// decode, the int8 micro-kernel and activation quantizer) routes through.
 //
 // Numerical contract — identical results on every tier:
 //  * every tier runs the SAME generic kernel body (kernels_body.inl)
@@ -111,6 +111,22 @@ struct KernelTable {
   /// exact, so lane sums are bit-identical on every tier), then one fixed
   /// pairwise tree. Same result for W=1/8/16 hardware.
   double (*dot8)(const float* x, const float* y, std::int64_t n) = nullptr;
+
+  /// out[c] = Σ_r m(r, c) over a rows × cols block with leading dimension
+  /// `ld`: each column summed in double from +0 in row order, then rounded
+  /// to float — the same bits on every tier and for any column split.
+  void (*col_sum)(const float* m, std::int64_t ld, std::int64_t rows,
+                  std::int64_t cols, float* out) = nullptr;
+  /// Packs `width` source rows of `kc` floats (leading dimension `ld`) into
+  /// w-wide k-major GEMM panels: source (j, kk) lands at
+  /// buf[(j / w)·w·kc + kk·w + j % w], zero-padded to a whole panel
+  /// (la/gemm.cpp, "Packing"). Register transposes on the vector tiers.
+  void (*pack_along_k)(const float* src, std::int64_t ld, std::int64_t kc,
+                       std::int64_t width, std::int64_t w,
+                       float* buf) = nullptr;
+  /// dst[i] = float(src[i]) / 255 — the u8 shard and IDX decode rule.
+  void (*decode_u8)(const std::uint8_t* src, float* dst,
+                    std::int64_t n) = nullptr;
 
   /// Rows of activations the int8 micro-kernel holds in registers.
   std::int64_t quant_mr = 0;

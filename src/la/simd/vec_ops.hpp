@@ -14,6 +14,14 @@
 // tier. Do not add an op whose scalar and vector forms can round
 // differently.
 //
+// Three data-movement ops carry no rounding of their own: widen_add adds a
+// float vector's lanes, converted exactly to double, into two double
+// accumulators (the low and high halves; the scalar policy uses only the
+// low one), and narrow rounds them back to float to nearest like
+// static_cast<float> does; load_u8 zero-extends bytes to exact floats; and
+// transpose (vector policies only: the scalar tier packs element by
+// element) turns W rows of W lanes into W columns in registers.
+//
 // Each policy also names the policy its int8 kernels (la/quant.hpp) run on,
 // `Int8`: one whose float vector V and int32 vector VI have the same W
 // lanes, so a lane's exact integer group sum converts straight into the
@@ -90,6 +98,17 @@ struct ScalarOps {
   static void store_u8(std::uint8_t* p, int n, V v) {
     if (n > 0) *p = static_cast<std::uint8_t>(v);
   }
+  /// The first `n` bytes at p as floats; lanes past n read 0.
+  static V load_u8(const std::uint8_t* p, int n) {
+    return n > 0 ? static_cast<float>(*p) : 0.0f;
+  }
+
+  using VD = double;
+  static VD dzero() { return 0.0; }
+  static void widen_add(V v, VD& lo, VD& /*hi*/) {
+    lo += static_cast<double>(v);
+  }
+  static V narrow(VD lo, VD /*hi*/) { return static_cast<float>(lo); }
 
   // --- int8 policy (reference semantics): one int32 lane, whose k-step
   // operand is 4 code bytes read as one int32. ---
@@ -180,6 +199,56 @@ struct Avx2Ops {
       std::memcpy(p, bytes, static_cast<std::size_t>(n));
     }
   }
+  static V load_u8(const std::uint8_t* p, int n) {
+    __m128i bytes;
+    if (n == W) {
+      bytes = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
+    } else {
+      alignas(16) std::uint8_t part[16] = {};
+      std::memcpy(part, p, static_cast<std::size_t>(n));
+      bytes = _mm_load_si128(reinterpret_cast<const __m128i*>(part));
+    }
+    return _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(bytes));
+  }
+
+  using VD = __m256d;
+  static VD dzero() { return _mm256_setzero_pd(); }
+  static void widen_add(V v, VD& lo, VD& hi) {
+    lo = _mm256_add_pd(lo, _mm256_cvtps_pd(_mm256_castps256_ps128(v)));
+    hi = _mm256_add_pd(hi, _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1)));
+  }
+  static V narrow(VD lo, VD hi) {
+    return _mm256_set_m128(_mm256_cvtpd_ps(hi), _mm256_cvtpd_ps(lo));
+  }
+
+  /// 8×8 in-register transpose: unpack pairs, shuffle quads, swap halves.
+  /// Always inlined: called out of line, the rows go through memory.
+  [[gnu::always_inline]] static void transpose(V* r) {
+    const V t0 = _mm256_unpacklo_ps(r[0], r[1]);
+    const V t1 = _mm256_unpackhi_ps(r[0], r[1]);
+    const V t2 = _mm256_unpacklo_ps(r[2], r[3]);
+    const V t3 = _mm256_unpackhi_ps(r[2], r[3]);
+    const V t4 = _mm256_unpacklo_ps(r[4], r[5]);
+    const V t5 = _mm256_unpackhi_ps(r[4], r[5]);
+    const V t6 = _mm256_unpacklo_ps(r[6], r[7]);
+    const V t7 = _mm256_unpackhi_ps(r[6], r[7]);
+    const V u0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+    const V u1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+    const V u2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+    const V u3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+    const V u4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+    const V u5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+    const V u6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+    const V u7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+    r[0] = _mm256_permute2f128_ps(u0, u4, 0x20);
+    r[1] = _mm256_permute2f128_ps(u1, u5, 0x20);
+    r[2] = _mm256_permute2f128_ps(u2, u6, 0x20);
+    r[3] = _mm256_permute2f128_ps(u3, u7, 0x20);
+    r[4] = _mm256_permute2f128_ps(u0, u4, 0x31);
+    r[5] = _mm256_permute2f128_ps(u1, u5, 0x31);
+    r[6] = _mm256_permute2f128_ps(u2, u6, 0x31);
+    r[7] = _mm256_permute2f128_ps(u3, u7, 0x31);
+  }
 
   // --- int8 policy: vpdpbusd emulated with the madd pair. Exact for 7-bit
   // activation codes (see the header comment). VI is a plain int32 vector
@@ -269,6 +338,75 @@ struct Avx512Ops {
   static void store_u8(std::uint8_t* p, int n, V v) {
     _mm512_mask_cvtepi32_storeu_epi8(p, tail_mask(n),
                                      _mm512_maskz_cvttps_epi32(kAll, v));
+  }
+  static V load_u8(const std::uint8_t* p, int n) {
+    __m128i bytes;
+    if (n == W) {
+      bytes = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+    } else {
+      // A byte-masked load needs AVX-512BW, which an F-only build lacks.
+      alignas(16) std::uint8_t part[16] = {};
+      std::memcpy(part, p, static_cast<std::size_t>(n));
+      bytes = _mm_load_si128(reinterpret_cast<const __m128i*>(part));
+    }
+    return _mm512_maskz_cvtepi32_ps(kAll,
+                                    _mm512_maskz_cvtepu8_epi32(kAll, bytes));
+  }
+
+  using VD = __m512d;
+  static VD dzero() { return _mm512_setzero_pd(); }
+  static void widen_add(V v, VD& lo, VD& hi) {
+    const __m512d pairs = _mm512_castps_pd(v);
+    const __m256 low =
+        _mm256_castpd_ps(_mm512_maskz_extractf64x4_pd(0xF, pairs, 0));
+    const __m256 high =
+        _mm256_castpd_ps(_mm512_maskz_extractf64x4_pd(0xF, pairs, 1));
+    lo = _mm512_add_pd(lo, _mm512_maskz_cvtps_pd(0xFF, low));
+    hi = _mm512_add_pd(hi, _mm512_maskz_cvtps_pd(0xFF, high));
+  }
+  static V narrow(VD lo, VD hi) {
+    const __m512d low = _mm512_castpd256_pd512(
+        _mm256_castps_pd(_mm512_maskz_cvtpd_ps(0xFF, lo)));
+    return _mm512_castpd_ps(_mm512_maskz_insertf64x4(
+        0xFF, low, _mm256_castps_pd(_mm512_maskz_cvtpd_ps(0xFF, hi)), 1));
+  }
+
+  /// 16×16 in-register transpose: unpack pairs, shuffle quads within each
+  /// 128-bit lane, then two rounds of 128-bit lane shuffles. Always inlined:
+  /// called out of line, the rows go through memory.
+  [[gnu::always_inline]] static void transpose(V* r) {
+    V t[16];
+#pragma GCC unroll 16
+    for (int i = 0; i < 16; i += 2) {
+      t[i] = _mm512_maskz_unpacklo_ps(kAll, r[i], r[i + 1]);
+      t[i + 1] = _mm512_maskz_unpackhi_ps(kAll, r[i], r[i + 1]);
+    }
+#pragma GCC unroll 16
+    for (int i = 0; i < 16; i += 4) {
+      r[i] = _mm512_maskz_shuffle_ps(kAll, t[i], t[i + 2],
+                                     _MM_SHUFFLE(1, 0, 1, 0));
+      r[i + 1] = _mm512_maskz_shuffle_ps(kAll, t[i], t[i + 2],
+                                         _MM_SHUFFLE(3, 2, 3, 2));
+      r[i + 2] = _mm512_maskz_shuffle_ps(kAll, t[i + 1], t[i + 3],
+                                         _MM_SHUFFLE(1, 0, 1, 0));
+      r[i + 3] = _mm512_maskz_shuffle_ps(kAll, t[i + 1], t[i + 3],
+                                         _MM_SHUFFLE(3, 2, 3, 2));
+    }
+#pragma GCC unroll 16
+    for (int h = 0; h < 16; h += 8) {
+#pragma GCC unroll 16
+      for (int i = 0; i < 4; ++i) {
+        t[h + i] =
+            _mm512_maskz_shuffle_f32x4(kAll, r[h + i], r[h + i + 4], 0x88);
+        t[h + i + 4] =
+            _mm512_maskz_shuffle_f32x4(kAll, r[h + i], r[h + i + 4], 0xdd);
+      }
+    }
+#pragma GCC unroll 16
+    for (int i = 0; i < 8; ++i) {
+      r[i] = _mm512_maskz_shuffle_f32x4(kAll, t[i], t[i + 8], 0x88);
+      r[i + 8] = _mm512_maskz_shuffle_f32x4(kAll, t[i], t[i + 8], 0xdd);
+    }
   }
 
 #if defined(__AVX512VNNI__) && defined(__AVX512BW__)

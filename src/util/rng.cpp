@@ -4,12 +4,6 @@
 
 namespace deepphi::util {
 
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed, std::uint64_t stream) : seed_(seed), stream_(stream) {
   // Mix seed and stream through SplitMix64 so that nearby (seed, stream)
   // pairs land far apart in state space.
@@ -19,17 +13,7 @@ Rng::Rng(std::uint64_t seed, std::uint64_t stream) : seed_(seed), stream_(stream
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
+std::uint64_t Rng::next_u64() { return step(s_); }
 
 double Rng::uniform() {
   // 53 high bits → double in [0, 1).

@@ -46,6 +46,15 @@ class Rng {
   double uniform(double lo, double hi);
   /// Uniform float in [0, 1) — the type used by sampling kernels.
   float uniform_float();
+  /// Writes the n floats that n calls of uniform_float() return, in order,
+  /// and leaves the generator where those calls would. Inline, with the
+  /// state in registers, for the sampling kernels' per-row draws.
+  void fill_uniform_float(float* out, std::int64_t n) {
+    std::uint64_t s[4] = {s_[0], s_[1], s_[2], s_[3]};
+    for (std::int64_t i = 0; i < n; ++i)
+      out[i] = static_cast<float>(step(s) >> 40) * 0x1.0p-24f;
+    for (int k = 0; k < 4; ++k) s_[k] = s[k];
+  }
 
   /// Standard normal via Box–Muller (cached pair).
   double normal();
@@ -63,6 +72,22 @@ class Rng {
   Rng split(std::uint64_t k) const;
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+  /// One xoshiro256** step of state `s`; returns the output word.
+  static std::uint64_t step(std::uint64_t* s) {
+    const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+    const std::uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = rotl(s[3], 45);
+    return result;
+  }
+
   std::uint64_t s_[4];
   std::uint64_t seed_ = 0;
   std::uint64_t stream_ = 0;

@@ -9,6 +9,7 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <utility>
@@ -22,6 +23,7 @@
 #include "core/trainer.hpp"
 #include "data/dataset.hpp"
 #include "data/patches.hpp"
+#include "data/sharded_dataset.hpp"
 #include "la/blas1.hpp"
 #include "la/elementwise.hpp"
 #include "la/gemm.hpp"
@@ -343,10 +345,77 @@ std::vector<TrainPin> train_pins() {
   return pins;
 }
 
+// Pinned runs fed the way rbm_stream is fed: u8 shards (97-row shard files,
+// so shard edges fall inside chunks) through the Fig. 5 loading thread and
+// the windowed shuffle, for 3 epochs of 3 chunks whose last one is ragged.
+// The first two keep the in-memory pins' model shapes; the third is
+// rbm_stream's RBM (576×64 at batch 200), whose nt GEMMs pack full 16-row
+// blocks along k.
+struct ShardPin {
+  std::string what;
+  bool rbm = false;
+  la::Index visible = 0, hidden = 0;
+  la::Index batch = 0, chunk = 0, window = 0;
+  std::string hash;
+};
+
+data::ShardedDataset u8_shards(la::Index rows, la::Index dim,
+                               std::uint64_t seed, const std::string& name) {
+  const std::string dir = testing::TempDir() + "deepphi_pin_" + name;
+  std::filesystem::remove_all(dir);
+  data::ShardWriteOptions wo;
+  wo.dtype = data::ShardDtype::kU8;
+  wo.rows_per_shard = 97;
+  const data::Dataset rows_u01(random_matrix(rows, dim, seed, 0.0, 1.0));
+  return data::ShardedDataset::open(data::write_sharded(rows_u01, dir, wo));
+}
+
+std::string shard_params_hash(const ShardPin& pin,
+                              const data::StreamingSource& source) {
+  core::TrainerConfig tcfg;
+  tcfg.batch_size = pin.batch;
+  tcfg.chunk_examples = pin.chunk;
+  tcfg.epochs = 3;
+  tcfg.policy = core::ExecPolicy::kPhiOffload;
+  tcfg.shuffle_window = pin.window;
+  tcfg.seed = 101;
+  Fnv1a hash;
+  if (pin.rbm) {
+    core::RbmConfig mcfg;
+    mcfg.visible = pin.visible;
+    mcfg.hidden = pin.hidden;
+    mcfg.sample_visible = pin.visible < 100;  // the small run samples v too
+    core::Rbm model(mcfg, 17);
+    core::Trainer(tcfg).train(model, source);
+    hash.add(model.w());
+    hash.add(model.b());
+    hash.add(model.c());
+  } else {
+    core::SparseAutoencoder model(core::SaeConfig{pin.visible, pin.hidden},
+                                  19);
+    core::Trainer(tcfg).train(model, source);
+    hash.add(model.w1());
+    hash.add(model.b1());
+    hash.add(model.w2());
+    hash.add(model.b2());
+  }
+  return hash.hex();
+}
+
 TEST(Determinism, ResultsMatchPinnedParentHashes) {
   const std::string kGemmSweep = "0x5a074befeff16295";
   const std::string kSaeParams = "0x43998573c6e5ec1e";
   const std::string kRbmParams = "0x8bd8d0b7f2806c44";
+  // 347 rows in chunks of 128: 128 + 128 + 91 per epoch; 1143 rows in
+  // chunks of 400: 400 + 400 + 343.
+  const data::ShardedDataset small = u8_shards(347, 50, 81, "small");
+  const data::ShardedDataset stream = u8_shards(1143, 576, 82, "rbm_stream");
+  const ShardPin shard_pins[] = {
+      {"RBM from u8 shards", true, 50, 40, 64, 128, 160, "0x01fe20462310336b"},
+      {"SAE from u8 shards", false, 50, 40, 64, 128, 160,
+       "0xe1bf7db429334108"},
+      {"RBM 576x64 from u8 shards", true, 576, 64, 200, 400, 500,
+       "0x4b9573b3f5150325"}};
   test::for_each_tier_and_thread_count([&](const std::string& where) {
     EXPECT_EQ(gemm_sweep_hash(), kGemmSweep) << "GEMM sweep, " << where;
     EXPECT_EQ(sae_params_hash(), kSaeParams) << "SAE parameters, " << where;
@@ -355,6 +424,11 @@ TEST(Determinism, ResultsMatchPinnedParentHashes) {
       const std::string got = pin.rbm ? rbm_params_hash(pin.config)
                                       : sae_params_hash(pin.config);
       EXPECT_EQ(got, pin.hash) << pin.what << " parameters, " << where;
+    }
+    for (const ShardPin& pin : shard_pins) {
+      EXPECT_EQ(shard_params_hash(pin, pin.visible == 576 ? stream : small),
+                pin.hash)
+          << pin.what << " parameters, " << where;
     }
   });
 }

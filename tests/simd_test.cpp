@@ -24,6 +24,7 @@
 #include "la/elementwise.hpp"
 #include "la/gemm.hpp"
 #include "la/matrix.hpp"
+#include "la/reduce.hpp"
 #include "la/simd/dispatch.hpp"
 #include "phi/kernel_stats.hpp"
 #include "util/error.hpp"
@@ -116,6 +117,9 @@ TEST(SimdDispatch, AvailableTablesAreFullyPopulated) {
     EXPECT_NE(tab.dsigmoid_mul, nullptr);
     EXPECT_NE(tab.axpy, nullptr);
     EXPECT_NE(tab.dot8, nullptr);
+    EXPECT_NE(tab.col_sum, nullptr);
+    EXPECT_NE(tab.pack_along_k, nullptr);
+    EXPECT_NE(tab.decode_u8, nullptr);
   }
 }
 
@@ -435,6 +439,128 @@ TEST(SimdBlas1Parity, AxpyBitwiseAndDotExactAcrossTiers) {
       ASSERT_EQ(axpy_ref[i], y[i]) << simd::tier_name(tier) << " i=" << i;
     EXPECT_EQ(dot_ref, d) << simd::tier_name(tier);
   }
+}
+
+// --- Column sums, the along-k packer, the u8 decode, the uniform fill ---
+
+TEST(SimdColSumParity, MatchesSerialDoubleLoopOnEveryTier) {
+  // Columns past one register block and ragged against every tier's, rows
+  // from 1 to 1000; 1000×1024 crosses the parallel threshold.
+  const Index shapes[][2] = {
+      {1, 1}, {37, 21}, {200, 64}, {200, 576}, {1000, 1024}};
+  for (const auto& shape : shapes) {
+    const Matrix m = random_matrix(shape[0], shape[1], 80, -3.0f, 3.0f);
+    Vector want = Vector::uninitialized(m.cols());
+    for (Index c = 0; c < m.cols(); ++c) {
+      double acc = 0.0;
+      for (Index r = 0; r < m.rows(); ++r) acc += m(r, c);
+      want[c] = static_cast<float>(acc);
+    }
+    for (simd::Tier tier : available_tiers()) {
+      ForcedTier forced(tier);
+      for (int threads : {1, 4}) {
+#ifdef _OPENMP
+        const int prev = omp_get_max_threads();
+        omp_set_num_threads(threads);
+#endif
+        Vector got = Vector::constant(m.cols(), -1.0f);
+        col_sum(m, got);
+#ifdef _OPENMP
+        omp_set_num_threads(prev);
+#endif
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              sizeof(float) * static_cast<std::size_t>(
+                                                  m.cols())),
+                  0)
+            << simd::tier_name(tier) << ", " << threads << " threads, "
+            << m.rows() << "x" << m.cols();
+      }
+    }
+  }
+}
+
+TEST(SimdPackParity, AlongKPanelsMatchTheScalarLayoutOnEveryTier) {
+  // w covers every tier's gemm_mr (4/6/12) and gemm_nr (16/32); kc crosses
+  // the 8- and 16-wide transpose blocks and reaches the kc = 256 panel;
+  // widths are ragged against every w; ld > kc.
+  const Index ws[] = {4, 6, 12, 16, 32};
+  const Index kcs[] = {1, 15, 16, 17, 256};
+  const Index widths[] = {1, 5, 12, 17, 33, 70};
+  for (const Index w : ws) {
+    for (const Index kc : kcs) {
+      for (const Index width : widths) {
+        const Index ld = kc + 3;
+        const Matrix src = random_matrix(width, ld, 90 + kc);
+        const Index panels = (width + w - 1) / w;
+        const std::size_t len = static_cast<std::size_t>(panels * w * kc);
+        // Element (kk, j) at panel j / w, offset kk·w + j % w; zeros past
+        // width.
+        std::vector<float> want(len, 0.0f);
+        for (Index j = 0; j < width; ++j)
+          for (Index kk = 0; kk < kc; ++kk)
+            want[static_cast<std::size_t>((j / w) * w * kc + kk * w + j % w)] =
+                src(j, kk);
+        for (simd::Tier tier : available_tiers()) {
+          ForcedTier forced(tier);
+          std::vector<float> got(len, -7.0f);
+          simd::active().pack_along_k(src.data(), ld, kc, width, w,
+                                      got.data());
+          EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                sizeof(float) * len),
+                    0)
+              << simd::tier_name(tier) << ", w " << w << ", kc " << kc
+              << ", width " << width;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdDecodeParity, U8DecodeIsFloatOver255OnEveryTier) {
+  // Every byte value, then row lengths around each tier's vector width and
+  // rbm_stream's 576.
+  std::vector<std::uint8_t> all(256);
+  for (int b = 0; b < 256; ++b) all[static_cast<std::size_t>(b)] =
+      static_cast<std::uint8_t>(b);
+  std::vector<std::vector<std::uint8_t>> rows = {all};
+  for (const Index n : {1, 15, 16, 17, 576}) {
+    std::vector<std::uint8_t> row(static_cast<std::size_t>(n));
+    for (Index i = 0; i < n; ++i)
+      row[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(251 - 7 * i);
+    rows.push_back(row);
+  }
+  for (const auto& row : rows) {
+    const Index n = static_cast<Index>(row.size());
+    std::vector<float> want(row.size());
+    for (std::size_t i = 0; i < row.size(); ++i)
+      want[i] = static_cast<float>(row[i]) / 255.0f;
+    for (simd::Tier tier : available_tiers()) {
+      ForcedTier forced(tier);
+      std::vector<float> got(row.size() + 1, -1.0f);  // +1: no overrun
+      simd::active().decode_u8(row.data(), got.data(), n);
+      EXPECT_EQ(
+          std::memcmp(got.data(), want.data(), sizeof(float) * row.size()), 0)
+          << simd::tier_name(tier) << ", n " << n;
+      EXPECT_EQ(got.back(), -1.0f) << simd::tier_name(tier) << ", n " << n;
+    }
+  }
+}
+
+TEST(RngFill, FillUniformFloatIsTheUniformFloatSequence) {
+  util::Rng one(21, 5), many(21, 5);
+  std::vector<float> got(300);
+  // Fills of several lengths, including empty, then single draws: the
+  // generator must stay in step with the call-by-call one throughout.
+  Index at = 0;
+  for (const Index n : {0, 1, 7, 256, 36}) {
+    one.fill_uniform_float(got.data() + at, n);
+    at += n;
+  }
+  for (Index i = 0; i < at; ++i)
+    ASSERT_EQ(got[static_cast<std::size_t>(i)], many.uniform_float())
+        << "draw " << i;
+  EXPECT_EQ(one.uniform_float(), many.uniform_float());
+  EXPECT_EQ(one.next_u64(), many.next_u64());
 }
 
 // --- Accounting: stats are shape-only, so tiers must agree exactly ---

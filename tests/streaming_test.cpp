@@ -8,11 +8,14 @@
 // windowed shuffle on or off.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -27,6 +30,7 @@
 #include "data/patches.hpp"
 #include "data/sharded_dataset.hpp"
 #include "data/shuffle.hpp"
+#include "obs/metrics.hpp"
 
 namespace deepphi::data {
 namespace {
@@ -370,19 +374,30 @@ TEST(ChunkStream, ShuffledOrderIdenticalAcrossBackings) {
   }
 }
 
-// Wraps a Dataset and records the io stage's readahead hints, so the hint
-// geometry (window alignment under shuffle) is testable.
+// Wraps a Dataset and records what the loader asks of it: the io stage's
+// readahead hints (window alignment under shuffle), the source rows it
+// decodes, in order, and how many copies it has started and has in
+// flight. Copies past the first `fast_copies` sleep `slow_ms`, to keep the
+// loader busy while the consumer finishes. The vectors are written by the
+// loader thread; read them once the stream is gone.
 class RecordingSource final : public StreamingSource {
  public:
   explicit RecordingSource(const Dataset& d) : d_(d) {}
   Index rows() const override { return d_.rows(); }
   Index dim() const override { return d_.dim(); }
   void copy_rows(Index begin, Index count, la::Matrix& out) const override {
-    d_.copy_rows(begin, count, out);
+    std::vector<Index> indices;
+    for (Index i = begin; i < begin + count; ++i) indices.push_back(i);
+    copy_rows(indices, out);
   }
   void copy_rows(const std::vector<Index>& indices,
                  la::Matrix& out) const override {
+    in_flight.fetch_add(1);
+    if (copies.fetch_add(1) >= fast_copies)
+      std::this_thread::sleep_for(std::chrono::milliseconds(slow_ms));
+    decoded.insert(decoded.end(), indices.begin(), indices.end());
     d_.copy_rows(indices, out);
+    in_flight.fetch_sub(1);
   }
   void prefetch(Index begin, Index count) const override {
     hints.push_back({begin, count});
@@ -390,10 +405,95 @@ class RecordingSource final : public StreamingSource {
   SourceInfo info() const override { return d_.info(); }
 
   mutable std::vector<std::pair<Index, Index>> hints;
+  mutable std::vector<Index> decoded;
+  mutable std::atomic<int> copies{0};
+  mutable std::atomic<int> in_flight{0};
+  int fast_copies = 1 << 30;
+  int slow_ms = 0;
 
  private:
   const Dataset& d_;
 };
+
+// --- multi-pass streams: one loader and one pool across passes ---
+
+TEST(ChunkStream, PassesStreamBackToBackInEachPassOrder) {
+  Dataset d(90, 1);
+  for (Index i = 0; i < d.size(); ++i)
+    d.example(i)[0] = static_cast<float>(i);
+  for (const bool background : {false, true}) {
+    for (const Index window : {Index{0}, Index{32}}) {
+      ChunkStreamConfig cfg;
+      cfg.chunk_examples = 16;
+      cfg.shuffle_window = window;
+      cfg.shuffle_seed = 9;
+      cfg.passes = 3;
+      cfg.background = background;
+      ChunkStream stream(d, cfg);
+      for (int pass = 0; pass < cfg.passes; ++pass) {
+        const WindowShuffle plan(d.rows(), window > 0 ? window : 1,
+                                 pass_shuffle_seed(cfg.shuffle_seed, pass));
+        Index pos = 0;
+        while (auto c = stream.next()) {
+          for (Index r = 0; r < c->rows(); ++r, ++pos)
+            ASSERT_EQ((*c)(r, 0), window > 0 ? plan.index(pos) : pos)
+                << "pass " << pass << ", position " << pos;
+          stream.recycle(std::move(*c));
+        }
+        EXPECT_EQ(pos, d.rows()) << "pass " << pass;
+      }
+      EXPECT_FALSE(stream.next().has_value());
+      EXPECT_FALSE(stream.next().has_value());
+    }
+  }
+}
+
+TEST(ChunkStream, LoaderStagesOneChunkOfTheNextPassAhead) {
+  const Dataset d(128, 2);
+  RecordingSource src(d);
+  src.fast_copies = 5;  // pass 1's second chunk onwards decodes slowly
+  src.slow_ms = 20;
+  ChunkStreamConfig cfg;
+  cfg.chunk_examples = 32;  // 4 chunks a pass, as deep as the ring
+  cfg.shuffle_window = 64;
+  cfg.passes = 3;
+  cfg.background = true;
+  obs::Counter& allocated = obs::counter("data.chunk_buffers_allocated");
+  const std::int64_t before = allocated.value();
+  const auto wait_for_copies = [&src](int n) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (src.copies.load() < n && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+    return src.copies.load();
+  };
+  {
+    ChunkStream stream(src, cfg);
+    // All of pass 0 is staged in four fresh buffers; pass 1's first chunk
+    // waits for one of them to come back rather than mapping a fifth.
+    EXPECT_EQ(wait_for_copies(4), 4);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_EQ(src.copies.load(), 4);
+    for (int i = 0; i < 4; ++i) {
+      auto c = stream.next();
+      ASSERT_TRUE(c.has_value());
+      stream.recycle(std::move(*c));
+      // Once a buffer is back, the loader crosses into pass 1 on its own
+      // and stages its first chunk — and no more until the consumer gets
+      // there.
+      if (i == 0) {
+        EXPECT_EQ(wait_for_copies(5), 5);
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_EQ(src.copies.load(), 5);
+    EXPECT_EQ(allocated.value() - before, 4);
+    EXPECT_FALSE(stream.next().has_value());  // the end of pass 0
+    EXPECT_TRUE(stream.next().has_value());   // pass 1's first chunk
+  }  // destroyed mid-pass: the loader is joined, nothing left in flight
+  EXPECT_EQ(src.in_flight.load(), 0);
+  EXPECT_LE(src.copies.load(), 5 + static_cast<int>(cfg.ring_chunks) + 1);
+}
 
 TEST(ChunkStream, PrefetchHintsFollowTheStreamInOrder) {
   const Dataset d(100, 2);
@@ -591,6 +691,78 @@ TEST(StreamingParity, DataParallelFactorizationsMatchAcrossBackings) {
     EXPECT_TRUE(trained[0].b1().approx_equal(trained[k].b1(), 0.0f, 0.0f))
         << "variant " << k << " diverged";
   }
+}
+
+TEST(StreamingParity, OnePoolServesEveryEpoch) {
+  // 256 rows = 8 whole chunks an epoch, so every buffer is full-size and
+  // recyclable: three epochs of 24 chunks allocate no more than the bound
+  // of one pool, where a pool per epoch would allocate up to 3x as many.
+  const Dataset d = make_digit_patch_dataset(256, 4, /*seed=*/5);
+  core::SaeConfig mcfg;
+  mcfg.visible = d.dim();
+  mcfg.hidden = 4;
+  core::SparseAutoencoder model(mcfg, 1);
+  core::TrainerConfig cfg = parity_config(64, 1, 1);
+  cfg.chunk_examples = 32;
+  cfg.epochs = 3;
+  cfg.ring_chunks = 2;
+  cfg.policy = core::ExecPolicy::kPhiOffload;
+  obs::Counter& allocated = obs::counter("data.chunk_buffers_allocated");
+  const std::int64_t before = allocated.value();
+  const core::TrainReport report = core::Trainer(cfg).train(model, d);
+  EXPECT_EQ(report.chunks, 24);
+  EXPECT_LE(allocated.value() - before,
+            static_cast<std::int64_t>(cfg.ring_chunks) + 2);
+}
+
+TEST(StreamingParity, StopInEpochZeroJoinsTheLoaderStagingEpochOne) {
+  // max_batches is reached in epoch 0's last chunk while the loader, free
+  // of the pass boundary, is already decoding epoch 1 (slowly): train()
+  // must stop there and join it.
+  const Dataset d = make_digit_patch_dataset(256, 4, /*seed=*/6);
+  RecordingSource src(d);
+  src.fast_copies = 4;
+  src.slow_ms = 30;
+  core::SaeConfig mcfg;
+  mcfg.visible = d.dim();
+  mcfg.hidden = 4;
+  core::SparseAutoencoder model(mcfg, 1);
+  core::TrainerConfig cfg = parity_config(64, 1, 1);  // 4 chunks of 64
+  cfg.epochs = 3;
+  cfg.max_batches = 16;  // 4 batches of 16 per chunk
+  cfg.policy = core::ExecPolicy::kPhiOffload;
+  const core::TrainReport report = core::Trainer(cfg).train(model, src);
+  EXPECT_EQ(report.chunks, 4);
+  EXPECT_EQ(report.batches, 16);
+  EXPECT_EQ(src.in_flight.load(), 0);
+  const int copies = src.copies.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(src.copies.load(), copies) << "the loader outlived train()";
+}
+
+TEST(StreamingParity, EpochRowOrderIsTheParentsAcrossEpochBoundaries) {
+  // Each epoch visits rows in a fresh windowed shuffle seeded
+  // seed ^ (0x9e3779b97f4a7c15 · (epoch + 1)) — the order trainers have
+  // always used — whether or not the loader runs ahead into the next epoch.
+  const Dataset d = make_digit_patch_dataset(250, 4, /*seed=*/8);  // ragged
+  RecordingSource src(d);
+  core::SaeConfig mcfg;
+  mcfg.visible = d.dim();
+  mcfg.hidden = 4;
+  core::SparseAutoencoder model(mcfg, 1);
+  core::TrainerConfig cfg = parity_config(128, 1, 1);
+  cfg.epochs = 3;
+  cfg.policy = core::ExecPolicy::kPhiOffload;
+  core::Trainer(cfg).train(model, src);
+  std::vector<Index> want;
+  for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
+    const WindowShuffle plan(
+        d.rows(), cfg.shuffle_window,
+        cfg.seed ^ (0x9e3779b97f4a7c15ULL *
+                    (static_cast<std::uint64_t>(epoch) + 1)));
+    for (Index pos = 0; pos < d.rows(); ++pos) want.push_back(plan.index(pos));
+  }
+  EXPECT_EQ(src.decoded, want);
 }
 
 TEST(StreamingParity, ReportsLoadStallAccounting) {
