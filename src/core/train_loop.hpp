@@ -148,8 +148,6 @@ TrainReport run_train_loop(const TrainerConfig& config,
       DEEPPHI_PROFILE_SCOPE("trainer.chunk");
       // How far ahead the Fig. 5 loading thread is right after this pop.
       const std::size_t ring_buffered = stream.buffered();
-      static obs::Gauge& ring_gauge = obs::gauge("train.ring_buffered");
-      ring_gauge.set(static_cast<double>(ring_buffered));
       util::Timer chunk_timer;
       // The chunk crosses the host→device link (Fig. 5).
       phi::record(

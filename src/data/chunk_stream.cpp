@@ -50,14 +50,13 @@ ChunkStream::ChunkStream(const StreamingSource& source, ChunkStreamConfig config
     : source_(source), config_(config) {
   DEEPPHI_CHECK_MSG(config_.chunk_examples >= 1,
                     "chunk_examples must be >= 1, got " << config_.chunk_examples);
+  DEEPPHI_CHECK_MSG(config_.ring_chunks >= 1,
+                    "ring_chunks must be >= 1, got " << config_.ring_chunks);
   DEEPPHI_CHECK_MSG(
       config_.shuffle_window == 0 ||
           config_.shuffle_window >= config_.chunk_examples,
       "shuffle_window must be 0 (off) or >= chunk_examples ("
           << config_.chunk_examples << "), got " << config_.shuffle_window);
-  DEEPPHI_CHECK_MSG(config_.prefetch_chunks >= 0,
-                    "prefetch_chunks must be >= 0, got "
-                        << config_.prefetch_chunks);
   DEEPPHI_CHECK_MSG(config_.passes >= 1,
                     "passes must be >= 1, got " << config_.passes);
   if (config_.shuffle_window > 0)
@@ -68,29 +67,65 @@ ChunkStream::ChunkStream(const StreamingSource& source, ChunkStreamConfig config
                     << config_.ring_chunks << " x " << config_.chunk_examples
                     << "-example chunks"
                     << (shuffle_ ? ", shuffled" : ", in-order");
-    pipeline_ = std::make_unique<par::ChunkPipeline<la::Matrix>>(
-        config_.ring_chunks, [this] { return produce(); });
+    loader_ = std::thread([this] { load(); });
   }
 }
 
 ChunkStream::~ChunkStream() {
-  // Release a loader held back at a pass boundary, then join the Fig. 5
-  // loader thread before anything else is torn down: its produce() ->
-  // acquire() path locks pool_mutex_ and pops pool_, so those members must
-  // outlive the pipeline even when the consumer abandons the stream with the
-  // loader still running ahead.
+  // Release the loader from whichever wait holds it, then join it: the
+  // members it touches are destroyed only after this body returns, even
+  // when the consumer abandons the stream with the loader still ahead.
   {
-    std::lock_guard<std::mutex> lock(pool_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
   }
   loader_cv_.notify_all();
-  pipeline_.reset();
+  if (loader_.joinable()) loader_.join();
+}
+
+void ChunkStream::load() {
+  // The paper's Fig. 5 loading thread — named so the profiler's host
+  // timeline shows its chunk materialization next to compute.
+  obs::set_thread_name("loading");
+  static obs::Gauge& peak = obs::gauge("pipeline.peak_buffered");
+  for (;;) {
+    std::optional<la::Matrix> chunk;
+    {
+      DEEPPHI_PROFILE_SCOPE("pipeline.produce");
+      chunk = produce();
+    }
+    if (!chunk) break;
+    std::size_t staged = 0;
+    {
+      DEEPPHI_PROFILE_SCOPE("pipeline.push_wait");
+      std::unique_lock<std::mutex> lock(mutex_);
+      loader_cv_.wait(lock, [this] {
+        return stopping_ || ring_.size() < config_.ring_chunks;
+      });
+      if (stopping_) break;
+      ring_.push_back(std::move(*chunk));
+      staged = ring_.size();
+    }
+    consumer_cv_.notify_one();
+    peak.set_max(static_cast<double>(staged));
+  }
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    loader_done_ = true;
+  }
+  consumer_cv_.notify_one();
+}
+
+bool ChunkStream::pooled(Index rows) const {
+  return rows == config_.chunk_examples ? !pool_.empty()
+                                        : short_.rows() == rows;
 }
 
 la::Matrix ChunkStream::acquire(Index rows) {
-  if (rows == config_.chunk_examples) {
-    std::lock_guard<std::mutex> lock(pool_mutex_);
-    if (!pool_.empty()) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (pooled(rows)) {
+      if (rows != config_.chunk_examples) return std::move(short_);
       la::Matrix buf = std::move(pool_.back());
       pool_.pop_back();
       return buf;
@@ -102,17 +137,22 @@ la::Matrix ChunkStream::acquire(Index rows) {
 }
 
 void ChunkStream::recycle(la::Matrix buffer) {
-  // Only full-size buffers re-enter the pool: the ragged tail (at most one
-  // per pass) would otherwise poison every later acquire with a short chunk.
-  if (buffer.rows() != config_.chunk_examples ||
-      buffer.cols() != source_.dim())
-    return;
+  // A pass has at most two chunk sizes: full, and the short last chunk,
+  // which is the same size every pass.
+  if (buffer.cols() != source_.dim()) return;
   {
-    std::lock_guard<std::mutex> lock(pool_mutex_);
-    if (pool_.size() >= config_.ring_chunks + 2) return;
-    pool_.push_back(std::move(buffer));
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (buffer.rows() == config_.chunk_examples) {
+      if (pool_.size() >= config_.ring_chunks + 2) return;
+      pool_.push_back(std::move(buffer));
+    } else {
+      if (buffer.rows() != source_.rows() % config_.chunk_examples ||
+          short_.rows() != 0)
+        return;
+      short_ = std::move(buffer);
+    }
   }
-  loader_cv_.notify_all();
+  loader_cv_.notify_one();
 }
 
 std::optional<la::Matrix> ChunkStream::produce() {
@@ -127,36 +167,35 @@ std::optional<la::Matrix> ChunkStream::produce() {
       shuffle_.emplace(n, config_.shuffle_window,
                        pass_shuffle_seed(config_.shuffle_seed, pass_));
   }
+  const Index count = std::min(config_.chunk_examples, n - cursor_);
   {
     // Ahead of the consumer's pass, stage only the next pass's first chunk,
     // and only into a recycled buffer: crossing a pass boundary early then
     // keeps no more buffers alive than a pass does. (Inline staging is never
     // ahead.)
-    const int pass = pass_;
     const bool first = cursor_ == 0;
-    std::unique_lock<std::mutex> lock(pool_mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     loader_cv_.wait(lock, [&] {
-      return stopping_ || pass == consumer_pass_ ||
-             (pass == consumer_pass_ + 1 && first && !pool_.empty());
+      return stopping_ || pass_ == consumer_pass_ ||
+             (pass_ == consumer_pass_ + 1 && first && pooled(count));
     });
     if (stopping_) return std::nullopt;
   }
-  const Index count = std::min(config_.chunk_examples, n - cursor_);
 
   static obs::Histogram& io_hist = obs::histogram("data.stage.io");
   static obs::Histogram& shuffle_hist = obs::histogram("data.stage.shuffle");
   static obs::Histogram& decode_hist = obs::histogram("data.stage.decode");
 
-  // io: hint the NEXT prefetch_chunks chunks' rows so the kernel's readahead
+  // io: hint the NEXT kPrefetchChunks chunks' rows so the kernel's readahead
   // overlaps their page-in with this chunk's decode + the consumer's compute.
   // Shuffled stream positions gather from anywhere in their window, so the
   // hint is rounded out to window boundaries — the full windows overlapping
   // the upcoming span cover every row those gathers will touch.
-  if (config_.prefetch_chunks > 0) {
+  {
     const auto t0 = Clock::now();
     Index ahead_begin = cursor_ + count;
-    Index ahead_end = std::min(
-        n, ahead_begin + config_.prefetch_chunks * config_.chunk_examples);
+    Index ahead_end =
+        std::min(n, ahead_begin + kPrefetchChunks * config_.chunk_examples);
     if (shuffle_ && ahead_end > ahead_begin) {
       const Index w = shuffle_->window();
       ahead_begin = (ahead_begin / w) * w;
@@ -175,7 +214,8 @@ std::optional<la::Matrix> ChunkStream::produce() {
     shuffle_hist.record(since_s(t0));
   }
 
-  // decode: materialize float32 rows into a pooled buffer.
+  // decode: materialize float32 rows into a pooled buffer, taken as late as
+  // possible so the consumer has had time to recycle one.
   const auto t0 = Clock::now();
   la::Matrix chunk = acquire(count);
   if (shuffle_)
@@ -196,17 +236,30 @@ std::optional<la::Matrix> ChunkStream::next() {
     // first chunk, and may now go on.
     consumed_in_pass_ = 0;
     {
-      std::lock_guard<std::mutex> lock(pool_mutex_);
+      std::lock_guard<std::mutex> lock(mutex_);
       ++consumer_pass_;
     }
-    loader_cv_.notify_all();
+    loader_cv_.notify_one();
     return std::nullopt;
   }
   std::optional<la::Matrix> chunk;
-  if (pipeline_) {
-    // Blocking wait is accounted inside the ring's pop (see
-    // consumer_wait_seconds), so uncontended pops cost the metric nothing.
-    chunk = pipeline_->pop();
+  std::size_t staged = 0;
+  if (config_.background) {
+    // Only time parked on an empty ring counts as a stall, so taking an
+    // already staged chunk costs the metric nothing.
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (ring_.empty() && !loader_done_) {
+      const auto t0 = Clock::now();
+      consumer_cv_.wait(lock, [this] { return !ring_.empty() || loader_done_; });
+      consumer_wait_ns_.fetch_add(since_ns(t0), std::memory_order_relaxed);
+    }
+    if (!ring_.empty()) {
+      chunk.emplace(std::move(ring_.front()));
+      ring_.pop_front();
+      staged = ring_.size();
+    }
+    lock.unlock();
+    loader_cv_.notify_one();
   } else {
     const auto t0 = Clock::now();
     chunk = produce();
@@ -217,20 +270,20 @@ std::optional<la::Matrix> ChunkStream::next() {
     static obs::Counter& loaded = obs::counter("data.chunks_loaded");
     loaded.add();
     static obs::Gauge& occupancy = obs::gauge("data.ring_occupancy");
-    occupancy.set(static_cast<double>(buffered()));
+    occupancy.set(static_cast<double>(staged));
   }
   return chunk;
 }
 
 std::size_t ChunkStream::buffered() const {
-  return pipeline_ ? pipeline_->buffered() : 0;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return ring_.size();
 }
 
 double ChunkStream::consumer_wait_seconds() const {
-  const double sync_s = static_cast<double>(consumer_wait_ns_.load(
-                            std::memory_order_relaxed)) *
-                        1e-9;
-  return sync_s + (pipeline_ ? pipeline_->consumer_wait_seconds() : 0.0);
+  return static_cast<double>(
+             consumer_wait_ns_.load(std::memory_order_relaxed)) *
+         1e-9;
 }
 
 Index ChunkStream::total_chunks() const {

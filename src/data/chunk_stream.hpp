@@ -4,7 +4,7 @@
 //
 // The loader runs a staged pipeline per chunk, in order:
 //
-//   io      — readahead hint for the rows the NEXT prefetch_chunks chunks
+//   io      — readahead hint for the rows the NEXT kPrefetchChunks chunks
 //             will decode (madvise(WILLNEED) on mmap'd shards, no-op for
 //             memory sources; rounded out to shuffle-window boundaries so
 //             gathers near window edges are covered too), so page faults
@@ -17,8 +17,8 @@
 // Stage timings feed obs::histogram("data.stage.io"/"shuffle"/"decode") and
 // ring occupancy feeds the "data.ring_occupancy" gauge. Consumers return
 // finished chunk buffers via recycle(), so the steady state re-uses
-// ring_chunks + 2 full-size buffers instead of allocating per chunk (the
-// ragged tail chunk, at most one per pass, still allocates fresh); the
+// ring_chunks + 2 full-size buffers, plus one for a pass's short last chunk
+// (the same size every pass), instead of allocating per chunk; the
 // "data.chunk_buffers_allocated" counter counts every fresh buffer.
 //
 // A stream makes `passes` passes over the source (a trainer's epochs) back
@@ -28,22 +28,25 @@
 // while the consumer waits. It stages no more of pass p+1 until the
 // consumer gets there, so a pass boundary needs no buffer a pass does not.
 //
-// The functional side is real: in background mode a par::ChunkPipeline runs
-// an actual loader thread that stages chunks ahead of the consumer. The
-// simulated-timing side lives in phi::Offload; the Trainer couples both.
+// In background mode the stream owns the loading thread: it decodes a chunk
+// outside the lock, then stages it in a ring of at most ring_chunks chunks,
+// so the loader runs at most ring_chunks + 1 chunks ahead of the consumer.
+// One mutex guards the ring, the pool, the consumer's pass and the stop and
+// done flags. The simulated-timing side lives in phi::Offload; the Trainer
+// couples both.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <memory>
+#include <deque>
 #include <mutex>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "data/shuffle.hpp"
 #include "data/streaming_source.hpp"
-#include "parallel/pipeline.hpp"
 
 namespace deepphi::data {
 
@@ -67,7 +70,7 @@ std::vector<RowShard> shard_rows(Index rows, int shards);
 struct ChunkStreamConfig {
   Index chunk_examples = 10000;  // examples per chunk
   bool background = true;        // Fig. 5 loading thread on/off
-  std::size_t ring_chunks = 4;   // pipeline depth in chunks
+  std::size_t ring_chunks = 4;   // chunks staged ahead (>= 1)
   /// Windowed-shuffle span in examples; 0 = stream in source order. Must be
   /// >= chunk_examples otherwise, so a chunk draws from <= 2 windows. The
   /// plan depends only on (rows, window, seed) — never on the backing.
@@ -77,8 +80,6 @@ struct ChunkStreamConfig {
   std::uint64_t shuffle_seed = 0;
   /// Passes over the source, streamed back to back (>= 1).
   int passes = 1;
-  /// Chunks of readahead the io stage hints to the source each produce.
-  Index prefetch_chunks = 2;
 };
 
 /// The shuffle seed of pass `pass` of a stream seeded `seed`.
@@ -86,6 +87,9 @@ std::uint64_t pass_shuffle_seed(std::uint64_t seed, int pass);
 
 class ChunkStream {
  public:
+  /// Chunks of readahead the io stage hints to the source per chunk.
+  static constexpr Index kPrefetchChunks = 2;
+
   /// Streams `source` config.passes times, each pass front to back (or
   /// window-shuffled) in chunks of chunk_examples (a pass's final chunk may
   /// be short). `source` must outlive the stream.
@@ -102,7 +106,7 @@ class ChunkStream {
 
   /// Hands a consumed chunk's buffer back for re-use by the decode stage.
   /// Optional (dropping the matrix is correct too, just re-allocates); only
-  /// full-size chunk buffers are pooled.
+  /// buffers of the stream's two chunk sizes are pooled.
   void recycle(la::Matrix buffer);
 
   /// Chunks buffered ahead of the consumer by the Fig. 5 loading thread
@@ -110,7 +114,7 @@ class ChunkStream {
   std::size_t buffered() const;
 
   /// Total seconds next() spent blocked waiting for data — in background
-  /// mode the time parked on an empty ring (uncontended pops count as zero),
+  /// mode the time parked on an empty ring (a staged chunk costs nothing),
   /// in synchronous mode the full staging cost. Feeds the run summary's
   /// overlap_efficiency.
   double consumer_wait_seconds() const;
@@ -120,7 +124,9 @@ class ChunkStream {
   Index total_chunks() const;
 
  private:
+  void load();
   std::optional<la::Matrix> produce();
+  bool pooled(Index rows) const;
   la::Matrix acquire(Index rows);
 
   const StreamingSource& source_;
@@ -134,26 +140,26 @@ class ChunkStream {
   // which is how it finds a pass's end without waiting on the loader.
   Index consumed_in_pass_ = 0;
 
-  // Buffer pool: consumed full-size chunks come back via recycle() and the
-  // decode stage re-uses them (bounded at ring_chunks + 2 — ring plus one in
-  // flight on each side — so an over-eager consumer cannot grow it).
-  // pool_mutex_ also guards the consumer's pass (written by next() only)
-  // and stopping_: a loader ahead of the consumer's pass waits on
-  // loader_cv_ for a recycled buffer or for the consumer to catch up, and
-  // ~ChunkStream sets stopping_ to release it.
-  mutable std::mutex pool_mutex_;
+  // mutex_ guards ring_ through loader_done_. The loader waits on
+  // loader_cv_ for ring room, for the consumer to reach its pass, or for a
+  // recycled buffer; the consumer waits on consumer_cv_ for a staged chunk
+  // or for the loader to finish. ~ChunkStream sets stopping_ to release the
+  // loader from either wait.
+  mutable std::mutex mutex_;
   std::condition_variable loader_cv_;
+  std::condition_variable consumer_cv_;
+  std::deque<la::Matrix> ring_;
+  // Buffer pool, refilled by recycle(): full-size buffers bounded at
+  // ring_chunks + 2 (ring plus one in flight on each side) so an over-eager
+  // consumer cannot grow it, and at most one short buffer (empty if none).
   std::vector<la::Matrix> pool_;
-  int consumer_pass_ = 0;
+  la::Matrix short_;
+  int consumer_pass_ = 0;  // written by next() only
   bool stopping_ = false;
+  bool loader_done_ = false;
 
   std::atomic<std::int64_t> consumer_wait_ns_{0};
-
-  // Declared last (and reset first in ~ChunkStream): the loader thread runs
-  // produce(), which touches every member above, so it must be joined before
-  // any of them is destroyed — including when the consumer abandons the
-  // stream mid-pass with the loader still ahead.
-  std::unique_ptr<par::ChunkPipeline<la::Matrix>> pipeline_;
+  std::thread loader_;  // not joinable in synchronous mode
 };
 
 }  // namespace deepphi::data

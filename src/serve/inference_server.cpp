@@ -189,6 +189,7 @@ std::future<Reply> InferenceServer::submit(const std::string& model,
 
   if (shutdown_started_.load(std::memory_order_acquire)) {
     l.rejected.fetch_add(1, std::memory_order_relaxed);
+    l.rejected_ctr.add();
     fail(r.result, "inference server is shutting down");
     return fut;
   }

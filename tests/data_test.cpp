@@ -9,6 +9,7 @@
 #include <fstream>
 #include <memory>
 #include <set>
+#include <string>
 
 #include "data/batch_iterator.hpp"
 #include "data/binary_io.hpp"
@@ -581,19 +582,49 @@ TEST(ChunkStream, RecycledBuffersAreReused) {
   EXPECT_EQ((*second)(0, 0), 16.0f);
 }
 
-TEST(ChunkStream, ShortTailBufferIsNotPooled) {
+TEST(ChunkStream, ShortTailBufferIsReusedByTheNextPass) {
   Dataset d(20, 2);  // chunks of 16: one full chunk + a ragged tail of 4
+  for (la::Index i = 0; i < d.size(); ++i)
+    d.example(i)[0] = static_cast<float>(i);
   ChunkStreamConfig cfg;
   cfg.chunk_examples = 16;
   cfg.background = false;
+  cfg.passes = 2;
   ChunkStream stream(d, cfg);
-  auto full = stream.next();
-  ASSERT_TRUE(full.has_value());
+  ASSERT_TRUE(stream.next().has_value());
   auto tail = stream.next();
   ASSERT_TRUE(tail.has_value());
   EXPECT_EQ(tail->rows(), 4);
-  stream.recycle(std::move(*tail));  // dropped, not pooled — and harmless
+  const float* tail_storage = tail->data();
+  stream.recycle(std::move(*tail));
+  EXPECT_FALSE(stream.next().has_value());  // the end of pass 1
+  ASSERT_TRUE(stream.next().has_value());
+  // A pass's short chunk has the same size every pass, so pass 2's decodes
+  // into the buffer pass 1's returned.
+  auto tail2 = stream.next();
+  ASSERT_TRUE(tail2.has_value());
+  EXPECT_EQ(tail2->data(), tail_storage);
+  EXPECT_EQ(tail2->rows(), 4);
+  EXPECT_EQ((*tail2)(0, 0), 16.0f);
   EXPECT_FALSE(stream.next().has_value());
+}
+
+TEST(ChunkStream, RejectsRingOfZero) {
+  Dataset d(8, 2);
+  for (const bool background : {false, true}) {
+    ChunkStreamConfig cfg;
+    cfg.chunk_examples = 4;
+    cfg.background = background;
+    cfg.ring_chunks = 0;
+    try {
+      ChunkStream stream(d, cfg);
+      FAIL() << "ring_chunks = 0 accepted, background " << background;
+    } catch (const util::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("ring_chunks must be >= 1"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ShardRows, ZeroRowsGivesAllEmptyShards) {

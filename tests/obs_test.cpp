@@ -11,7 +11,6 @@
 #include <future>
 #include <iterator>
 #include <limits>
-#include <optional>
 #include <sstream>
 #include <thread>
 #include <string>
@@ -23,6 +22,8 @@
 #include <omp.h>
 #endif
 
+#include "data/chunk_stream.hpp"
+#include "data/dataset.hpp"
 #include "la/gemm.hpp"
 #include "la/matrix.hpp"
 #include "obs/exposition.hpp"
@@ -30,7 +31,6 @@
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/telemetry.hpp"
-#include "parallel/pipeline.hpp"
 #include "parallel/thread_pool.hpp"
 #include "phi/trace.hpp"
 #include "util/error.hpp"
@@ -305,20 +305,20 @@ TEST_F(ProfilerTest, ThreadSafeUnderParallelForAndPipeline) {
   obs::Profiler::enable(true);
   obs::set_thread_name("main");
 
-  std::atomic<int> produced{0};
-  par::ChunkPipeline<int> pipeline(2, [&]() -> std::optional<int> {
-    const int i = produced.fetch_add(1);
-    if (i >= 32) return std::nullopt;
-    DEEPPHI_PROFILE_SCOPE("test.produce");
-    return i;
-  });
+  const data::Dataset set(32 * 4, 3);  // 32 chunks of 4 examples
+  data::ChunkStreamConfig cfg;
+  cfg.chunk_examples = 4;
+  cfg.background = true;
+  cfg.ring_chunks = 2;
+  data::ChunkStream stream(set, cfg);
 
   par::ThreadPool pool(4);
   std::atomic<std::int64_t> sum{0};
   int consumed = 0;
   std::vector<std::future<void>> work;
-  while (auto item = pipeline.pop()) {
+  while (auto chunk = stream.next()) {
     ++consumed;
+    stream.recycle(std::move(*chunk));
     work.clear();
     for (std::int64_t i = 0; i < 64; ++i)
       work.push_back(pool.submit([&sum, i] {

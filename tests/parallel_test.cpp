@@ -1,14 +1,12 @@
-// Tests for the task runtime: thread pool semantics, task-graph ordering /
-// concurrency / error propagation, bounded queue blocking behaviour, and the
-// chunk pipeline (the Fig. 5 loading thread).
+// Tests for the task runtime: thread pool semantics and task-graph ordering /
+// concurrency / error propagation. The Fig. 5 loading thread is
+// data::ChunkStream's, tested with it in data_test and streaming_test.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <numeric>
 #include <thread>
 
-#include "parallel/pipeline.hpp"
 #include "parallel/task_graph.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/error.hpp"
@@ -238,114 +236,6 @@ TEST(TaskGraph, Fig6ShapeHasExpectedCriticalPath) {
     g.depends(combine, n);
   // h1 → v2 → h2 → gw_neg → combine = 5 nodes.
   EXPECT_EQ(g.critical_path_length(), 5u);
-}
-
-// --- BoundedQueue ---
-
-TEST(BoundedQueue, FifoOrder) {
-  BoundedQueue<int> q(4);
-  q.push(1);
-  q.push(2);
-  q.push(3);
-  EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_EQ(q.pop().value(), 2);
-  EXPECT_EQ(q.pop().value(), 3);
-}
-
-TEST(BoundedQueue, BlocksWhenFullUntilPop) {
-  BoundedQueue<int> q(1);
-  q.push(1);
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    q.push(2);
-    pushed = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(pushed.load());
-  EXPECT_EQ(q.pop().value(), 1);
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-}
-
-TEST(BoundedQueue, CloseDrainsThenReturnsNullopt) {
-  BoundedQueue<int> q(4);
-  q.push(1);
-  q.close();
-  EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(BoundedQueue, PushAfterCloseFails) {
-  BoundedQueue<int> q(2);
-  q.close();
-  EXPECT_FALSE(q.push(1));
-}
-
-TEST(BoundedQueue, CloseUnblocksWaitingConsumer) {
-  BoundedQueue<int> q(2);
-  std::thread closer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    q.close();
-  });
-  EXPECT_FALSE(q.pop().has_value());
-  closer.join();
-}
-
-TEST(BoundedQueue, RejectsZeroCapacity) {
-  EXPECT_THROW(BoundedQueue<int>(0), util::Error);
-}
-
-TEST(BoundedQueue, MoveOnlyPayload) {
-  BoundedQueue<std::unique_ptr<int>> q(2);
-  q.push(std::make_unique<int>(42));
-  auto item = q.pop();
-  ASSERT_TRUE(item.has_value());
-  EXPECT_EQ(**item, 42);
-}
-
-// --- ChunkPipeline ---
-
-TEST(ChunkPipeline, DeliversAllItemsInOrder) {
-  int next = 0;
-  ChunkPipeline<int> pipe(2, [&]() -> std::optional<int> {
-    if (next >= 10) return std::nullopt;
-    return next++;
-  });
-  std::vector<int> got;
-  while (auto item = pipe.pop()) got.push_back(*item);
-  std::vector<int> expect(10);
-  std::iota(expect.begin(), expect.end(), 0);
-  EXPECT_EQ(got, expect);
-}
-
-TEST(ChunkPipeline, ProducerRunsAheadOfConsumer) {
-  std::atomic<int> produced{0};
-  ChunkPipeline<int> pipe(3, [&]() -> std::optional<int> {
-    if (produced >= 3) return std::nullopt;
-    return produced++;
-  });
-  // Give the loader thread time to fill the buffer before any pop.
-  for (int i = 0; i < 200 && produced.load() < 3; ++i)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  EXPECT_EQ(produced.load(), 3);  // all chunks loaded before first pop
-  EXPECT_EQ(pipe.pop().value(), 0);
-}
-
-TEST(ChunkPipeline, EmptyProducer) {
-  ChunkPipeline<int> pipe(2, []() -> std::optional<int> { return std::nullopt; });
-  EXPECT_FALSE(pipe.pop().has_value());
-}
-
-TEST(ChunkPipeline, DestructorJoinsWithoutConsuming) {
-  // Abandoning a pipeline mid-stream must not deadlock.
-  int next = 0;
-  auto pipe = std::make_unique<ChunkPipeline<int>>(1, [&]() -> std::optional<int> {
-    if (next >= 100) return std::nullopt;
-    return next++;
-  });
-  EXPECT_EQ(pipe->pop().value(), 0);
-  pipe.reset();  // loader may be blocked on a full queue; close() unblocks it
-  SUCCEED();
 }
 
 }  // namespace

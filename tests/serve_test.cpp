@@ -628,10 +628,14 @@ TEST(InferenceServer, SubmitAfterShutdownIsRejected) {
   add_borrowed(registry, model);
   serve::InferenceServer server(registry, serve::ServeConfig{});
   server.shutdown();
+  obs::Counter& rejected =
+      obs::counter("serve.model." + std::string(kModel) + ".rejected");
+  const std::int64_t before = rejected.value();
   std::future<serve::Reply> fut =
       server.submit(kModel, std::vector<float>(6, 0.0f));
   EXPECT_THROW(fut.get(), util::Error);
   EXPECT_EQ(server.stats().rejected, 1);
+  EXPECT_EQ(rejected.value() - before, 1);  // the registry agrees
 }
 
 TEST(InferenceServer, WrongDimensionThrowsAtSubmit) {
