@@ -4,8 +4,10 @@
 //   1. get the workload's KernelStats by running the real training code
 //      dry (core::dry_train, phi::DryRun): every kernel records its work
 //      and skips computing, so paper-scale runs cost milliseconds here;
-//   2. evaluate them on the calibrated MachineSpecs through CostModel /
-//      core::simulate (transfers pipelined per Fig. 5 on the Phi);
+//   2. evaluate them on the calibrated MachineSpecs: a one-card phi::Cluster
+//      attached to the dry run keeps the Phi's Fig. 5 timeline (each chunk's
+//      h2d pipelined with training through phi::ChunkRing), and elapsed_s()
+//      is its time; host machines evaluate the run's stats in CostModel;
 //   3. print the same rows/series the paper reports, each table labelled
 //      with its clock, plus optional CSV / JSON.
 #pragma once
@@ -17,9 +19,9 @@
 
 #include "core/levels.hpp"
 #include "core/trainer.hpp"
+#include "phi/cluster.hpp"
 #include "phi/cost_model.hpp"
 #include "phi/device.hpp"
-#include "phi/offload.hpp"
 #include "serve/inference_server.hpp"
 #include "util/csv.hpp"
 #include "util/options.hpp"

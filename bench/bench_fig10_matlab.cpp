@@ -26,15 +26,15 @@ int bench_main(int argc, char** argv) {
   const la::Index visible = options.get_int("visible");
   const la::Index hidden = options.get_int("hidden");
   const la::Index examples = 1000000, batch = 10000;
-  // Improved level, pipelined chunk loading.
-  const core::TrainerConfig run{.batch_size = batch, .chunk_examples = 10000};
-  const core::TrainReport report =
-      core::dry_train(core::SaeConfig{visible, hidden}, run, examples);
+  // Improved level, pipelined chunk loading, on a one-card 240-thread Phi.
+  phi::Cluster phi(phi::xeon_phi_5110p(), {});
+  const core::TrainerConfig run{
+      .batch_size = batch, .chunk_examples = 10000, .cluster = &phi};
+  core::dry_train(core::SaeConfig{visible, hidden}, run, examples);
   const phi::KernelStats matlab_stats =
       baseline::matlab_sae_train_stats(examples, batch, visible, hidden);
 
-  phi::Device phi(phi::xeon_phi_5110p(), 240);
-  const double phi_s = core::simulate(report, phi).pipelined_s;
+  const double phi_s = phi.elapsed_s();
   const double matlab_s =
       bench::host_run_seconds(matlab_stats, phi::matlab_host(), 8);
 

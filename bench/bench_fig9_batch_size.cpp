@@ -24,13 +24,14 @@ void run_model(const util::Options& options, bool rbm) {
               rbm ? "b" : "a", rbm ? "RBM (CD-1)" : "Sparse Autoencoder");
   util::Table table({"batch", "phi_s", "cpu1core_s", "speedup"});
   for (la::Index batch : {200, 500, 1000, 2000, 5000, 10000}) {
-    // Improved level, pipelined chunk loading.
-    const core::TrainerConfig run{.batch_size = batch, .chunk_examples = chunk};
+    // Improved level, pipelined chunk loading, on a one-card 240-thread Phi.
+    phi::Cluster phi(phi_spec, {});
+    const core::TrainerConfig run{
+        .batch_size = batch, .chunk_examples = chunk, .cluster = &phi};
     const core::TrainReport report =
         rbm ? core::dry_train(core::RbmConfig{visible, hidden}, run, examples)
             : core::dry_train(core::SaeConfig{visible, hidden}, run, examples);
-    phi::Device phi(phi_spec, 240);
-    const double phi_s = core::simulate(report, phi).pipelined_s;
+    const double phi_s = phi.elapsed_s();
     const double host_s = bench::host_run_seconds(report.stats, host_spec, 1);
     table.add_row({util::Table::cell(static_cast<long long>(batch)),
                    util::Table::cell(phi_s), util::Table::cell(host_s),

@@ -404,23 +404,19 @@ SimulatedTime simulate(const TrainReport& report, phi::Device& device,
   const phi::KernelStats per_chunk = report.per_chunk_compute_stats();
   out.total = device.cost_model().evaluate(
       per_chunk.scaled(static_cast<double>(report.chunks)), device.threads());
-
-  // Pipelined (Fig. 5 loading thread).
-  device.reset_timeline();
-  phi::Offload pipelined(device, phi::OffloadConfig{true, ring_chunks});
-  out.pipelined_s = pipelined
-                        .process_chunks(static_cast<int>(report.chunks),
-                                        report.chunk_bytes, per_chunk)
-                        .total_s;
-
-  // Serialized (no loading thread).
-  device.reset_timeline();
-  phi::Offload serialized(device, phi::OffloadConfig{false, ring_chunks});
-  out.serialized_s = serialized
-                         .process_chunks(static_cast<int>(report.chunks),
-                                         report.chunk_bytes, per_chunk)
-                         .total_s;
-  device.reset_timeline();
+  const auto replay = [&](bool async_loading) {
+    phi::ClusterConfig one_card;
+    one_card.threads_per_card = device.threads();
+    phi::Cluster card(device.spec(), one_card);
+    phi::ChunkRing ring(ring_chunks, async_loading);
+    for (std::int64_t i = 0; i < report.chunks; ++i)
+      ring.trained(i, card.submit_step("chunk[" + std::to_string(i) + "]",
+                                       {per_chunk}, {report.chunk_bytes}, {},
+                                       ring.transfer_ready(i)));
+    return card.elapsed_s();
+  };
+  out.pipelined_s = replay(/*async_loading=*/true);
+  out.serialized_s = replay(/*async_loading=*/false);
   return out;
 }
 

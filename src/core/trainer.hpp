@@ -8,13 +8,14 @@
 //
 // The chunk feed follows Fig. 5 (background loading thread + ring buffer
 // under ExecPolicy::kPhiOffload); the gradient step follows the Table I
-// ladder level (core/levels.hpp). All work is recorded as KernelStats, so a
-// finished TrainReport can be replayed on any simulated machine via
-// simulate() — that replay is how the benches obtain Phi/CPU/Matlab times on
-// hardware that no longer exists. dry_train() runs the same trainer under
-// phi::DryRun ("model mode") for configurations too large to execute. A run
-// can also drive simulated cards live: TrainerConfig::cluster is the one way
-// to attach them, and a single card is a one-card phi::Cluster.
+// ladder level (core/levels.hpp). All work is recorded as KernelStats, and a
+// run drives simulated cards live: TrainerConfig::cluster is the one way to
+// attach them, and a single card is a one-card phi::Cluster whose timeline
+// gets each chunk's h2d and training through Fig. 5's phi::ChunkRing.
+// dry_train() runs the same trainer under phi::DryRun ("model mode") for
+// configurations too large to execute, so the benches obtain Phi times on
+// hardware that no longer exists by reading elapsed_s() off a one-card
+// cluster attached to a dry run.
 //
 // Every run takes the same slot loop (docs/data_parallel.md). A global step
 // evaluates S = replicas × accumulation_steps × cards gradient slots — one
@@ -55,7 +56,6 @@
 #include "parallel/collectives.hpp"
 #include "phi/cost_model.hpp"
 #include "phi/device.hpp"
-#include "phi/offload.hpp"
 
 namespace deepphi::obs {
 class TelemetrySink;
@@ -145,12 +145,12 @@ struct TrainReport {
   /// telemetry derives overlap_efficiency = 1 - load_stall/wall from it.
   double load_stall_seconds = 0;
   /// Measured host wall seconds of each chunk's training (same indexing as
-  /// chunk_mean_costs) — the real-timeline counterpart of the per-chunk
-  /// predictions phi::Offload::process_chunks makes for simulate().
+  /// chunk_mean_costs) — the real-timeline counterpart of the "chunk[i]
+  /// train" events an attached cluster's cards record.
   std::vector<double> chunk_wall_seconds;
 
-  /// Compute-only work of an average chunk (transfers stripped) — the
-  /// quantity phi::Offload::process_chunks consumes.
+  /// Compute-only work of an average chunk (transfers stripped) — the chunk
+  /// simulate() replays, and one step's work for a one-batch dry run.
   phi::KernelStats per_chunk_compute_stats() const;
 };
 
@@ -208,8 +208,12 @@ TrainReport dry_train(const SaeConfig& model, const TrainerConfig& config,
 TrainReport dry_train(const RbmConfig& model, const TrainerConfig& config,
                       la::Index rows);
 
-/// Simulated end-to-end time of a finished training run on `device`
-/// (threads already set on the device):
+/// Simulated end-to-end time of a finished training run on `device`'s
+/// machine at its thread count: the run's average chunk stepped through
+/// phi::ChunkRing on a one-card phi::Cluster, with and without the Fig. 5
+/// loading thread. On a run of whole chunks, pipelined_s and serialized_s
+/// equal the elapsed_s() of a one-card cluster attached to the same run under
+/// kPhiOffload and kHost. `device` itself is not touched.
 struct SimulatedTime {
   double serialized_s = 0;  // no loading thread: transfer + compute in series
   double pipelined_s = 0;   // Fig. 5 loading thread with the given ring depth

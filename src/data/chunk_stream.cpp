@@ -88,29 +88,37 @@ void ChunkStream::load() {
   // timeline shows its chunk materialization next to compute.
   obs::set_thread_name("loading");
   static obs::Gauge& peak = obs::gauge("pipeline.peak_buffered");
-  for (;;) {
-    std::optional<la::Matrix> chunk;
-    {
-      DEEPPHI_PROFILE_SCOPE("pipeline.produce");
-      chunk = produce();
+  std::exception_ptr error;
+  try {
+    for (;;) {
+      std::optional<la::Matrix> chunk;
+      {
+        DEEPPHI_PROFILE_SCOPE("pipeline.produce");
+        chunk = produce();
+      }
+      if (!chunk) break;
+      std::size_t staged = 0;
+      {
+        DEEPPHI_PROFILE_SCOPE("pipeline.push_wait");
+        std::unique_lock<std::mutex> lock(mutex_);
+        loader_cv_.wait(lock, [this] {
+          return stopping_ || ring_.size() < config_.ring_chunks;
+        });
+        if (stopping_) break;
+        ring_.push_back(std::move(*chunk));
+        staged = ring_.size();
+      }
+      consumer_cv_.notify_one();
+      peak.set_max(static_cast<double>(staged));
     }
-    if (!chunk) break;
-    std::size_t staged = 0;
-    {
-      DEEPPHI_PROFILE_SCOPE("pipeline.push_wait");
-      std::unique_lock<std::mutex> lock(mutex_);
-      loader_cv_.wait(lock, [this] {
-        return stopping_ || ring_.size() < config_.ring_chunks;
-      });
-      if (stopping_) break;
-      ring_.push_back(std::move(*chunk));
-      staged = ring_.size();
-    }
-    consumer_cv_.notify_one();
-    peak.set_max(static_cast<double>(staged));
+  } catch (...) {
+    // A throwing source must not escape the thread (std::terminate): the
+    // consumer rethrows it after the chunks staged before it.
+    error = std::current_exception();
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    loader_error_ = error;
     loader_done_ = true;
   }
   consumer_cv_.notify_one();
@@ -257,6 +265,8 @@ std::optional<la::Matrix> ChunkStream::next() {
       chunk.emplace(std::move(ring_.front()));
       ring_.pop_front();
       staged = ring_.size();
+    } else if (loader_error_) {
+      std::rethrow_exception(loader_error_);
     }
     lock.unlock();
     loader_cv_.notify_one();

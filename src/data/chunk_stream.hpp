@@ -32,14 +32,18 @@
 // outside the lock, then stages it in a ring of at most ring_chunks chunks,
 // so the loader runs at most ring_chunks + 1 chunks ahead of the consumer.
 // One mutex guards the ring, the pool, the consumer's pass and the stop and
-// done flags. The simulated-timing side lives in phi::Offload; the Trainer
-// couples both.
+// done flags. A failure on the loading thread ends the stream: next() hands
+// out the chunks staged before it, then rethrows it, as synchronous mode
+// throws it from next() directly. The simulated-timing side is
+// phi::ChunkRing on an attached phi::Cluster's cards; the Trainer couples
+// both.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -140,7 +144,7 @@ class ChunkStream {
   // which is how it finds a pass's end without waiting on the loader.
   Index consumed_in_pass_ = 0;
 
-  // mutex_ guards ring_ through loader_done_. The loader waits on
+  // mutex_ guards ring_ through loader_error_. The loader waits on
   // loader_cv_ for ring room, for the consumer to reach its pass, or for a
   // recycled buffer; the consumer waits on consumer_cv_ for a staged chunk
   // or for the loader to finish. ~ChunkStream sets stopping_ to release the
@@ -157,6 +161,7 @@ class ChunkStream {
   int consumer_pass_ = 0;  // written by next() only
   bool stopping_ = false;
   bool loader_done_ = false;
+  std::exception_ptr loader_error_;  // what ended the loader early, if any
 
   std::atomic<std::int64_t> consumer_wait_ns_{0};
   std::thread loader_;  // not joinable in synchronous mode

@@ -6,6 +6,26 @@
 
 namespace deepphi::phi {
 
+ChunkRing::ChunkRing(int ring_chunks, bool async_loading)
+    : async_loading_(async_loading) {
+  DEEPPHI_CHECK_MSG(ring_chunks >= 1,
+                    "ring_chunks must be >= 1, got " << ring_chunks);
+  slot_free_.assign(static_cast<std::size_t>(ring_chunks), 0.0);
+}
+
+double ChunkRing::transfer_ready(std::int64_t i) const {
+  const double slot_free = slot_free_[static_cast<std::size_t>(i) %
+                                      slot_free_.size()];
+  // No loading thread: the host only starts feeding the next chunk once
+  // training of the previous one finished.
+  return async_loading_ ? slot_free : std::max(slot_free, last_trained_s_);
+}
+
+void ChunkRing::trained(std::int64_t i, double end_s) {
+  slot_free_[static_cast<std::size_t>(i) % slot_free_.size()] = end_s;
+  last_trained_s_ = end_s;
+}
+
 Cluster::Cluster(MachineSpec card_spec, ClusterConfig config)
     : config_(std::move(config)) {
   DEEPPHI_CHECK_MSG(config_.cards >= 1,

@@ -16,8 +16,14 @@
 //              on the interconnect and becomes the next step's barrier.
 // Collective occupancy is recorded in a cluster-level trace (DMA resource)
 // so benches can read the communication share straight off the timeline.
+//
+// Fig. 5's chunk ring (ChunkRing) decides when each step's h2d may start, so
+// ChunkRing plus submit_step is the one simulated timeline of chunk loading
+// and training: the trainer steps it live, and a bench with synthetic
+// chunks steps the same loop on a one-card cluster.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,6 +46,26 @@ struct ClusterCommStats {
   double wire_bytes = 0;
   long long rounds = 0;
   long long collectives = 0;
+};
+
+/// The Fig. 5 chunk ring on a simulated timeline: chunk i's transfer may
+/// start once ring slot i % ring_chunks is free again (the slot's previous
+/// chunk has trained) and, without the loading thread, only after the
+/// previous chunk finished training — the serialized configuration the paper
+/// measures as "about 17% of the total time".
+class ChunkRing {
+ public:
+  ChunkRing(int ring_chunks, bool async_loading);
+
+  /// Earliest simulated time chunk `i`'s transfer may start.
+  double transfer_ready(std::int64_t i) const;
+  /// Chunk `i` finished training at `end_s`; its slot frees then.
+  void trained(std::int64_t i, double end_s);
+
+ private:
+  std::vector<double> slot_free_;
+  double last_trained_s_ = 0.0;
+  bool async_loading_;
 };
 
 class Cluster {

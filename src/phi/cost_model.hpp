@@ -25,7 +25,7 @@ struct CostBreakdown {
   /// Transfers fully serialized with compute (no loading thread).
   double total_serialized_s() const { return compute_s() + transfer_s; }
   /// Idealized full overlap (loading thread + deep enough ring buffer);
-  /// the Offload timeline computes the exact pipelined value.
+  /// stepping phi::ChunkRing on a card's timeline gives the exact value.
   double total_overlapped_s() const {
     return compute_s() > transfer_s ? compute_s() : transfer_s;
   }

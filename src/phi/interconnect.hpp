@@ -1,6 +1,6 @@
 // Inter-card interconnect model for phi::Cluster: how two simulated 5110P
 // cards in one host exchange a message, charged in seconds the same way the
-// cost model charges kernels and phi::Offload charges chunk loads.
+// cost model charges kernels and a card's DMA resource charges chunk loads.
 //
 // Two calibrated paths exist on the paper-era platform:
 //  * PCIe peer-to-peer — cards DMA directly into each other's global memory

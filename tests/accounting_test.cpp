@@ -279,34 +279,25 @@ TEST(ModelMode, PaperScaleSaeIsFastAndAllocatesNoStorage) {
   EXPECT_EQ(report.stats.gemm_flops, 1000 * 5 * (2.0 * 1000 * 4096 * 16384));
 }
 
-// --- a one-card cluster's timeline is Fig. 5's chunk ring ---
+// --- simulate() replays a one-card cluster's live Fig. 5 clock ---
 
-TEST(TrainAccounting, DeviceTimelineEqualsProcessChunks) {
-  // Four identical chunks, so the average chunk Offload replays is exactly
-  // each chunk the trainer submitted.
-  for (ExecPolicy policy : {ExecPolicy::kHost, ExecPolicy::kPhiOffload}) {
+TEST(TrainAccounting, SimulateEqualsOneCardClock) {
+  // Four identical chunks, so the average chunk simulate() replays is
+  // exactly each chunk the trainer charged the card: the pipelined replay
+  // is the live clock with the loading thread, the serialized one without.
+  for (ExecPolicy policy : {ExecPolicy::kPhiOffload, ExecPolicy::kHost}) {
     phi::Cluster card(phi::xeon_phi_5110p(), {});  // 240 threads
-    const phi::Device& trained = card.device(0);
     TrainerConfig cfg = run_config(OptLevel::kImproved, policy);
     cfg.ring_chunks = 2;
     cfg.cluster = &card;
     const TrainReport report = wet_train(SaeConfig{16, 8}, cfg, 256);
     ASSERT_EQ(report.chunks, 4);
 
-    phi::Device replayed(phi::xeon_phi_5110p(), 240);
-    phi::Offload offload(
-        replayed, phi::OffloadConfig{policy == ExecPolicy::kPhiOffload, 2});
-    offload.process_chunks(static_cast<int>(report.chunks), report.chunk_bytes,
-                           report.per_chunk_compute_stats());
-    const auto& a = trained.trace().events();
-    const auto& b = replayed.trace().events();
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].name, b[i].name);
-      EXPECT_EQ(a[i].start_s, b[i].start_s) << a[i].name;
-      EXPECT_EQ(a[i].end_s, b[i].end_s) << a[i].name;
-    }
-    EXPECT_EQ(trained.elapsed_s(), replayed.elapsed_s());
+    phi::Device device(phi::xeon_phi_5110p(), 240);
+    const SimulatedTime sim = simulate(report, device, /*ring_chunks=*/2);
+    EXPECT_EQ(policy == ExecPolicy::kPhiOffload ? sim.pipelined_s
+                                                : sim.serialized_s,
+              card.elapsed_s());
   }
 }
 
@@ -497,11 +488,10 @@ TEST(MatlabAccounting, TrainStatsSumBatches) {
 // --- real vs predicted per-chunk timelines ---
 
 // TrainReport carries the measured wall seconds of every chunk; the
-// simulated side predicts per-chunk timings via Offload::process_chunks on
-// the same per-chunk work. The two timelines must agree structurally (one
-// entry per chunk, in order, finite and positive, chunk sum bounded by the
-// run total). Absolute times are machine-dependent, so that part is not
-// asserted.
+// attached card's trace carries the simulated timing of the same chunks.
+// The two timelines must agree structurally (one entry per chunk, in order,
+// finite and positive, chunk sum bounded by the run total). Absolute times
+// are machine-dependent, so that part is not asserted.
 TEST(TrainAccounting, ChunkWallSecondsMatchSimulatedChunkTimeline) {
   phi::Cluster card(phi::xeon_phi_5110p(), {});
   TrainerConfig tcfg = run_config(OptLevel::kImproved, ExecPolicy::kPhiOffload);
@@ -522,26 +512,25 @@ TEST(TrainAccounting, ChunkWallSecondsMatchSimulatedChunkTimeline) {
   // a little slack for timer granularity.
   EXPECT_LE(chunk_sum, report.wall_seconds * 1.05 + 1e-3);
 
-  // The simulated timeline predicts the same number of chunks, each with a
-  // positive compute interval, and their simulated spans sum consistently
-  // with what simulate() reports end-to-end.
-  phi::Device sim_device(phi::xeon_phi_5110p());
-  phi::Offload offload(sim_device, phi::OffloadConfig{true, 4});
-  const phi::OffloadReport predicted = offload.process_chunks(
-      static_cast<int>(report.chunks), report.chunk_bytes,
-      report.per_chunk_compute_stats());
-  ASSERT_EQ(predicted.chunks.size(), report.chunk_wall_seconds.size());
-  for (const phi::ChunkTiming& t : predicted.chunks) {
-    EXPECT_GT(t.compute_end_s, t.compute_start_s);
-    EXPECT_GE(t.compute_start_s, t.transfer_start_s);
+  // The card's timeline holds the same chunks in order — chunk i's h2d at
+  // event 2i, its training at 2i + 1 — each with a positive compute
+  // interval that starts after its transfer, and it ends where simulate()
+  // puts the run.
+  const auto& events = card.device(0).trace().events();
+  ASSERT_EQ(events.size(), 2 * report.chunk_wall_seconds.size());
+  for (std::size_t i = 0; i < report.chunk_wall_seconds.size(); ++i) {
+    const phi::TraceEvent& h2d = events[2 * i];
+    const phi::TraceEvent& train = events[2 * i + 1];
+    EXPECT_EQ(train.name, "chunk[" + std::to_string(i) + "] train");
+    EXPECT_GT(train.end_s, train.start_s);
+    EXPECT_GE(train.start_s, h2d.start_s);
   }
 
-  phi::Device sim_device2(phi::xeon_phi_5110p());
-  const SimulatedTime sim = simulate(report, sim_device2);
+  phi::Device sim_device(phi::xeon_phi_5110p());
+  const SimulatedTime sim = simulate(report, sim_device);
   EXPECT_GT(sim.pipelined_s, 0.0);
   EXPECT_LE(sim.pipelined_s, sim.serialized_s * (1.0 + 1e-9));
-  EXPECT_NEAR(sim.pipelined_s, predicted.total_s,
-              1e-6 * std::max(1.0, predicted.total_s));
+  EXPECT_EQ(sim.pipelined_s, card.elapsed_s());
 }
 
 }  // namespace

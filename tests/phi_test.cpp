@@ -1,17 +1,19 @@
 // Tests for the Xeon Phi simulator substrate: stats accounting and scoping,
 // machine specs, cost-model properties (rates, rooflines, synchronization,
-// thread scaling), device memory arena + timeline, offload overlap (the
-// paper's 17% transfer share and its elimination by the loading thread), and
-// traces.
+// thread scaling), device memory arena + timeline, the Fig. 5 chunk ring on
+// a one-card cluster (the paper's 17% transfer share and its elimination by
+// the loading thread), and traces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
+#include "phi/cluster.hpp"
 #include "phi/cost_model.hpp"
 #include "phi/device.hpp"
 #include "phi/kernel_stats.hpp"
 #include "phi/machine_spec.hpp"
-#include "phi/offload.hpp"
 #include "phi/trace.hpp"
 #include "util/error.hpp"
 
@@ -340,7 +342,9 @@ TEST(Device, ResetTimelinePreservesMemory) {
   EXPECT_TRUE(d.trace().events().empty());
 }
 
-// --- Offload ---
+// --- Fig. 5 chunk ring on a one-card cluster ---
+
+constexpr double kChunkBytes = 10000.0 * 1024 * 4;
 
 KernelStats chunk_compute_work() {
   // A compute load chosen to be several times the transfer time of a chunk
@@ -349,82 +353,99 @@ KernelStats chunk_compute_work() {
   return gemm_contribution(1000, 4096, 1024).scaled(1000.0);
 }
 
-TEST(Offload, AsyncOverlapsTransfers) {
-  Device d(xeon_phi_5110p());
-  Offload off(d, OffloadConfig{true, 4});
-  const double chunk_bytes = 10000.0 * 1024 * 4;
-  const auto report = off.process_chunks(8, chunk_bytes, chunk_compute_work());
+// Steps `n_chunks` chunks of `chunk_bytes`, each costing `per_chunk`, through
+// a ring of `ring_chunks` on a fresh one-card cluster: the loop a training
+// run with a cluster attached drives live. Card 0's trace then holds
+// "chunk[i] h2d" at event 2i and "chunk[i] train" at event 2i + 1.
+Cluster step_ring(const MachineSpec& spec, bool async_loading, int ring_chunks,
+                  int n_chunks, double chunk_bytes,
+                  const KernelStats& per_chunk) {
+  Cluster card(spec, {});
+  ChunkRing ring(ring_chunks, async_loading);
+  for (int i = 0; i < n_chunks; ++i)
+    ring.trained(i, card.submit_step("chunk[" + std::to_string(i) + "]",
+                                     {per_chunk}, {chunk_bytes}, {},
+                                     ring.transfer_ready(i)));
+  return card;
+}
+
+double busy_s(const Cluster& card, TraceEvent::Resource resource) {
+  return card.device(0).trace().busy_s(resource);
+}
+
+// Share of the span that compute does not cover: exposed transfer.
+double exposed_share(const Cluster& card) {
+  const double total = card.elapsed_s();
+  return std::max(0.0, total - busy_s(card, TraceEvent::Resource::kCompute)) /
+         total;
+}
+
+TEST(ChunkRing, LoadingThreadOverlapsTransfers) {
+  const Cluster card = step_ring(xeon_phi_5110p(), /*async_loading=*/true, 4,
+                                 8, kChunkBytes, chunk_compute_work());
+  const auto& events = card.device(0).trace().events();
+  ASSERT_EQ(events.size(), 16u);
+  ASSERT_EQ(events[2].name, "chunk[1] h2d");
   // After the first fill, transfers hide under compute: total ≈ fill + compute.
-  const double per_transfer = report.chunks[0].transfer_end_s;
-  EXPECT_LT(report.total_s, report.compute_busy_s + 2.5 * per_transfer);
+  EXPECT_LT(card.elapsed_s(), busy_s(card, TraceEvent::Resource::kCompute) +
+                                  2.5 * events[0].end_s);
   // Chunk 1's transfer starts before chunk 0's compute ends (true overlap).
-  EXPECT_LT(report.chunks[1].transfer_start_s, report.chunks[0].compute_end_s);
+  EXPECT_LT(events[2].start_s, events[1].end_s);
 }
 
-TEST(Offload, SyncSerializesTransfers) {
-  Device d(xeon_phi_5110p());
-  Offload off(d, OffloadConfig{false, 4});
-  const double chunk_bytes = 10000.0 * 1024 * 4;
-  const auto report = off.process_chunks(8, chunk_bytes, chunk_compute_work());
-  EXPECT_NEAR(report.total_s, report.compute_busy_s + report.transfer_busy_s,
-              report.total_s * 1e-6);
+TEST(ChunkRing, NoLoadingThreadSerializesTransfers) {
+  const Cluster card = step_ring(xeon_phi_5110p(), /*async_loading=*/false, 4,
+                                 8, kChunkBytes, chunk_compute_work());
+  EXPECT_NEAR(card.elapsed_s(),
+              busy_s(card, TraceEvent::Resource::kCompute) +
+                  busy_s(card, TraceEvent::Resource::kDma),
+              card.elapsed_s() * 1e-6);
   // No overlap: chunk 1's transfer starts only after chunk 0 finishes.
-  EXPECT_GE(report.chunks[1].transfer_start_s, report.chunks[0].compute_end_s);
+  const auto& events = card.device(0).trace().events();
+  ASSERT_EQ(events[1].name, "chunk[0] train");
+  EXPECT_GE(events[2].start_s, events[1].end_s);
 }
 
-TEST(Offload, AsyncBeatsSync) {
-  const double chunk_bytes = 10000.0 * 1024 * 4;
-  Device d1(xeon_phi_5110p());
-  const double async_total =
-      Offload(d1, {true, 4}).process_chunks(10, chunk_bytes, chunk_compute_work())
-          .total_s;
-  Device d2(xeon_phi_5110p());
-  const double sync_total =
-      Offload(d2, {false, 4}).process_chunks(10, chunk_bytes, chunk_compute_work())
-          .total_s;
-  EXPECT_LT(async_total, sync_total);
+TEST(ChunkRing, AsyncBeatsSync) {
+  const KernelStats work = chunk_compute_work();
+  EXPECT_LT(
+      step_ring(xeon_phi_5110p(), true, 4, 10, kChunkBytes, work).elapsed_s(),
+      step_ring(xeon_phi_5110p(), false, 4, 10, kChunkBytes, work).elapsed_s());
 }
 
-TEST(Offload, Paper17PercentShareReproduces) {
+TEST(ChunkRing, Paper17PercentShareReproduces) {
   // §IV.A: 13 s transfer vs 68 s training per chunk → ≈17% of serialized
   // total; the loading thread removes nearly all of it.
-  Device d(xeon_phi_5110p_paper_loading());
+  const MachineSpec spec = xeon_phi_5110p_paper_loading();
   const double chunk_bytes = 10000.0 * 4096 * 4;  // the paper's 13 s chunk
   // Build a compute load of ≈68 s at 240 threads.
-  const CostModel& m = d.cost_model();
   KernelStats unit = gemm_contribution(1000, 4096, 1024);
-  const double unit_s = m.evaluate(unit, 240).compute_s();
+  const double unit_s = CostModel(spec).evaluate(unit, 240).compute_s();
   const KernelStats per_chunk = unit.scaled(68.0 / unit_s);
-
-  Device d_sync(xeon_phi_5110p_paper_loading());
-  const auto sync_report =
-      Offload(d_sync, {false, 4}).process_chunks(20, chunk_bytes, per_chunk);
-  EXPECT_NEAR(sync_report.exposed_transfer_fraction(), 0.16, 0.03);
-
-  Device d_async(xeon_phi_5110p_paper_loading());
-  const auto async_report =
-      Offload(d_async, {true, 4}).process_chunks(20, chunk_bytes, per_chunk);
-  EXPECT_LT(async_report.exposed_transfer_fraction(), 0.02);
+  EXPECT_NEAR(exposed_share(step_ring(spec, false, 4, 20, chunk_bytes,
+                                      per_chunk)),
+              0.16, 0.03);
+  EXPECT_LT(
+      exposed_share(step_ring(spec, true, 4, 20, chunk_bytes, per_chunk)),
+      0.02);
 }
 
-TEST(Offload, RingDepthOneStillCorrectButSlower) {
+TEST(ChunkRing, RingDepthOneStillCorrectButSlower) {
+  const MachineSpec spec = xeon_phi_5110p_paper_loading();
   const double chunk_bytes = 1e8;  // transfer-heavy
   const KernelStats small_work = gemm_contribution(100, 100, 100);
-  Device d1(xeon_phi_5110p_paper_loading());
-  const double deep =
-      Offload(d1, {true, 4}).process_chunks(10, chunk_bytes, small_work).total_s;
-  Device d2(xeon_phi_5110p_paper_loading());
-  const double shallow =
-      Offload(d2, {true, 1}).process_chunks(10, chunk_bytes, small_work).total_s;
-  EXPECT_LE(deep, shallow + 1e-9);
+  EXPECT_LE(step_ring(spec, true, 4, 10, chunk_bytes, small_work).elapsed_s(),
+            step_ring(spec, true, 1, 10, chunk_bytes, small_work).elapsed_s() +
+                1e-9);
 }
 
-TEST(Offload, ZeroChunks) {
-  Device d(xeon_phi_5110p());
-  Offload off(d, OffloadConfig{true, 2});
-  const auto report = off.process_chunks(0, 100, KernelStats{});
-  EXPECT_EQ(report.chunks.size(), 0u);
-  EXPECT_DOUBLE_EQ(report.total_s, 0.0);
+TEST(ChunkRing, NoChunksLeaveTheClockAtZero) {
+  EXPECT_DOUBLE_EQ(ChunkRing(2, true).transfer_ready(0), 0.0);
+  EXPECT_THROW(ChunkRing(0, true), util::Error);
+  const Cluster card =
+      step_ring(xeon_phi_5110p(), true, 2, 0, 100, KernelStats{});
+  EXPECT_TRUE(card.device(0).trace().events().empty());
+  EXPECT_DOUBLE_EQ(card.elapsed_s(), 0.0);
 }
 
 // --- GEMM size buckets ---
@@ -474,15 +495,6 @@ TEST(GemmBuckets, HandBuiltStatsWithoutBucketsStillCosted) {
   const double t = m.evaluate(s, 240).gemm_s;
   EXPECT_GT(t, 0.0);
   EXPECT_NEAR(t, 1e12 / (m.gemm_rate_gflops(240) * 1e9), 1e-9);
-}
-
-TEST(OffloadReport, ExposedFractionBounded) {
-  Device d(xeon_phi_5110p_paper_loading());
-  Offload off(d, OffloadConfig{false, 2});
-  const auto report =
-      off.process_chunks(5, 1e8, gemm_contribution(500, 500, 500));
-  EXPECT_GE(report.exposed_transfer_fraction(), 0.0);
-  EXPECT_LE(report.exposed_transfer_fraction(), 1.0);
 }
 
 // --- Trace ---

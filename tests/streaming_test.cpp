@@ -2,7 +2,8 @@
 // manifest IO, the mmap'd ShardedDataset (decode parity with the in-memory
 // Dataset for f32 and u8, shard-boundary spans, gathers, corruption and
 // truncation errors), the deterministic WindowShuffle, the typed IoError
-// paths of the DPDS/IDX loaders, and the headline contract — training from
+// paths of the DPDS/IDX loaders, a decode failure on the loading thread
+// reaching the consumer, and the headline contract — training from
 // shards is bitwise identical to training in memory, for a plain Trainer
 // run and every replicas × accumulation_steps factorization, with the
 // windowed shuffle on or off.
@@ -13,6 +14,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -31,6 +33,7 @@
 #include "data/sharded_dataset.hpp"
 #include "data/shuffle.hpp"
 #include "obs/metrics.hpp"
+#include "util/error.hpp"
 
 namespace deepphi::data {
 namespace {
@@ -378,8 +381,10 @@ TEST(ChunkStream, ShuffledOrderIdenticalAcrossBackings) {
 // readahead hints (window alignment under shuffle), the source rows it
 // decodes, in order, and how many copies it has started and has in
 // flight. Copies past the first `fast_copies` sleep `slow_ms`, to keep the
-// loader busy while the consumer finishes. The vectors are written by the
-// loader thread; read them once the stream is gone.
+// loader busy while the consumer finishes, and a copy that touches row
+// `fail_from` or later throws util::Error, as a corrupt shard's decode does.
+// The vectors are written by the loader thread; read them once the stream is
+// gone.
 class RecordingSource final : public StreamingSource {
  public:
   explicit RecordingSource(const Dataset& d) : d_(d) {}
@@ -392,6 +397,9 @@ class RecordingSource final : public StreamingSource {
   }
   void copy_rows(const std::vector<Index>& indices,
                  la::Matrix& out) const override {
+    for (const Index i : indices)
+      if (i >= fail_from)
+        throw util::Error("decode failed at row " + std::to_string(i));
     in_flight.fetch_add(1);
     if (copies.fetch_add(1) >= fast_copies)
       std::this_thread::sleep_for(std::chrono::milliseconds(slow_ms));
@@ -410,6 +418,7 @@ class RecordingSource final : public StreamingSource {
   mutable std::atomic<int> in_flight{0};
   int fast_copies = 1 << 30;
   int slow_ms = 0;
+  Index fail_from = std::numeric_limits<Index>::max();
 
  private:
   const Dataset& d_;
@@ -493,6 +502,38 @@ TEST(ChunkStream, LoaderStagesOneChunkOfTheNextPassAhead) {
   }  // destroyed mid-pass: the loader is joined, nothing left in flight
   EXPECT_EQ(src.in_flight.load(), 0);
   EXPECT_LE(src.copies.load(), 5 + static_cast<int>(cfg.ring_chunks) + 1);
+}
+
+// --- a failed decode reaches the consumer ---
+
+TEST(ChunkStream, LoaderErrorReachesTheConsumerInBothModes) {
+  // Rows 50 on fail to decode. Either way next() hands out chunks 0-4 (rows
+  // 0-49), then throws the source's util::Error: inline from produce() in
+  // synchronous mode, rethrown from the loading thread in background mode.
+  const Dataset d(100, 2);
+  std::vector<std::string> errors;
+  for (const bool background : {false, true}) {
+    RecordingSource src(d);
+    src.fail_from = 50;
+    ChunkStreamConfig cfg;
+    cfg.chunk_examples = 10;
+    cfg.background = background;
+    ChunkStream stream(src, cfg);
+    for (int i = 0; i < 5; ++i)
+      ASSERT_TRUE(stream.next().has_value())
+          << "chunk " << i << ", background " << background;
+    try {
+      stream.next();
+      ADD_FAILURE() << "background " << background << ": next() must throw";
+    } catch (const util::Error& e) {
+      errors.push_back(e.what());
+    }
+    // The stream stays failed rather than ending the pass short.
+    EXPECT_THROW(stream.next(), util::Error);
+  }
+  ASSERT_EQ(errors.size(), 2u);
+  EXPECT_EQ(errors[0], "decode failed at row 50");
+  EXPECT_EQ(errors[1], errors[0]);
 }
 
 TEST(ChunkStream, PrefetchHintsFollowTheStreamInOrder) {
@@ -740,6 +781,27 @@ TEST(StreamingParity, StopInEpochZeroJoinsTheLoaderStagingEpochOne) {
   EXPECT_EQ(report.batches, 16);
   EXPECT_EQ(src.in_flight.load(), 0);
   const int copies = src.copies.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(src.copies.load(), copies) << "the loader outlived train()";
+}
+
+TEST(ChunkStream, LoaderErrorFailsTrainingAndJoinsTheLoader) {
+  // A corrupt row under kPhiOffload: the loading thread's decode error fails
+  // train() with util::Error after the chunks before it have trained, and
+  // the stream still joins its loader on the way out.
+  const Dataset d = make_digit_patch_dataset(256, 4, /*seed=*/9);
+  RecordingSource src(d);
+  src.fail_from = 150;  // chunk 2 of 64-row chunks
+  core::SaeConfig mcfg;
+  mcfg.visible = d.dim();
+  mcfg.hidden = 4;
+  core::SparseAutoencoder model(mcfg, 1);
+  core::TrainerConfig cfg = parity_config(0, 1, 1);
+  cfg.policy = core::ExecPolicy::kPhiOffload;
+  EXPECT_THROW(core::Trainer(cfg).train(model, src), util::Error);
+  EXPECT_EQ(src.in_flight.load(), 0);
+  const int copies = src.copies.load();
+  EXPECT_EQ(copies, 2);
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_EQ(src.copies.load(), copies) << "the loader outlived train()";
 }
