@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/stacked_autoencoder.hpp"
+#include "core/layer_stack.hpp"
 #include "serve/inference_server.hpp"
 #include "serve/model_registry.hpp"
 #include "util/string_util.hpp"

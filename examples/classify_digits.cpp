@@ -16,8 +16,8 @@
 //   $ ./classify_digits [--train=4096] [--labeled=96] [--test=1024] [--noise=0.45]
 #include <cstdio>
 
+#include "core/layer_stack.hpp"
 #include "core/softmax.hpp"
-#include "core/stacked_autoencoder.hpp"
 #include "core/trainer.hpp"
 #include "data/digits.hpp"
 #include "util/options.hpp"

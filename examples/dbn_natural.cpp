@@ -4,7 +4,7 @@
 //   $ ./dbn_natural [--examples=6144] [--epochs=6]
 #include <cstdio>
 
-#include "core/dbn.hpp"
+#include "core/layer_stack.hpp"
 #include "core/metrics.hpp"
 #include "data/patches.hpp"
 #include "util/options.hpp"

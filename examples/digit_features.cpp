@@ -5,8 +5,8 @@
 //   $ ./digit_features [--examples=6144] [--epochs=6]
 #include <cstdio>
 
+#include "core/layer_stack.hpp"
 #include "core/metrics.hpp"
-#include "core/stacked_autoencoder.hpp"
 #include "data/patches.hpp"
 #include "util/options.hpp"
 

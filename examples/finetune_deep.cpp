@@ -7,8 +7,8 @@
 #include <cstdio>
 
 #include "core/deep_autoencoder.hpp"
+#include "core/layer_stack.hpp"
 #include "core/model_io.hpp"
-#include "core/stacked_autoencoder.hpp"
 #include "core/trainer.hpp"
 #include "data/patches.hpp"
 #include "la/reduce.hpp"
@@ -57,10 +57,11 @@ int main(int argc, char** argv) {
 
   // Phase 2: checkpoint round trip (what a real pipeline would do between
   // the pre-training and fine-tuning jobs).
-  const std::string ckpt = "/tmp/deepphi_stack.dpsa";
+  const std::string ckpt = "deepphi_stack.dpsa";
   core::save_model(stack, ckpt);
   core::StackedAutoencoder restored = core::load_stacked_sae(ckpt);
-  std::printf("checkpointed to %s and restored\n", ckpt.c_str());
+  std::remove(ckpt.c_str());
+  std::printf("checkpointed to %s, restored and removed\n", ckpt.c_str());
 
   // Phase 3: unroll and fine-tune, against a cold-start control.
   core::DeepAutoencoder pretrained(restored);

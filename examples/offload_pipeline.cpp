@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
               live_device.trace().busy_s(phi::TraceEvent::Resource::kCompute),
               live_device.trace().busy_s(phi::TraceEvent::Resource::kDma),
               live_device.trace().overlap_s(), live_device.elapsed_s());
-  const std::string trace_path = "/tmp/deepphi_trace.json";
+  const std::string trace_path = "deepphi_trace.json";
   obs::Profiler::write_chrome_json(trace_path, &live_device.trace());
   std::printf("Chrome-tracing JSON written to %s (open in ui.perfetto.dev)\n",
               trace_path.c_str());

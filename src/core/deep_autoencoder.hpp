@@ -18,10 +18,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/dbn.hpp"
 #include "core/encoder.hpp"
+#include "core/layer_stack.hpp"
 #include "core/optimizer.hpp"
-#include "core/stacked_autoencoder.hpp"
 #include "data/dataset.hpp"
 
 namespace deepphi::core {

@@ -2,10 +2,9 @@
 
 #include <sstream>
 
-#include "core/dbn.hpp"
+#include "core/layer_stack.hpp"
 #include "core/rbm.hpp"
 #include "core/sparse_autoencoder.hpp"
-#include "core/stacked_autoencoder.hpp"
 
 namespace deepphi::core {
 

@@ -14,12 +14,11 @@
 #include <memory>
 #include <string>
 
-#include "core/dbn.hpp"
 #include "core/encoder.hpp"
+#include "core/layer_stack.hpp"
 #include "core/quantized_encoder.hpp"
 #include "core/rbm.hpp"
 #include "core/sparse_autoencoder.hpp"
-#include "core/stacked_autoencoder.hpp"
 
 namespace deepphi::core {
 

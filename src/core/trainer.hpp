@@ -94,7 +94,7 @@ struct TrainerConfig {
   int accumulation_steps = 1;
   /// All-reduce algorithm the modeled inter-card combine is charged as;
   /// kAuto picks the cheapest schedule for the gradient message size on the
-  /// active interconnect. DEEPPHI_COLLECTIVE overrides either way.
+  /// active interconnect.
   par::Collective collective = par::Collective::kAuto;
   /// Update rule for the matrix-form levels; the loop-form levels (Baseline /
   /// OpenMP) always use plain SGD at optimizer.lr, matching the paper's

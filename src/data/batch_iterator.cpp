@@ -47,8 +47,6 @@ Index BatchIterator::next(la::Matrix& out) {
   return count;
 }
 
-void BatchIterator::rewind() { cursor_ = 0; }
-
 Index BatchIterator::batches_per_epoch() const {
   return (dataset_.size() + batch_size_ - 1) / batch_size_;
 }

@@ -24,9 +24,6 @@ class BatchIterator {
   /// as needed.
   Index next(la::Matrix& out);
 
-  /// Restarts the current epoch from its beginning (same permutation).
-  void rewind();
-
   Index batch_size() const { return batch_size_; }
   Index batches_per_epoch() const;
   std::uint64_t epoch() const { return epoch_; }

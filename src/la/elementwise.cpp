@@ -72,20 +72,6 @@ void sub(const Matrix& a, const Matrix& b, Matrix& out) {
   for (Index i = 0; i < n; ++i) op[i] = ap[i] - bp[i];
 }
 
-void hadamard(const Matrix& a, const Matrix& b, Matrix& out) {
-  DEEPPHI_CHECK_MSG(a.rows() == b.rows() && a.cols() == b.cols() &&
-                        a.rows() == out.rows() && a.cols() == out.cols(),
-                    "hadamard shape mismatch");
-  phi::record(phi::naive_loop_contribution(a.size(), 1.0, 2.0, 1.0));
-  if (phi::dry_run()) return;
-  const float* ap = a.data();
-  const float* bp = b.data();
-  float* op = out.data();
-  const Index n = a.size();
-#pragma omp parallel for simd if (n >= kParallelThreshold) schedule(static)
-  for (Index i = 0; i < n; ++i) op[i] = ap[i] * bp[i];
-}
-
 void dsigmoid_mul_inplace(Matrix& delta, const Matrix& act) {
   DEEPPHI_CHECK_MSG(delta.rows() == act.rows() && delta.cols() == act.cols(),
                     "dsigmoid shape mismatch");
@@ -152,25 +138,6 @@ void output_delta(const Matrix& z, const Matrix& x, Matrix& delta) {
 #pragma omp parallel for simd if (n >= kParallelThreshold) schedule(static)
   for (Index i = 0; i < n; ++i)
     dp[i] = (zp[i] - xp[i]) * zp[i] * (1.0f - zp[i]);
-}
-
-void hidden_delta(Matrix& back, const Vector& sparse, const Matrix& y) {
-  DEEPPHI_CHECK_MSG(back.rows() == y.rows() && back.cols() == y.cols() &&
-                        sparse.size() == back.cols(),
-                    "hidden_delta shape mismatch");
-  phi::record(phi::loop_contribution(back.size(), 4.0, 2.0, 1.0));
-  if (phi::dry_run()) return;
-  const Index rows = back.rows();
-  const Index cols = back.cols();
-  const float* sp = sparse.data();
-#pragma omp parallel for if (back.size() >= kParallelThreshold) schedule(static)
-  for (Index r = 0; r < rows; ++r) {
-    float* bp = back.row(r);
-    const float* yp = y.row(r);
-#pragma omp simd
-    for (Index c = 0; c < cols; ++c)
-      bp[c] = (bp[c] + sp[c]) * yp[c] * (1.0f - yp[c]);
-  }
 }
 
 void bias_sigmoid_sample(Matrix& m, const Vector& bias, Matrix& sample,

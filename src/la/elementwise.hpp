@@ -1,23 +1,21 @@
 // Elementwise kernels for the training steps, in two granularities:
 //
-//  * unfused primitives (add_row_broadcast, sigmoid_inplace, sub, hadamard,
-//    ...) — one parallel kernel launch each, matching the paper's plain
-//    "OpenMP" optimization level where every loop gets its own parallel
-//    region;
-//  * fused kernels (bias_sigmoid, output_delta, hidden_delta,
-//    bias_sigmoid_sample) — one pass over memory doing the combined update,
-//    matching the paper's "Improved OpenMP+MKL" step ("we finally combine
-//    several loops together to make the granularity more suitable").
+//  * unfused primitives (add_row_broadcast, sigmoid_inplace, sub,
+//    dsigmoid_mul_inplace, ...) — one parallel kernel launch each, matching
+//    the paper's plain "OpenMP" optimization level where every loop gets its
+//    own parallel region;
+//  * fused kernels (bias_sigmoid, output_delta, bias_sigmoid_sample) — one
+//    pass over memory doing the combined update, matching the paper's
+//    "Improved OpenMP+MKL" step ("we finally combine several loops together
+//    to make the granularity more suitable"). The SAE's fused hidden delta
+//    is not here: it is a GEMM epilogue, GemmEpilogue::bias_dsigmoid_mul.
 //
 // Flop-count conventions (recorded per element; the cost model, not the
 // hardware, consumes these): add/sub/mul = 1, fma = 2, sigmoid = 8 (exp
 // amortized), bernoulli sample = 12 (counter RNG + compare).
 #pragma once
 
-#include <cmath>
-
 #include "la/matrix.hpp"
-#include "la/simd/vec_ops.hpp"
 #include "util/rng.hpp"
 
 namespace deepphi::la {
@@ -30,9 +28,6 @@ void add_row_broadcast(Matrix& m, const Vector& bias);
 
 /// out = a - b.
 void sub(const Matrix& a, const Matrix& b, Matrix& out);
-
-/// out = a ⊙ b.
-void hadamard(const Matrix& a, const Matrix& b, Matrix& out);
 
 /// delta ⊙= act ⊙ (1 - act) — multiply by the sigmoid derivative expressed
 /// through the activation.
@@ -53,10 +48,6 @@ void bias_sigmoid(Matrix& m, const Vector& bias);
 /// backprop, in one pass.
 void output_delta(const Matrix& z, const Matrix& x, Matrix& delta);
 
-/// back = (back + sparse[c]) ⊙ y ⊙ (1 - y) — the hidden-layer delta with the
-/// KL-sparsity term folded in, in one pass (in place on `back`).
-void hidden_delta(Matrix& back, const Vector& sparse, const Matrix& y);
-
 /// Fused RBM hidden step: m = sigmoid(m + bias[c]); sample(r,c) =
 /// bernoulli(m(r,c)) — one pass producing both mean and sample.
 void bias_sigmoid_sample(Matrix& m, const Vector& bias, Matrix& sample,
@@ -70,11 +61,5 @@ void add_row_broadcast_vec(Matrix& m, const Vector& bias);
 /// m(r,c) += sigma · N(0,1), with per-row substreams of `base` (row r uses
 /// base.split(r)) — Gaussian visible sampling.
 void add_gaussian_noise(Matrix& m, float sigma, const util::Rng& base);
-
-/// Scalar sigmoid used by tests and the loop-form baselines. Forwards to the
-/// one shared implementation (la/simd/vec_ops.hpp) so every float sigmoid in
-/// the library — fused GEMM epilogues, dispatched elementwise kernels,
-/// loop-form paths — computes the same bits.
-inline float sigmoidf(float x) { return simd::sigmoid_scalar(x); }
 
 }  // namespace deepphi::la

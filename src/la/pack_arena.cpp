@@ -32,16 +32,8 @@ float* pack_arena(std::size_t elems) {
   return arena.buf.get();
 }
 
-std::size_t pack_arena_capacity() { return thread_arena().capacity; }
-
 std::uint64_t pack_arena_allocations() {
   return g_allocations.load(std::memory_order_relaxed);
-}
-
-void pack_arena_release() {
-  Arena& arena = thread_arena();
-  arena.buf.reset();
-  arena.capacity = 0;
 }
 
 }  // namespace deepphi::la

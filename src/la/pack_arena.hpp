@@ -29,15 +29,9 @@ namespace deepphi::la {
 /// capacity; otherwise reuses the existing allocation.
 float* pack_arena(std::size_t elems);
 
-/// Capacity, in floats, of the calling thread's arena (0 before first use).
-std::size_t pack_arena_capacity();
-
 /// Process-wide count of arena allocations (first use + every growth, summed
 /// over all threads). Stable across repeated same-shape GEMM calls — the
 /// zero-allocation-at-steady-state tests pin this.
 std::uint64_t pack_arena_allocations();
-
-/// Frees the calling thread's arena (tests; threads otherwise keep theirs).
-void pack_arena_release();
 
 }  // namespace deepphi::la

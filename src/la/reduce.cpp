@@ -10,8 +10,6 @@
 namespace deepphi::la {
 
 namespace {
-constexpr Index kParallelThreshold = 1 << 15;
-
 // col_sum splits its columns into blocks of this many (a multiple of every
 // tier's register block) and spreads them over the team from
 // kColSumParallelThreshold elements, where the fork/join pays for itself
@@ -49,24 +47,6 @@ void col_mean(const Matrix& m, Vector& out) {
   if (phi::dry_run()) return;
   const float inv = 1.0f / static_cast<float>(m.rows());
   for (Index c = 0; c < out.size(); ++c) out[c] *= inv;
-}
-
-void row_sum(const Matrix& m, Vector& out) {
-  DEEPPHI_CHECK_MSG(out.size() == m.rows(), "row_sum out size " << out.size()
-                                                                << " != rows "
-                                                                << m.rows());
-  phi::record(phi::loop_contribution(m.size(), 1.0, 1.0, 0.0));
-  if (phi::dry_run()) return;
-  const Index rows = m.rows();
-  const Index cols = m.cols();
-#pragma omp parallel for if (m.size() >= kParallelThreshold) schedule(static)
-  for (Index r = 0; r < rows; ++r) {
-    const float* row = m.row(r);
-    double acc = 0.0;
-#pragma omp simd reduction(+ : acc)
-    for (Index c = 0; c < cols; ++c) acc += row[c];
-    out[r] = static_cast<float>(acc);
-  }
 }
 
 double sum(const Matrix& m) {

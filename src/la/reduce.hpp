@@ -1,4 +1,4 @@
-// Reduction kernels: column/row sums and means, scalar reductions, and the
+// Reduction kernels: column sums and means, scalar reductions, and the
 // KL-sparsity helpers of the Sparse Autoencoder cost (paper eqs. 5–6).
 // Column reductions accumulate in double to keep large-batch averages stable.
 #pragma once
@@ -13,9 +13,6 @@ void col_sum(const Matrix& m, Vector& out);
 /// out[c] = mean_r m(r,c) — e.g. the average activation ρ̂ of each hidden
 /// unit over a batch.
 void col_mean(const Matrix& m, Vector& out);
-
-/// out[r] = Σ_c m(r,c). `out` must have m.rows() elements.
-void row_sum(const Matrix& m, Vector& out);
 
 /// Σ of all elements.
 double sum(const Matrix& m);

@@ -110,16 +110,6 @@ std::vector<HistogramSample> snapshot_histograms() {
   return out;
 }
 
-void reset_all() {
-  RegistryState& s = state();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  for (Entry& e : s.entries) {
-    e.counter.reset();
-    e.gauge.reset();
-    if (e.histogram) e.histogram->reset();
-  }
-}
-
 }  // namespace metrics
 
 void Gauge::set_max(double v) {

@@ -94,10 +94,6 @@ std::vector<MetricSample> snapshot();
 
 /// Copies out every registered histogram (buckets and all), sorted by name.
 std::vector<HistogramSample> snapshot_histograms();
-
-/// Resets every counter and gauge to zero (registrations survive). Tests and
-/// per-run telemetry use this to scope deltas to one run.
-void reset_all();
 }  // namespace metrics
 
 }  // namespace deepphi::obs

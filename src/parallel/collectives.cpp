@@ -1,7 +1,6 @@
 #include "parallel/collectives.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -111,15 +110,8 @@ CollectiveSchedule all_reduce_schedule(Collective algorithm,
   return s;
 }
 
-Collective effective_collective(Collective requested) {
-  if (const char* env = std::getenv("DEEPPHI_COLLECTIVE"); env && *env)
-    return parse_collective(env);
-  return requested;
-}
-
 Collective resolve_collective(Collective requested, double message_bytes,
                               int cards, const phi::InterconnectSpec& link) {
-  requested = effective_collective(requested);
   if (requested != Collective::kAuto) return requested;
   Collective best = Collective::kTree;
   double best_s =

@@ -17,9 +17,6 @@
 //                 and take the cheapest (so selection is never worse than the
 //                 best fixed algorithm at any message size by construction).
 //
-// The DEEPPHI_COLLECTIVE environment variable (tree | rdouble | ring | auto)
-// overrides any configured choice — the ablation hook.
-//
 // all_reduce() is the functional counterpart used by tests and benches: it
 // really moves and sums data between per-card buffers in each algorithm's
 // pattern and returns the schedule it executed, so the modeled byte counts
@@ -70,15 +67,9 @@ struct CollectiveSchedule {
 CollectiveSchedule all_reduce_schedule(Collective algorithm,
                                        double message_bytes, int cards);
 
-/// The effective requested algorithm: the DEEPPHI_COLLECTIVE environment
-/// override when set (throws on an unparsable value), otherwise `requested`
-/// unchanged. resolve_collective applies this internally; telemetry headers
-/// call it directly so they record what the run will actually use.
-Collective effective_collective(Collective requested);
-
-/// Resolves `requested` to a concrete algorithm: the DEEPPHI_COLLECTIVE
-/// override wins over everything; kAuto picks the schedule with the smallest
-/// modeled time on `link` (ties break tree < rdouble < ring).
+/// Resolves `requested` to a concrete algorithm: a concrete request is
+/// returned unchanged; kAuto picks the schedule with the smallest modeled
+/// time on `link` (ties break tree < rdouble < ring).
 Collective resolve_collective(Collective requested, double message_bytes,
                               int cards, const phi::InterconnectSpec& link);
 

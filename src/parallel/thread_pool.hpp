@@ -1,6 +1,6 @@
 // Fixed-size worker pool. Used by the TaskGraph executor (concurrent matrix
-// ops of paper Fig. 6) and by the chunk-loading pipeline (paper Fig. 5).
-// OpenMP owns the data-parallel loops; this pool owns *task* parallelism, so
+// ops of paper Fig. 6), by ReplicaGroup (one data-parallel replica per
+// worker) and by InferenceServer (batch workers). OpenMP owns the data-parallel loops; this pool owns *task* parallelism, so
 // the two never fight over the same iteration space.
 #pragma once
 

@@ -47,7 +47,6 @@ class Device {
 
   double used_bytes() const { return used_bytes_; }
   double capacity_bytes() const { return spec().device_mem_gb * 1e9; }
-  double free_bytes() const { return capacity_bytes() - used_bytes_; }
 
   // --- simulated timeline ---
 

@@ -6,7 +6,6 @@
 // model mode (core::dry_train) drives the cluster exactly as a real run.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -134,16 +133,7 @@ TEST(Collectives, AutoNeverWorseThanBestFixed) {
   }
 }
 
-TEST(Collectives, EnvOverrideWinsOverConfig) {
-  ASSERT_EQ(setenv("DEEPPHI_COLLECTIVE", "ring", 1), 0);
-  EXPECT_EQ(par::resolve_collective(Collective::kTree, 1e3, 4,
-                                    phi::pcie_p2p_interconnect()),
-            Collective::kRing);
-  ASSERT_EQ(setenv("DEEPPHI_COLLECTIVE", "bogus", 1), 0);
-  EXPECT_THROW(par::resolve_collective(Collective::kAuto, 1e3, 4,
-                                       phi::pcie_p2p_interconnect()),
-               util::Error);
-  unsetenv("DEEPPHI_COLLECTIVE");
+TEST(Collectives, ConcreteRequestIsReturnedUnchanged) {
   EXPECT_EQ(par::resolve_collective(Collective::kTree, 1e3, 4,
                                     phi::pcie_p2p_interconnect()),
             Collective::kTree);

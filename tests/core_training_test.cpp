@@ -7,11 +7,10 @@
 #include <cmath>
 
 #include "core/cg.hpp"
-#include "core/dbn.hpp"
+#include "core/layer_stack.hpp"
 #include "core/lbfgs.hpp"
 #include "core/metrics.hpp"
 #include "core/optimizer.hpp"
-#include "core/stacked_autoencoder.hpp"
 #include "core/trainer.hpp"
 #include "data/patches.hpp"
 #include "phi/cluster.hpp"

@@ -15,11 +15,10 @@
 #include <utility>
 #include <vector>
 
-#include "core/dbn.hpp"
+#include "core/layer_stack.hpp"
 #include "core/packed_encoder.hpp"
 #include "core/rbm.hpp"
 #include "core/sparse_autoencoder.hpp"
-#include "core/stacked_autoencoder.hpp"
 #include "core/trainer.hpp"
 #include "data/dataset.hpp"
 #include "data/patches.hpp"
@@ -276,6 +275,26 @@ core::TrainerConfig pinned_trainer_config() {
   return tcfg;
 }
 
+void add_params(Fnv1a& hash, const core::SparseAutoencoder& model) {
+  hash.add(model.w1());
+  hash.add(model.b1());
+  hash.add(model.w2());
+  hash.add(model.b2());
+}
+
+void add_params(Fnv1a& hash, const core::Rbm& model) {
+  hash.add(model.w());
+  hash.add(model.b());
+  hash.add(model.c());
+}
+
+template <typename Model>
+std::string params_hash(const Model& model) {
+  Fnv1a hash;
+  add_params(hash, model);
+  return hash.hex();
+}
+
 std::string sae_params_hash(
     const core::TrainerConfig& tcfg = pinned_trainer_config()) {
   core::SaeConfig mcfg;
@@ -283,12 +302,7 @@ std::string sae_params_hash(
   mcfg.hidden = 40;
   core::SparseAutoencoder model(mcfg, 11);
   core::Trainer(tcfg).train(model, pinned_dataset());
-  Fnv1a hash;
-  hash.add(model.w1());
-  hash.add(model.b1());
-  hash.add(model.w2());
-  hash.add(model.b2());
-  return hash.hex();
+  return params_hash(model);
 }
 
 std::string rbm_params_hash(
@@ -300,11 +314,7 @@ std::string rbm_params_hash(
   mcfg.sample_visible = true;
   core::Rbm model(mcfg, 13);
   core::Trainer(tcfg).train(model, pinned_dataset());
-  Fnv1a hash;
-  hash.add(model.w());
-  hash.add(model.b());
-  hash.add(model.c());
-  return hash.hex();
+  return params_hash(model);
 }
 
 // One pinned training run beyond the two improved-level ones.
@@ -379,7 +389,6 @@ std::string shard_params_hash(const ShardPin& pin,
   tcfg.policy = core::ExecPolicy::kPhiOffload;
   tcfg.shuffle_window = pin.window;
   tcfg.seed = 101;
-  Fnv1a hash;
   if (pin.rbm) {
     core::RbmConfig mcfg;
     mcfg.visible = pin.visible;
@@ -387,18 +396,29 @@ std::string shard_params_hash(const ShardPin& pin,
     mcfg.sample_visible = pin.visible < 100;  // the small run samples v too
     core::Rbm model(mcfg, 17);
     core::Trainer(tcfg).train(model, source);
-    hash.add(model.w());
-    hash.add(model.b());
-    hash.add(model.c());
-  } else {
-    core::SparseAutoencoder model(core::SaeConfig{pin.visible, pin.hidden},
-                                  19);
-    core::Trainer(tcfg).train(model, source);
-    hash.add(model.w1());
-    hash.add(model.b1());
-    hash.add(model.w2());
-    hash.add(model.b2());
+    return params_hash(model);
   }
+  core::SparseAutoencoder model(core::SaeConfig{pin.visible, pin.hidden}, 19);
+  core::Trainer(tcfg).train(model, source);
+  return params_hash(model);
+}
+
+// Greedy stacks over the small u8 shard set, pre-trained 2 epochs per layer:
+// layer 0 trains from `source`, layer 1 from layer 0's in-memory codes.
+template <typename Stack>
+std::string stack_params_hash(Stack stack,
+                              const data::StreamingSource& source) {
+  core::TrainerConfig tcfg;
+  tcfg.batch_size = 64;
+  tcfg.chunk_examples = 128;
+  tcfg.epochs = 2;
+  tcfg.policy = core::ExecPolicy::kPhiOffload;
+  tcfg.shuffle_window = 160;
+  tcfg.seed = 101;
+  stack.pretrain(source, tcfg);
+  Fnv1a hash;
+  for (std::size_t k = 0; k < stack.layers(); ++k)
+    add_params(hash, stack.layer(k));
   return hash.hex();
 }
 
@@ -416,6 +436,19 @@ TEST(Determinism, ResultsMatchPinnedParentHashes) {
        "0xe1bf7db429334108"},
       {"RBM 576x64 from u8 shards", true, 576, 64, 200, 400, 500,
        "0x4b9573b3f5150325"}};
+  // The stacks' pins were recorded at the parent from these decoded rows as
+  // an in-memory Dataset; shards == memory makes the shards match them too.
+  data::Dataset small_rows(small.rows(), small.dim());
+  small.copy_rows(0, small.rows(), small_rows.matrix());
+  const std::pair<const data::StreamingSource*, const char*> stack_sources[] =
+      {{&small, "u8 shards"}, {&small_rows, "memory"}};
+  core::SaeConfig tied;
+  tied.tied_weights = true;
+  const core::StackedAutoencoder sae_stack({50, 40, 20}, tied, 23);
+  core::RbmConfig gaussian;
+  gaussian.visible_type = core::VisibleType::kGaussian;
+  gaussian.sample_visible = true;
+  const core::Dbn dbn({50, 40, 20}, gaussian, 29);
   test::for_each_tier_and_thread_count([&](const std::string& where) {
     EXPECT_EQ(gemm_sweep_hash(), kGemmSweep) << "GEMM sweep, " << where;
     EXPECT_EQ(sae_params_hash(), kSaeParams) << "SAE parameters, " << where;
@@ -429,6 +462,12 @@ TEST(Determinism, ResultsMatchPinnedParentHashes) {
       EXPECT_EQ(shard_params_hash(pin, pin.visible == 576 ? stream : small),
                 pin.hash)
           << pin.what << " parameters, " << where;
+    }
+    for (const auto& [source, from] : stack_sources) {
+      EXPECT_EQ(stack_params_hash(sae_stack, *source), "0x771fb4c61884baf4")
+          << "tied stacked autoencoder from " << from << ", " << where;
+      EXPECT_EQ(stack_params_hash(dbn, *source), "0xf1108dd1e54563ad")
+          << "Gaussian DBN from " << from << ", " << where;
     }
   });
 }

@@ -335,14 +335,12 @@ TEST(Elementwise, AddRowBroadcast) {
   EXPECT_FLOAT_EQ(m(0, 1), 21.0f);
 }
 
-TEST(Elementwise, SubAndHadamard) {
+TEST(Elementwise, Sub) {
   Matrix a = Matrix::from_rows({{3, 4}});
   Matrix b = Matrix::from_rows({{1, 2}});
   Matrix out(1, 2);
   sub(a, b, out);
   EXPECT_FLOAT_EQ(out(0, 1), 2.0f);
-  hadamard(a, b, out);
-  EXPECT_FLOAT_EQ(out(0, 1), 8.0f);
 }
 
 TEST(Elementwise, DsigmoidMul) {
@@ -371,17 +369,6 @@ TEST(Elementwise, OutputDeltaEqualsUnfused) {
   sub(z, x, unfused);
   dsigmoid_mul_inplace(unfused, z);
   EXPECT_TRUE(fused.approx_equal(unfused));
-}
-
-TEST(Elementwise, HiddenDeltaEqualsUnfused) {
-  Matrix back = random_matrix(6, 4, 10);
-  Matrix back2 = back;
-  Matrix y = random_matrix(6, 4, 11, 0.05f, 0.95f);
-  Vector sparse = random_vector(4, 12);
-  hidden_delta(back, sparse, y);
-  add_row_broadcast(back2, sparse);
-  dsigmoid_mul_inplace(back2, y);
-  EXPECT_TRUE(back.approx_equal(back2));
 }
 
 TEST(Elementwise, SampleBernoulliDeterministic) {
@@ -446,14 +433,6 @@ TEST(Reduce, ColSumAndMean) {
   EXPECT_FLOAT_EQ(out[1], 12.0f);
   col_mean(m, out);
   EXPECT_FLOAT_EQ(out[0], 3.0f);
-}
-
-TEST(Reduce, RowSum) {
-  Matrix m = Matrix::from_rows({{1, 2, 3}, {4, 5, 6}});
-  Vector out(2);
-  row_sum(m, out);
-  EXPECT_FLOAT_EQ(out[0], 6.0f);
-  EXPECT_FLOAT_EQ(out[1], 15.0f);
 }
 
 TEST(Reduce, SumAndSumSqDiff) {

@@ -25,11 +25,10 @@
 #include <string>
 #include <vector>
 
-#include "core/dbn.hpp"
+#include "core/layer_stack.hpp"
 #include "core/model_io.hpp"
 #include "core/quantized_encoder.hpp"
 #include "core/sparse_autoencoder.hpp"
-#include "core/stacked_autoencoder.hpp"
 #include "la/quant.hpp"
 #include "la/simd/dispatch.hpp"
 #include "phi/kernel_stats.hpp"

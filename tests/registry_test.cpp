@@ -22,10 +22,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/layer_stack.hpp"
 #include "core/model_io.hpp"
 #include "core/packed_encoder.hpp"
 #include "core/quantized_encoder.hpp"
-#include "core/stacked_autoencoder.hpp"
 #include "obs/histogram.hpp"
 #include "serve/adaptive_batcher.hpp"
 #include "serve/inference_server.hpp"

@@ -113,6 +113,7 @@ TEST(EncoderInterface, DbnEncodeMatchesLayerwiseHiddenMeans) {
   const core::Encoder& enc = dbn;
   EXPECT_EQ(enc.input_dim(), 10);
   EXPECT_EQ(enc.output_dim(), 5);
+  EXPECT_EQ(enc.describe(), "DBN 10 -> 8 -> 5 (2 RBMs)");
   const la::Matrix x = random_rows(6, 10, 6);
   la::Matrix a, h0, b;
   enc.encode(x, a);
@@ -126,6 +127,7 @@ TEST(EncoderInterface, StackedAutoencoderConforms) {
   const core::Encoder& enc = stack;
   EXPECT_EQ(enc.input_dim(), 10);
   EXPECT_EQ(enc.output_dim(), 5);
+  EXPECT_EQ(enc.describe(), "Stacked Autoencoder 10 -> 8 -> 5 (2 layers)");
   la::Matrix out;
   enc.encode(random_rows(3, 10, 8), out);
   EXPECT_EQ(out.cols(), 5);

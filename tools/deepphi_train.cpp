@@ -19,10 +19,9 @@
 #include <memory>
 #include <thread>
 
-#include "core/dbn.hpp"
+#include "core/layer_stack.hpp"
 #include "core/metrics.hpp"
 #include "core/model_io.hpp"
-#include "core/stacked_autoencoder.hpp"
 #include "core/trainer.hpp"
 #include "data/binary_io.hpp"
 #include "data/chunk_stream.hpp"
@@ -152,8 +151,8 @@ int run(int argc, char** argv) {
   options.declare("interconnect",
                   "inter-card path: pcie-p2p | host-staged", "pcie-p2p");
   options.declare("collective",
-                  "inter-card all-reduce: auto | tree | rdouble | ring "
-                  "(DEEPPHI_COLLECTIVE overrides)", "auto");
+                  "inter-card all-reduce: auto | tree | rdouble | ring",
+                  "auto");
   options.declare("cd-k", "contrastive divergence steps (rbm/dbn)", "1");
   options.declare("gaussian-visible", "Gaussian visible units (rbm/dbn)");
   options.declare("taskgraph", "run the RBM step as the Fig. 6 task graph");
@@ -182,16 +181,9 @@ int run(int argc, char** argv) {
   }
 
   const std::string model_kind = options.get_string("model");
-  DEEPPHI_CHECK_MSG(
-      !options.has("data-manifest") ||
-          (model_kind == "sae" || model_kind == "rbm"),
-      "--data-manifest streams chunks and supports --model=sae|rbm only; "
-      "stack/dbn pretrain on materialized layer activations -- load the set "
-      "with --data/--idx/--synthetic instead");
 
-  // The trained path consumes any StreamingSource; the in-memory Dataset is
-  // kept when available because the post-train metrics and the stack/dbn
-  // pretrain (which materialize layer activations) need it.
+  // Every model trains from any StreamingSource; the in-memory Dataset is
+  // kept when available for the post-train metrics.
   std::unique_ptr<data::Dataset> in_memory;
   std::unique_ptr<data::ShardedDataset> sharded;
   if (options.has("data-manifest")) {
@@ -291,96 +283,63 @@ int run(int argc, char** argv) {
          TelemetryField::str("interconnect",
                              cluster ? cluster->interconnect().name
                                      : std::string("none")),
-         TelemetryField::str(
-             "collective",
-             par::collective_name(
-                 // The env override changes what actually runs; record that.
-                 // Guarded on the cluster like the trainer's own resolution,
-                 // so a stray DEEPPHI_COLLECTIVE can't fail a one-card run.
-                 cluster ? par::effective_collective(tcfg.collective)
-                         : tcfg.collective)),
+         TelemetryField::str("collective",
+                             par::collective_name(tcfg.collective)),
          TelemetryField::integer("slots", trainer.slots()),
          TelemetryField::str("shard_rows", shard_layout(trainer)),
          TelemetryField::integer("seed", static_cast<std::int64_t>(seed))});
   }
 
+  // A stack's layers take the flags of its single-layer model.
+  core::SaeConfig sae_cfg;
+  sae_cfg.visible = source.dim();
+  sae_cfg.hidden = options.get_int("hidden");
+  sae_cfg.rho = static_cast<float>(options.get_double("rho"));
+  sae_cfg.beta = static_cast<float>(options.get_double("beta"));
+  sae_cfg.lambda = static_cast<float>(options.get_double("lambda"));
+  sae_cfg.tied_weights = options.has("tied");
+  core::RbmConfig rbm_cfg;
+  rbm_cfg.visible = source.dim();
+  rbm_cfg.hidden = options.get_int("hidden");
+  rbm_cfg.cd_k = static_cast<int>(options.get_int("cd-k"));
+  if (options.has("gaussian-visible"))
+    rbm_cfg.visible_type = core::VisibleType::kGaussian;
+  auto save = [&](const auto& model) {
+    if (!options.has("save")) return;
+    core::save_model(model, options.get_string("save"));
+    std::printf("saved to %s\n", options.get_string("save").c_str());
+  };
+
   if (model_kind == "sae") {
-    core::SaeConfig cfg;
-    cfg.visible = source.dim();
-    cfg.hidden = options.get_int("hidden");
-    cfg.rho = static_cast<float>(options.get_double("rho"));
-    cfg.beta = static_cast<float>(options.get_double("beta"));
-    cfg.lambda = static_cast<float>(options.get_double("lambda"));
-    cfg.tied_weights = options.has("tied");
-    core::SparseAutoencoder model(cfg, seed);
+    core::SparseAutoencoder model(sae_cfg, seed);
     print_report("sae", trainer.train(model, source));
     if (in_memory)
       std::printf("reconstruction error: %.5f, mean activation: %.4f\n",
                   core::reconstruction_error(model, *in_memory),
                   core::mean_hidden_activation(model, *in_memory));
-    if (options.has("save")) {
-      core::save_model(model, options.get_string("save"));
-      std::printf("saved to %s\n", options.get_string("save").c_str());
-    }
+    save(model);
   } else if (model_kind == "rbm") {
-    core::RbmConfig cfg;
-    cfg.visible = source.dim();
-    cfg.hidden = options.get_int("hidden");
-    cfg.cd_k = static_cast<int>(options.get_int("cd-k"));
-    if (options.has("gaussian-visible"))
-      cfg.visible_type = core::VisibleType::kGaussian;
-    core::Rbm model(cfg, seed);
+    core::Rbm model(rbm_cfg, seed);
     print_report("rbm", trainer.train(model, source));
     if (in_memory)
       std::printf("reconstruction error: %.5f\n",
                   core::reconstruction_error(model, *in_memory));
-    if (options.has("save")) {
-      core::save_model(model, options.get_string("save"));
-      std::printf("saved to %s\n", options.get_string("save").c_str());
-    }
-  } else if (model_kind == "stack") {
-    DEEPPHI_CHECK_MSG(in_memory != nullptr,
-                      "--model=stack pretrains on materialized layer "
-                      "activations and cannot stream --data-manifest; load "
-                      "the set with --data/--idx/--synthetic instead");
+    save(model);
+  } else if (model_kind == "stack" || model_kind == "dbn") {
     const std::string spec = options.get_string("layers");
-    DEEPPHI_CHECK_MSG(!spec.empty(), "--model=stack needs --layers=a,b,c");
-    core::SaeConfig proto;
-    proto.rho = static_cast<float>(options.get_double("rho"));
-    proto.beta = static_cast<float>(options.get_double("beta"));
-    proto.lambda = static_cast<float>(options.get_double("lambda"));
-    proto.tied_weights = options.has("tied");
-    core::StackedAutoencoder model(parse_layers(spec), proto, seed);
-    DEEPPHI_CHECK_MSG(model.layer_sizes().front() == in_memory->dim(),
-                      "--layers first entry must equal the dataset dim");
-    const auto reports = model.pretrain(*in_memory, tcfg);
-    for (std::size_t k = 0; k < reports.size(); ++k)
-      print_report(("stack layer " + std::to_string(k)).c_str(), reports[k]);
-    if (options.has("save")) {
-      core::save_model(model, options.get_string("save"));
-      std::printf("saved to %s\n", options.get_string("save").c_str());
-    }
-  } else if (model_kind == "dbn") {
-    DEEPPHI_CHECK_MSG(in_memory != nullptr,
-                      "--model=dbn pretrains on materialized layer "
-                      "activations and cannot stream --data-manifest; load "
-                      "the set with --data/--idx/--synthetic instead");
-    const std::string spec = options.get_string("layers");
-    DEEPPHI_CHECK_MSG(!spec.empty(), "--model=dbn needs --layers=a,b,c");
-    core::RbmConfig proto;
-    proto.cd_k = static_cast<int>(options.get_int("cd-k"));
-    if (options.has("gaussian-visible"))
-      proto.visible_type = core::VisibleType::kGaussian;
-    core::Dbn model(parse_layers(spec), proto, seed);
-    DEEPPHI_CHECK_MSG(model.layer_sizes().front() == in_memory->dim(),
-                      "--layers first entry must equal the dataset dim");
-    const auto reports = model.pretrain(*in_memory, tcfg);
-    for (std::size_t k = 0; k < reports.size(); ++k)
-      print_report(("dbn layer " + std::to_string(k)).c_str(), reports[k]);
-    if (options.has("save")) {
-      core::save_model(model, options.get_string("save"));
-      std::printf("saved to %s\n", options.get_string("save").c_str());
-    }
+    DEEPPHI_CHECK_MSG(!spec.empty(),
+                      "--model=" << model_kind << " needs --layers=a,b,c");
+    auto pretrain = [&](auto model) {
+      const auto reports = model.pretrain(source, tcfg);
+      for (std::size_t k = 0; k < reports.size(); ++k)
+        print_report((model_kind + " layer " + std::to_string(k)).c_str(),
+                     reports[k]);
+      save(model);
+    };
+    if (model_kind == "stack")
+      pretrain(core::StackedAutoencoder(parse_layers(spec), sae_cfg, seed));
+    else
+      pretrain(core::Dbn(parse_layers(spec), rbm_cfg, seed));
   } else {
     throw util::Error("unknown --model '" + model_kind +
                       "' (sae|rbm|stack|dbn)");
