@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark, real wall time on THIS machine) of the
 // compute kernels: the optimized blocked GEMM vs the naive triple loop, the
 // fused vs unfused elementwise sequences, sampling, transpose, reductions,
-// the along-k GEMM packer and the u8 shard decode.
+// the along-k GEMM packer and the u8 shard decode, and small GEMMs around
+// the serial cut-off.
 // These measure the actual library (not the simulator) — the analogue of the
 // per-kernel engineering the paper's §IV describes.
 //
@@ -104,6 +105,35 @@ void BM_GemmForwardShape(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_GemmForwardShape)->Arg(64)->Arg(256);
+
+// y = x·Wᵀ at m × n × k, below and above la::gemm's 2²⁰-flop serial
+// cut-off (la/gemm.cpp): 16³ and 32³, pca_vs_autoencoder's batch-128
+// layers, a 1-row 576→1024 serve encode, and rbm_stream's v·Wᵀ at batch 64
+// and 200. Run it at OMP_NUM_THREADS=1 and at the team size, idle and
+// beside busy processes, to see where the fork pays.
+void BM_GemmSmall(benchmark::State& state) {
+  const la::Index m = state.range(0), n = state.range(1), k = state.range(2);
+  la::Matrix x = random_matrix(m, k, 3);
+  la::Matrix w = random_matrix(n, k, 4);
+  la::Matrix y(m, n);
+  for (auto _ : state) {
+    la::gemm_nt(1.0f, x, w, 0.0f, y);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GF/s"] = benchmark::Counter(
+      2.0 * m * n * k * state.iterations() / 1e9, benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_GemmSmall)
+    ->Args({16, 16, 16})
+    ->Args({32, 32, 32})
+    ->Args({128, 4, 64})
+    ->Args({128, 32, 64})
+    ->Args({128, 64, 64})
+    ->Args({1, 1024, 576})
+    ->Args({128, 64, 128})
+    ->Args({64, 64, 576})
+    ->Args({200, 64, 576});
 
 void BM_ElementwiseUnfused(benchmark::State& state) {
   const la::Index n = state.range(0);
@@ -222,6 +252,17 @@ BENCHMARK(BM_ColSum)
     ->Args({200, 576})
     ->Args({256, 1024})
     ->Args({2048, 1024});
+
+// Σ (a − b)² of a rows × 576 reconstruction: rbm_stream's batch (200) and
+// sae_fig7's (1000). la::ordered_sum cuts both into 2¹⁵-element chunks, each
+// folded by KernelTable::sq_diff8.
+void BM_SumSqDiff(benchmark::State& state) {
+  const la::Matrix a = random_matrix(state.range(0), 576, 11);
+  const la::Matrix b = random_matrix(state.range(0), 576, 12);
+  for (auto _ : state) benchmark::DoNotOptimize(la::sum_sq_diff(a, b));
+  state.SetItemsProcessed(state.iterations() * a.size());
+}
+BENCHMARK(BM_SumSqDiff)->Arg(200)->Arg(1000);
 
 // Times the dispatched GEMM forward product y = x*W^T per SIMD tier at the
 // paper's Fig. 7 layer shapes and emits a table with a speedup_vs_scalar

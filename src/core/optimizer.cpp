@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "la/blas1.hpp"
 #include "phi/kernel_stats.hpp"
 #include "util/error.hpp"
 
@@ -29,13 +30,16 @@ void Optimizer::update(la::Vector& param, const la::Vector& grad) {
   update_raw(param.data(), grad.data(), param.size());
 }
 
+// Every rule is elementwise, so from la::kBlas1ParallelThreshold elements the
+// team splits the loop with the same bits as one thread.
 void Optimizer::update_raw(float* p, const float* g, la::Index n) {
   const float lr = current_lr();
   switch (config_.kind) {
     case OptimizerKind::kSgd: {
       phi::record(phi::loop_contribution(n, 2.0, 2.0, 1.0));
       if (phi::dry_run()) return;
-#pragma omp simd
+#pragma omp parallel for simd if (n >= la::kBlas1ParallelThreshold) \
+    schedule(static)
       for (la::Index i = 0; i < n; ++i) p[i] -= lr * g[i];
       break;
     }
@@ -47,7 +51,8 @@ void Optimizer::update_raw(float* p, const float* g, la::Index n) {
         v.assign(static_cast<std::size_t>(n), 0.0f);
       const float mu = config_.momentum;
       float* vp = v.data();
-#pragma omp simd
+#pragma omp parallel for simd if (n >= la::kBlas1ParallelThreshold) \
+    schedule(static)
       for (la::Index i = 0; i < n; ++i) {
         vp[i] = mu * vp[i] - lr * g[i];
         p[i] += vp[i];
@@ -64,7 +69,8 @@ void Optimizer::update_raw(float* p, const float* g, la::Index n) {
       float* ap = a.data();
       // Adagrad uses the base rate; the accumulator provides the decay.
       const float base_lr = config_.lr;
-#pragma omp simd
+#pragma omp parallel for simd if (n >= la::kBlas1ParallelThreshold) \
+    schedule(static)
       for (la::Index i = 0; i < n; ++i) {
         ap[i] += g[i] * g[i];
         p[i] -= base_lr * g[i] / (std::sqrt(ap[i]) + eps);

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -23,18 +22,6 @@
 #include "util/timer.hpp"
 
 namespace deepphi::core::detail {
-
-// Copies rows [begin, begin+count) of `chunk` into the reusable batch buffer.
-// Host-side staging (pointer bookkeeping on the real device), so it is not
-// recorded as kernel work.
-inline void slice_batch(const la::Matrix& chunk, la::Index begin,
-                        la::Index count, la::Matrix& batch) {
-  if (batch.rows() != count || batch.cols() != chunk.cols())
-    batch = la::Matrix::uninitialized(count, chunk.cols());
-  if (phi::dry_run()) return;  // shape-only rows
-  std::memcpy(batch.data(), chunk.row(begin),
-              sizeof(float) * static_cast<std::size_t>(count * chunk.cols()));
-}
 
 /// What one chunk of training produced, reported by the ChunkFn callback.
 struct ChunkOutcome {

@@ -150,7 +150,6 @@ TrainReport run_slots(const TrainerConfig& config, int S, const Ops& ops,
   std::vector<typename Ops::Grads> grads(static_cast<std::size_t>(S));
   for (auto& g : grads) Ops::ensure(g, model);
   std::vector<typename Model::Workspace> ws(static_cast<std::size_t>(R));
-  std::vector<la::Matrix> staging(static_cast<std::size_t>(R));
   Optimizer optimizer(config.optimizer);
   util::Rng sampling_base(config.seed, /*stream=*/0x5a3bULL);
   std::int64_t update_index = 0;
@@ -211,7 +210,6 @@ TrainReport run_slots(const TrainerConfig& config, int S, const Ops& ops,
                     phi::KernelStats{});
           group.run([&](int r) {
             phi::DryRun worker_mode(dry);  // replicas run as their caller
-            auto& batch = staging[static_cast<std::size_t>(r)];
             auto& workspace = ws[static_cast<std::size_t>(r)];
             // Replica r sweeps the cards in order, computing slot
             // (c·R + r)·A + a of card c — so card c's slot block is the
@@ -230,14 +228,15 @@ TrainReport run_slots(const TrainerConfig& config, int S, const Ops& ops,
                     shards[static_cast<std::size_t>(slot)];
                 if (shard.rows == 0) continue;  // ragged tail: slot sits out
                 DEEPPHI_PROFILE_SCOPE("trainer.batch");
-                detail::slice_batch(chunk, begin + shard.begin, shard.rows,
-                                    batch);
+                // The slot trains its rows in place in the chunk.
+                const la::RowView batch(chunk, begin + shard.begin,
+                                        shard.rows);
                 const util::Rng slot_rng = sampling_base.split(
                     static_cast<std::uint64_t>(update_index) *
                         static_cast<std::uint64_t>(S) +
                     static_cast<std::uint64_t>(slot));
                 slot_cost[static_cast<std::size_t>(slot)] = ops.gradient(
-                    model, batch, workspace,
+                    model, batch.matrix(), workspace,
                     grads[static_cast<std::size_t>(slot)], slot_rng);
               }
             }

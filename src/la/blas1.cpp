@@ -9,9 +9,6 @@
 namespace deepphi::la {
 
 namespace {
-// Below this element count the OpenMP fork/join costs more than it saves.
-constexpr Index kParallelThreshold = 1 << 15;
-
 // Parallel grain of the dispatched axpy (elementwise, so any split is
 // result-identical).
 constexpr Index kAxpyChunk = 1 << 14;
@@ -19,7 +16,7 @@ constexpr Index kAxpyChunk = 1 << 14;
 void axpy_raw(float alpha, const float* x, float* y, Index n) {
   const simd::KernelTable& tab = simd::active();
   const Index chunks = (n + kAxpyChunk - 1) / kAxpyChunk;
-#pragma omp parallel for if (n >= kParallelThreshold) schedule(static)
+#pragma omp parallel for if (n >= kBlas1ParallelThreshold) schedule(static)
   for (Index c = 0; c < chunks; ++c) {
     const Index b = c * kAxpyChunk;
     tab.axpy(alpha, x + b, y + b, std::min(kAxpyChunk, n - b));
@@ -27,7 +24,7 @@ void axpy_raw(float alpha, const float* x, float* y, Index n) {
 }
 
 void scal_raw(float alpha, float* x, Index n) {
-#pragma omp parallel for simd if (n >= kParallelThreshold) schedule(static)
+#pragma omp parallel for simd if (n >= kBlas1ParallelThreshold) schedule(static)
   for (Index i = 0; i < n; ++i) x[i] *= alpha;
 }
 

@@ -9,6 +9,11 @@
 
 namespace deepphi::la {
 
+/// Element count from which the BLAS-1 kernels, and the optimizer's
+/// elementwise updates, split across the OpenMP team: below it the
+/// fork/join costs more than it saves.
+inline constexpr Index kBlas1ParallelThreshold = 1 << 15;
+
 /// The one deterministic parallel reduction behind every double-accumulated
 /// sum in la (dot, nrm2sq, asum, sum, sum_sq_diff): [0, n) is cut into
 /// fixed-size chunks whose size depends only on n, never on the thread

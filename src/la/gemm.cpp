@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -227,6 +228,15 @@ void record_beta_epilogue_pass(const GemmEpilogue& ep, float beta, Index m,
   phi::record(s);
 }
 
+// Products of fewer flops than this run on the calling thread. On a 4-core
+// AVX-512 host (bench_micro_kernels BM_GemmSmall, 1 vs 3 threads) a team
+// saved at most 2.1 µs a call up to 0.5 MFLOP when the host was idle, and
+// lost at 16³ and 32³; beside four busy processes the same calls took 3–16×
+// longer on the team, each fork waiting on a descheduled thread. From 2²⁰
+// flops (128×64×64, or a 1-row 576→1024 encode) the team saved 3.6–175 µs
+// a call idle. Every training GEMM of perfbench is above it.
+constexpr double kSerialFlops = 1 << 20;
+
 // Grid decomposition + parallel tile loop over the table bound at the call
 // (its register tile sizes the grid, the arena and the packing).
 void run_blocked(Trans trans_a, Trans trans_b, float alpha, const Matrix& a,
@@ -243,10 +253,15 @@ void run_blocked(Trans trans_a, Trans trans_b, float alpha, const Matrix& a,
   // register tiles to give every thread one. Skinny products (gemm_tn
   // gradients with small m) still use every core. The decomposition never
   // changes results: tiles are disjoint and each element's k-accumulation
-  // order is fixed by bl.kc alone.
+  // order is fixed by bl.kc alone. Below kSerialFlops the product is one
+  // tile on the calling thread, and above it the team is never wider than
+  // the tile grid.
   Index threads = 1;
 #ifdef _OPENMP
-  threads = omp_get_max_threads();
+  if (2.0 * static_cast<double>(m) * static_cast<double>(n) *
+          static_cast<double>(k) >=
+      kSerialFlops)
+    threads = omp_get_max_threads();
 #endif
   const Index row_tiles = (m + mr - 1) / mr;
   const Index col_tiles = (n + nr - 1) / nr;
@@ -272,7 +287,7 @@ void run_blocked(Trans trans_a, Trans trans_b, float alpha, const Matrix& a,
       (static_cast<std::size_t>(a_buf_elems) + 15) / 16 * 16;
   const std::size_t arena_elems = a_span + static_cast<std::size_t>(b_buf_elems);
 
-#pragma omp parallel
+#pragma omp parallel num_threads(static_cast<int>(tiles)) if (tiles > 1)
   {
     int nthreads = 1, tid = 0;
 #ifdef _OPENMP
@@ -302,6 +317,19 @@ void run_blocked(Trans trans_a, Trans trans_b, float alpha, const Matrix& a,
   }
 }
 
+// True when `x` and `y` may overlap in memory. A RowView borrows another
+// matrix's rows, so distinct objects can share storage and the ranges are
+// compared; under phi::DryRun neither has storage, and only the same object
+// is caught.
+bool shares_storage(const Matrix& x, const Matrix& y) {
+  if (&x == &y) return true;
+  if (x.data() == nullptr || y.data() == nullptr || x.empty() || y.empty())
+    return false;
+  const std::less<const float*> before;
+  return before(x.data(), y.data() + y.size()) &&
+         before(y.data(), x.data() + x.size());
+}
+
 // The body both gemm entries share once op(B) is k×n: argument checks,
 // accounting, the degenerate beta/epilogue pass, then the blocked product
 // with B packed per call from `b`, or read from `packed_b`.
@@ -326,10 +354,8 @@ void gemm_checked(Trans trans_a, Trans trans_b, float alpha, const Matrix& a,
   }
   if (ep.op == EpilogueOp::kDsigmoidMul ||
       ep.op == EpilogueOp::kBiasDsigmoidMul) {
-    // A Matrix owns its storage exclusively, so distinct objects never
-    // alias — and under phi::DryRun neither has a data pointer to compare.
     DEEPPHI_CHECK_MSG(ep.act != nullptr && ep.act->rows() == m &&
-                          ep.act->cols() == n && ep.act != &c,
+                          ep.act->cols() == n && !shares_storage(*ep.act, c),
                       "epilogue act must be a distinct " << m << "x" << n
                                                          << " matrix");
   }

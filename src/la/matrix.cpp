@@ -23,7 +23,8 @@ util::AlignedBuffer<float> storage(Index n) {
 }
 
 void copy_floats(float* dst, const float* src, Index n) {
-  if (dst && src && n > 0) std::memcpy(dst, src, sizeof(float) * n);
+  if (dst && src && dst != src && n > 0)
+    std::memcpy(dst, src, sizeof(float) * n);
 }
 }  // namespace
 
@@ -70,7 +71,8 @@ Matrix::Matrix(const Matrix& o) : rows_(o.rows_), cols_(o.cols_) {
 
 Matrix& Matrix::operator=(const Matrix& o) {
   if (this == &o) return *this;
-  if (size() != o.size() || !data_) data_ = storage(o.size());
+  // Copy before releasing this matrix's storage: `o` may be a RowView of it.
+  if (size() != o.size() || !data_) return *this = Matrix(o);
   rows_ = o.rows_;
   cols_ = o.cols_;
   copy_floats(data_.get(), o.data_.get(), size());
@@ -88,6 +90,16 @@ Matrix& Matrix::operator=(Matrix&& o) noexcept {
   data_ = std::move(o.data_);
   o.rows_ = o.cols_ = 0;
   return *this;
+}
+
+RowView::RowView(const Matrix& src, Index begin, Index count) {
+  DEEPPHI_CHECK_MSG(begin >= 0 && count >= 0 && begin + count <= src.rows(),
+                    "rows [" << begin << ", " << begin + count
+                             << ") out of a " << src.rows() << "-row matrix");
+  rows_.rows_ = count;
+  rows_.cols_ = src.cols();
+  if (src.data() != nullptr)
+    rows_.data_.reset(const_cast<float*>(src.row(begin)));
 }
 
 float& Matrix::at(Index r, Index c) {

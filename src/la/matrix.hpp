@@ -5,8 +5,10 @@
 // rows*cols floats — the data pipeline and offload engine rely on that.
 // These are deliberately plain owning containers: all math lives in the
 // free-function kernels (blas1/blas2/gemm/elementwise/reduce) so each kernel
-// can report its KernelStats contribution. Objects created under a
-// phi::DryRun scope carry a shape but no storage (data() is null).
+// can report its KernelStats contribution. The one exception is RowView, a
+// read-only Matrix that borrows a run of another matrix's rows. Objects
+// created under a phi::DryRun scope carry a shape but no storage (data() is
+// null).
 #pragma once
 
 #include <cstdint>
@@ -81,9 +83,33 @@ class Matrix {
   std::string to_string(Index max_rows = 8, Index max_cols = 8) const;
 
  private:
+  friend class RowView;
+
   Index rows_ = 0;
   Index cols_ = 0;
   util::AlignedBuffer<float> data_;
+};
+
+/// Rows [begin, begin + count) of `src` as a Matrix that borrows src's
+/// storage instead of copying it — a training batch read in place from its
+/// chunk (on the real device, pointer bookkeeping). It is handed out only as
+/// `const Matrix&`, so nothing writes through it, and a copy of it is an
+/// ordinary Matrix that owns its rows. `src` must outlive the view. Under
+/// phi::DryRun `src` has no storage and the view is a shape only. The rows
+/// start wherever src's do, so data() is 64-byte aligned only when
+/// begin·cols is a multiple of 16; every kernel that reads a Matrix it did
+/// not pack uses unaligned loads.
+class RowView {
+ public:
+  RowView(const Matrix& src, Index begin, Index count);
+  ~RowView() { (void)rows_.data_.release(); }  // borrowed: never freed here
+  RowView(const RowView&) = delete;
+  RowView& operator=(const RowView&) = delete;
+
+  const Matrix& matrix() const { return rows_; }
+
+ private:
+  Matrix rows_;
 };
 
 class Vector {

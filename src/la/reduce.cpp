@@ -65,15 +65,14 @@ double sum_sq_diff(const Matrix& a, const Matrix& b) {
                     "sum_sq_diff shape mismatch");
   phi::record(phi::loop_contribution(a.size(), 3.0, 2.0, 0.0));
   if (phi::dry_run()) return 0.0;
+  // Each chunk folds in the dispatched kernel's 8 double lanes — the same
+  // bits on every tier — and ordered_sum fixes the chunks, so the result is
+  // the same for any thread count and any DEEPPHI_ISA tier.
+  const auto sq_diff8 = simd::active().sq_diff8;
   const float* ap = a.data();
   const float* bp = b.data();
-  return ordered_sum(a.size(), [ap, bp](Index begin, Index len) {
-    double acc = 0.0;
-    for (Index i = begin; i < begin + len; ++i) {
-      const double d = static_cast<double>(ap[i]) - bp[i];
-      acc += d * d;
-    }
-    return acc;
+  return ordered_sum(a.size(), [=](Index begin, Index len) {
+    return sq_diff8(ap + begin, bp + begin, len);
   });
 }
 

@@ -17,7 +17,9 @@ void col_mean(const Matrix& m, Vector& out);
 /// Σ of all elements.
 double sum(const Matrix& m);
 
-/// Σ (a - b)² over all elements — the squared reconstruction error.
+/// Σ (a - b)² over all elements — the squared reconstruction error. Each
+/// la::ordered_sum chunk folds in 8 double lanes (simd::KernelTable::
+/// sq_diff8), so the bits are the same on every tier and thread count.
 double sum_sq_diff(const Matrix& a, const Matrix& b);
 
 /// Σ_j KL(ρ ‖ ρ̂_j) with KL(ρ‖q) = ρ·log(ρ/q) + (1-ρ)·log((1-ρ)/(1-q)).

@@ -7,8 +7,9 @@
 // use the dispatcher CPUID-probes the machine, picks the widest available
 // tier, and binds one KernelTable of function pointers that every hot
 // kernel (GEMM micro-kernel incl. fused epilogues, the along-k GEMM packer,
-// sigmoid family, Bernoulli sampling compare, column sums, axpy/dot, the u8
-// decode, the int8 micro-kernel and activation quantizer) routes through.
+// sigmoid family, Bernoulli sampling compare, column sums, axpy/dot, the
+// squared-difference sum, the u8 decode, the int8 micro-kernel and
+// activation quantizer) routes through.
 //
 // Numerical contract — identical results on every tier:
 //  * every tier runs the SAME generic kernel body (kernels_body.inl)
@@ -111,6 +112,10 @@ struct KernelTable {
   /// exact, so lane sums are bit-identical on every tier), then one fixed
   /// pairwise tree. Same result for W=1/8/16 hardware.
   double (*dot8)(const float* x, const float* y, std::int64_t n) = nullptr;
+  /// Σ (a[i] − b[i])² in double with the same fixed 8-lane reduction:
+  /// d = a[i] − b[i] and d·d are rounded in double, d·d goes to lane i % 8,
+  /// then dot8's pairwise tree. Same bits on every tier.
+  double (*sq_diff8)(const float* a, const float* b, std::int64_t n) = nullptr;
 
   /// out[c] = Σ_r m(r, c) over a rows × cols block with leading dimension
   /// `ld`: each column summed in double from +0 in row order, then rounded

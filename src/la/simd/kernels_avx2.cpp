@@ -59,12 +59,41 @@ double dot8_avx2(const float* x, const float* y, std::int64_t n) {
   return combine8(lanes8);
 }
 
+// sq_diff8 on the same two accumulators (lanes 0..3 / 4..7): subtract,
+// multiply and add round per lane as in sq_diff8_ref; the masked tail's
+// lanes read 0 − 0 and add +0.0.
+double sq_diff8_avx2(const float* a, const float* b, std::int64_t n) {
+  __m256d lo = _mm256_setzero_pd();
+  __m256d hi = _mm256_setzero_pd();
+  const auto step = [&](__m256 av, __m256 bv) {
+    const __m256d dlo =
+        _mm256_sub_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(av)),
+                      _mm256_cvtps_pd(_mm256_castps256_ps128(bv)));
+    const __m256d dhi =
+        _mm256_sub_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(av, 1)),
+                      _mm256_cvtps_pd(_mm256_extractf128_ps(bv, 1)));
+    lo = _mm256_add_pd(lo, _mm256_mul_pd(dlo, dlo));
+    hi = _mm256_add_pd(hi, _mm256_mul_pd(dhi, dhi));
+  };
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) step(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i));
+  if (i < n) {
+    const int lanes = static_cast<int>(n - i);
+    step(Avx2Ops::loadu_partial(a + i, lanes),
+         Avx2Ops::loadu_partial(b + i, lanes));
+  }
+  double lanes8[8];
+  _mm256_storeu_pd(lanes8, lo);
+  _mm256_storeu_pd(lanes8 + 4, hi);
+  return combine8(lanes8);
+}
+
 }  // namespace
 
 const KernelTable* avx2_table() {
   static const KernelTable table =
-      make_table<Avx2Ops, kGemmMR, kGemmNR, kQuantMR>(Tier::kAvx2,
-                                                      &dot8_avx2);
+      make_table<Avx2Ops, kGemmMR, kGemmNR, kQuantMR>(
+          Tier::kAvx2, &dot8_avx2, &sq_diff8_avx2);
   return &table;
 }
 

@@ -68,12 +68,35 @@ double dot8_avx512(const float* x, const float* y, std::int64_t n) {
   return combine8(lanes8);
 }
 
+// sq_diff8 with the same single 512-bit accumulator: the 8 differences
+// widen exactly, then subtract, multiply and add round per lane as in
+// sq_diff8_ref; the masked tail's lanes read 0 − 0 and add +0.0.
+double sq_diff8_avx512(const float* a, const float* b, std::int64_t n) {
+  __m512d acc = _mm512_setzero_pd();
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m512d d = _mm512_sub_pd(widen(_mm256_loadu_ps(a + i)),
+                                    widen(_mm256_loadu_ps(b + i)));
+    acc = _mm512_add_pd(acc, _mm512_mul_pd(d, d));
+  }
+  if (i < n) {
+    const __mmask16 m = Avx512Ops::tail_mask(static_cast<int>(n - i));
+    const __m512d d =
+        _mm512_sub_pd(widen(low_half(_mm512_maskz_loadu_ps(m, a + i))),
+                      widen(low_half(_mm512_maskz_loadu_ps(m, b + i))));
+    acc = _mm512_add_pd(acc, _mm512_mul_pd(d, d));
+  }
+  double lanes8[8];
+  _mm512_storeu_pd(lanes8, acc);
+  return combine8(lanes8);
+}
+
 }  // namespace
 
 const KernelTable* avx512_table() {
   static const KernelTable table = [] {
     KernelTable t = make_table<Avx512Ops, kGemmMR, kGemmNR, kQuantMR>(
-        Tier::kAvx512, &dot8_avx512);
+        Tier::kAvx512, &dot8_avx512, &sq_diff8_avx512);
 #if defined(__AVX512VNNI__) && defined(__AVX512BW__)
     // quant_micro uses the real vpdpbusd; the dispatcher must gate this tier
     // on the BW+VNNI CPUID bits, not just AVX-512F.

@@ -12,7 +12,8 @@ namespace deepphi::la::simd {
 // register file.
 const KernelTable* scalar_table() {
   static const KernelTable table =
-      make_table<ScalarOps, 4, 16, 4>(Tier::kScalar, &dot8_ref);
+      make_table<ScalarOps, 4, 16, 4>(Tier::kScalar, &dot8_ref,
+                                       &sq_diff8_ref);
   return &table;
 }
 

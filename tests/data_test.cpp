@@ -19,6 +19,7 @@
 #include "data/natural.hpp"
 #include "data/patches.hpp"
 #include "util/error.hpp"
+#include "scratch_dir.hpp"
 
 namespace deepphi::data {
 namespace {
@@ -318,13 +319,13 @@ TEST(Natural, RejectsBadConfig) {
 
 TEST(BinaryIo, RoundTrip) {
   Dataset d = make_digit_patch_dataset(50, 8, 17);
-  const std::string path = testing::TempDir() + "/deepphi_ds.bin";
+  const test::ScratchDir scratch;
+  const std::string path = scratch.file("ds.bin");
   save_dataset(d, path);
   Dataset loaded = load_dataset(path);
   EXPECT_EQ(loaded.size(), d.size());
   EXPECT_EQ(loaded.dim(), d.dim());
   EXPECT_TRUE(loaded.matrix().approx_equal(d.matrix(), 0.0f, 0.0f));
-  std::remove(path.c_str());
 }
 
 TEST(BinaryIo, MissingFileThrows) {
@@ -332,18 +333,19 @@ TEST(BinaryIo, MissingFileThrows) {
 }
 
 TEST(BinaryIo, BadMagicThrows) {
-  const std::string path = testing::TempDir() + "/deepphi_bad.bin";
+  const test::ScratchDir scratch;
+  const std::string path = scratch.file("bad.bin");
   {
     std::ofstream out(path, std::ios::binary);
     out << "NOPE this is not a dataset";
   }
   EXPECT_THROW(load_dataset(path), util::Error);
-  std::remove(path.c_str());
 }
 
 TEST(BinaryIo, TruncatedPayloadThrows) {
   Dataset d(10, 10);
-  const std::string path = testing::TempDir() + "/deepphi_trunc.bin";
+  const test::ScratchDir scratch;
+  const std::string path = scratch.file("trunc.bin");
   save_dataset(d, path);
   // Chop the file short.
   {
@@ -354,17 +356,16 @@ TEST(BinaryIo, TruncatedPayloadThrows) {
     out.write(contents.data(), static_cast<std::streamsize>(contents.size() / 2));
   }
   EXPECT_THROW(load_dataset(path), util::Error);
-  std::remove(path.c_str());
 }
 
 TEST(BinaryIo, EmptyDataset) {
   Dataset d(0, 5);
-  const std::string path = testing::TempDir() + "/deepphi_empty.bin";
+  const test::ScratchDir scratch;
+  const std::string path = scratch.file("empty.bin");
   save_dataset(d, path);
   Dataset loaded = load_dataset(path);
   EXPECT_EQ(loaded.size(), 0);
   EXPECT_EQ(loaded.dim(), 5);
-  std::remove(path.c_str());
 }
 
 // --- BatchIterator ---

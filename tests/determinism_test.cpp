@@ -29,6 +29,7 @@
 #include "la/reduce.hpp"
 #include "la/simd/dispatch.hpp"
 #include "pinned_hash.hpp"
+#include "scratch_dir.hpp"
 #include "util/rng.hpp"
 
 namespace deepphi {
@@ -370,9 +371,7 @@ struct ShardPin {
 };
 
 data::ShardedDataset u8_shards(la::Index rows, la::Index dim,
-                               std::uint64_t seed, const std::string& name) {
-  const std::string dir = testing::TempDir() + "deepphi_pin_" + name;
-  std::filesystem::remove_all(dir);
+                               std::uint64_t seed, const std::string& dir) {
   data::ShardWriteOptions wo;
   wo.dtype = data::ShardDtype::kU8;
   wo.rows_per_shard = 97;
@@ -428,8 +427,11 @@ TEST(Determinism, ResultsMatchPinnedParentHashes) {
   const std::string kRbmParams = "0x8bd8d0b7f2806c44";
   // 347 rows in chunks of 128: 128 + 128 + 91 per epoch; 1143 rows in
   // chunks of 400: 400 + 400 + 343.
-  const data::ShardedDataset small = u8_shards(347, 50, 81, "small");
-  const data::ShardedDataset stream = u8_shards(1143, 576, 82, "rbm_stream");
+  const test::ScratchDir scratch;
+  const data::ShardedDataset small =
+      u8_shards(347, 50, 81, scratch.file("small"));
+  const data::ShardedDataset stream =
+      u8_shards(1143, 576, 82, scratch.file("rbm_stream"));
   const ShardPin shard_pins[] = {
       {"RBM from u8 shards", true, 50, 40, 64, 128, 160, "0x01fe20462310336b"},
       {"SAE from u8 shards", false, 50, 40, 64, 128, 160,

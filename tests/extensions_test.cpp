@@ -23,6 +23,7 @@
 #include "data/patches.hpp"
 #include "phi/tuning.hpp"
 #include "util/rng.hpp"
+#include "scratch_dir.hpp"
 
 namespace deepphi::core {
 namespace {
@@ -36,29 +37,26 @@ la::Matrix random_batch(la::Index rows, la::Index cols, std::uint64_t seed,
   return m;
 }
 
-std::string tmp_path(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
-
 // --- model_io ---
 
 TEST(ModelIo, SaeRoundTrip) {
+  const test::ScratchDir scratch;
   SaeConfig cfg;
   cfg.visible = 12;
   cfg.hidden = 7;
   cfg.beta = 2.5f;
   SparseAutoencoder model(cfg, 3);
-  const std::string path = tmp_path("sae.dpae");
+  const std::string path = scratch.file("sae.dpae");
   save_model(model, path);
   SparseAutoencoder loaded = load_sae(path);
   EXPECT_EQ(loaded.visible(), 12);
   EXPECT_EQ(loaded.config().beta, 2.5f);
   EXPECT_TRUE(loaded.w1().approx_equal(model.w1(), 0.0f, 0.0f));
   EXPECT_TRUE(loaded.b2().approx_equal(model.b2(), 0.0f, 0.0f));
-  std::remove(path.c_str());
 }
 
 TEST(ModelIo, RbmRoundTripPreservesConfig) {
+  const test::ScratchDir scratch;
   RbmConfig cfg;
   cfg.visible = 9;
   cfg.hidden = 5;
@@ -66,57 +64,57 @@ TEST(ModelIo, RbmRoundTripPreservesConfig) {
   cfg.sample_visible = true;
   cfg.visible_type = VisibleType::kGaussian;
   Rbm model(cfg, 4);
-  const std::string path = tmp_path("rbm.dprb");
+  const std::string path = scratch.file("rbm.dprb");
   save_model(model, path);
   Rbm loaded = load_rbm(path);
   EXPECT_EQ(loaded.config().cd_k, 3);
   EXPECT_TRUE(loaded.config().sample_visible);
   EXPECT_EQ(loaded.config().visible_type, VisibleType::kGaussian);
   EXPECT_TRUE(loaded.w().approx_equal(model.w(), 0.0f, 0.0f));
-  std::remove(path.c_str());
 }
 
 TEST(ModelIo, StackRoundTrip) {
+  const test::ScratchDir scratch;
   SaeConfig proto;
   StackedAutoencoder model({16, 9, 4}, proto, 5);
   model.layer(1).w1()(0, 0) = 42.0f;
-  const std::string path = tmp_path("stack.dpsa");
+  const std::string path = scratch.file("stack.dpsa");
   save_model(model, path);
   StackedAutoencoder loaded = load_stacked_sae(path);
   EXPECT_EQ(loaded.layers(), 2u);
   EXPECT_EQ(loaded.layer_sizes(), (std::vector<la::Index>{16, 9, 4}));
   EXPECT_EQ(loaded.layer(1).w1()(0, 0), 42.0f);
-  std::remove(path.c_str());
 }
 
 TEST(ModelIo, DbnRoundTrip) {
+  const test::ScratchDir scratch;
   RbmConfig proto;
   Dbn model({16, 9, 4}, proto, 6);
-  const std::string path = tmp_path("dbn.dpdb");
+  const std::string path = scratch.file("dbn.dpdb");
   save_model(model, path);
   Dbn loaded = load_dbn(path);
   EXPECT_EQ(loaded.layers(), 2u);
   EXPECT_TRUE(loaded.layer(0).w().approx_equal(model.layer(0).w(), 0.0f, 0.0f));
-  std::remove(path.c_str());
 }
 
 TEST(ModelIo, WrongMagicRejected) {
+  const test::ScratchDir scratch;
   SaeConfig cfg;
   cfg.visible = 4;
   cfg.hidden = 3;
   SparseAutoencoder model(cfg, 7);
-  const std::string path = tmp_path("sae_as_rbm.dpae");
+  const std::string path = scratch.file("sae_as_rbm.dpae");
   save_model(model, path);
   EXPECT_THROW(load_rbm(path), util::Error);
-  std::remove(path.c_str());
 }
 
 TEST(ModelIo, TruncatedCheckpointRejected) {
+  const test::ScratchDir scratch;
   RbmConfig cfg;
   cfg.visible = 30;
   cfg.hidden = 20;
   Rbm model(cfg, 8);
-  const std::string path = tmp_path("trunc.dprb");
+  const std::string path = scratch.file("trunc.dprb");
   save_model(model, path);
   {
     std::ifstream in(path, std::ios::binary);
@@ -126,7 +124,6 @@ TEST(ModelIo, TruncatedCheckpointRejected) {
     out.write(contents.data(), static_cast<std::streamsize>(contents.size() / 3));
   }
   EXPECT_THROW(load_rbm(path), util::Error);
-  std::remove(path.c_str());
 }
 
 TEST(ModelIo, MissingFileRejected) {
@@ -138,9 +135,8 @@ TEST(ModelIo, MissingFileRejected) {
 
 /// Writes `magic`, version 1, the raw `fields`, then `payload_bytes` zeros.
 template <typename... Fields>
-std::string write_checkpoint(const std::string& name, const char magic[4],
+std::string write_checkpoint(const std::string& path, const char magic[4],
                              std::size_t payload_bytes, Fields... fields) {
-  const std::string path = tmp_path(name);
   std::ofstream out(path, std::ios::binary);
   out.write(magic, 4);
   const std::uint32_t version = 1;
@@ -161,15 +157,16 @@ std::string load_error(const std::string& path) {
   return "";
 }
 
-std::string sae_lie(const std::string& name, std::int64_t visible,
+std::string sae_lie(const std::string& path, std::int64_t visible,
                     std::int64_t hidden) {
   // 40 header bytes + 8 payload bytes = a 48-byte file.
-  return write_checkpoint(name, "DPAE", 8, visible, hidden, 1e-4f, 0.05f,
+  return write_checkpoint(path, "DPAE", 8, visible, hidden, 1e-4f, 0.05f,
                           3.0f, std::int32_t{0});
 }
 
 TEST(ModelIo, SaeHeaderLargerThanTheFileIsRejected) {
-  const std::string what = load_error(sae_lie("lie_8192.dpae", 8192, 8192));
+  const test::ScratchDir scratch;
+  const std::string what = load_error(sae_lie(scratch.file("lie_8192.dpae"), 8192, 8192));
   // w1, b1, w2, b2: 4 * (2 * 8192^2 + 2 * 8192) bytes.
   EXPECT_NE(what.find("declares 536936448 payload bytes"), std::string::npos)
       << what;
@@ -177,8 +174,9 @@ TEST(ModelIo, SaeHeaderLargerThanTheFileIsRejected) {
 }
 
 TEST(ModelIo, SaeHeaderClaimingTerabytesIsRejectedBeforeAllocating) {
+  const test::ScratchDir scratch;
   const std::string what =
-      load_error(sae_lie("lie_2p20.dpae", 1 << 20, 1 << 20));
+      load_error(sae_lie(scratch.file("lie_2p20.dpae"), 1 << 20, 1 << 20));
   EXPECT_NE(what.find("declares 8796101410816 payload bytes"),
             std::string::npos)
       << what;
@@ -186,9 +184,10 @@ TEST(ModelIo, SaeHeaderClaimingTerabytesIsRejectedBeforeAllocating) {
 }
 
 TEST(ModelIo, RbmWithUnknownVisibleTypeIsRejected) {
+  const test::ScratchDir scratch;
   // A 4x3 RBM with its full 76-byte payload, but visible_type 77.
   const std::string what = load_error(write_checkpoint(
-      "vtype77.dprb", "DPRB", 4 * (4 * 3 + 4 + 3), std::int64_t{4},
+      scratch.file("vtype77.dprb"), "DPRB", 4 * (4 * 3 + 4 + 3), std::int64_t{4},
       std::int64_t{3}, std::int32_t{1}, std::int32_t{0}, std::int32_t{77},
       0.01f));
   EXPECT_NE(what.find("unknown visible_type 77"), std::string::npos) << what;
@@ -467,13 +466,13 @@ TEST(TiedWeights, AccountingModelEqualsMeasure) {
 }
 
 TEST(TiedWeights, CheckpointRoundTrip) {
+  const test::ScratchDir scratch;
   SparseAutoencoder model(tied_config(), 74);
-  const std::string path = tmp_path("tied.dpae");
+  const std::string path = scratch.file("tied.dpae");
   save_model(model, path);
   SparseAutoencoder loaded = load_sae(path);
   EXPECT_TRUE(loaded.config().tied_weights);
   EXPECT_TRUE(loaded.w2().approx_equal(la::transposed(loaded.w1()), 0.0f, 0.0f));
-  std::remove(path.c_str());
 }
 
 // --- denoising ---
@@ -742,10 +741,11 @@ TEST(OnlineSgd, MatchesBatchOneGradientDirectionally) {
 // --- IDX I/O ---
 
 TEST(IdxIo, ImageRoundTrip) {
+  const test::ScratchDir scratch;
   data::DigitConfig dc;
   dc.image_size = 16;
   data::Dataset images = data::make_digit_images(10, dc, 60);
-  const std::string path = tmp_path("images.idx3");
+  const std::string path = scratch.file("images.idx3");
   data::save_idx_images(images, 16, path);
   la::Index rows = 0, cols = 0;
   data::Dataset loaded = data::load_idx_images(path, &rows, &cols);
@@ -755,31 +755,31 @@ TEST(IdxIo, ImageRoundTrip) {
   EXPECT_EQ(loaded.dim(), 256);
   // u8 quantization: within 1/255.
   EXPECT_TRUE(loaded.matrix().approx_equal(images.matrix(), 0.0f, 1.0f / 254.0f));
-  std::remove(path.c_str());
 }
 
 TEST(IdxIo, LabelRoundTrip) {
+  const test::ScratchDir scratch;
   const std::vector<int> labels = {0, 5, 9, 3, 255};
-  const std::string path = tmp_path("labels.idx1");
+  const std::string path = scratch.file("labels.idx1");
   data::save_idx_labels(labels, path);
   EXPECT_EQ(data::load_idx_labels(path), labels);
-  std::remove(path.c_str());
 }
 
 TEST(IdxIo, WrongMagicRejected) {
-  const std::string path = tmp_path("bogus.idx");
+  const test::ScratchDir scratch;
+  const std::string path = scratch.file("bogus.idx");
   {
     std::ofstream out(path, std::ios::binary);
     out << "not an idx file at all";
   }
   EXPECT_THROW(data::load_idx_images(path), util::Error);
   EXPECT_THROW(data::load_idx_labels(path), util::Error);
-  std::remove(path.c_str());
 }
 
 TEST(IdxIo, TruncatedImagesRejected) {
+  const test::ScratchDir scratch;
   data::Dataset images(4, 16);
-  const std::string path = tmp_path("trunc.idx3");
+  const std::string path = scratch.file("trunc.idx3");
   data::save_idx_images(images, 4, path);
   {
     std::ifstream in(path, std::ios::binary);
@@ -789,11 +789,11 @@ TEST(IdxIo, TruncatedImagesRejected) {
     out.write(contents.data(), static_cast<std::streamsize>(contents.size() - 10));
   }
   EXPECT_THROW(data::load_idx_images(path), util::Error);
-  std::remove(path.c_str());
 }
 
 TEST(IdxIo, OutOfRangeLabelRejected) {
-  EXPECT_THROW(data::save_idx_labels({300}, tmp_path("bad.idx1")), util::Error);
+  const test::ScratchDir scratch;
+  EXPECT_THROW(data::save_idx_labels({300}, scratch.file("bad.idx1")), util::Error);
 }
 
 // --- tuning ---

@@ -6,6 +6,8 @@
 
 #include <cmath>
 #include <tuple>
+#include <type_traits>
+#include <utility>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -134,6 +136,70 @@ TEST(Matrix, ApproxEqualTolerance) {
   EXPECT_TRUE(a.approx_equal(b));
   Matrix c = Matrix::constant(2, 2, 1.1f);
   EXPECT_FALSE(a.approx_equal(c));
+}
+
+// --- RowView: a batch read in place from its chunk ---
+
+TEST(RowView, DataLiesInsideTheSource) {
+  const Matrix chunk = random_matrix(10, 7, 30);
+  const RowView view(chunk, 3, 4);
+  const Matrix& batch = view.matrix();
+  EXPECT_EQ(batch.rows(), 4);
+  EXPECT_EQ(batch.cols(), 7);
+  EXPECT_EQ(batch.data(), chunk.row(3));  // no copy: the chunk's own rows
+  EXPECT_GE(batch.data(), chunk.data());
+  EXPECT_LE(batch.data() + batch.size(), chunk.data() + chunk.size());
+  for (Index r = 0; r < 4; ++r)
+    for (Index c = 0; c < 7; ++c) EXPECT_EQ(batch(r, c), chunk(3 + r, c));
+  EXPECT_THROW(RowView(chunk, 8, 3), util::Error);
+  EXPECT_THROW(RowView(chunk, -1, 2), util::Error);
+}
+
+TEST(RowView, ACopyOwnsItsRows) {
+  Matrix chunk = random_matrix(6, 5, 31);
+  const RowView view(chunk, 2, 3);
+  Matrix copy = view.matrix();
+  EXPECT_NE(copy.data(), chunk.row(2));
+  EXPECT_TRUE(util::is_aligned(copy.data()));
+  chunk.fill(-7.0f);
+  EXPECT_EQ(view.matrix()(0, 0), -7.0f);  // the view follows its source
+  EXPECT_NE(copy(0, 0), -7.0f);           // the copy does not
+  copy.fill(1.0f);                        // and writes to its own storage
+  EXPECT_EQ(chunk(2, 0), -7.0f);
+}
+
+TEST(RowView, AssigningAViewIntoItsSourceCopiesFirst) {
+  Matrix chunk = random_matrix(6, 5, 32);
+  const Matrix want = [&] {
+    Matrix rows = Matrix::uninitialized(2, 5);
+    for (Index r = 0; r < 2; ++r)
+      for (Index c = 0; c < 5; ++c) rows(r, c) = chunk(3 + r, c);
+    return rows;
+  }();
+  {
+    const RowView view(chunk, 3, 2);
+    chunk = view.matrix();  // releases the storage the view reads from
+  }
+  EXPECT_TRUE(chunk.approx_equal(want, 0.0f, 0.0f));
+}
+
+TEST(RowView, DryRunViewHasAShapeButNoData) {
+  phi::DryRun dry;
+  const Matrix chunk(1000, 576);
+  const RowView view(chunk, 200, 200);
+  EXPECT_EQ(view.matrix().rows(), 200);
+  EXPECT_EQ(view.matrix().cols(), 576);
+  EXPECT_EQ(view.matrix().data(), nullptr);
+}
+
+TEST(RowView, NothingWritesThroughIt) {
+  // A kernel that writes takes a Matrix&, which the view's const Matrix&
+  // cannot bind to, and the borrowed pointer never leaves the view.
+  static_assert(std::is_same_v<decltype(std::declval<const RowView&>().matrix()),
+                               const Matrix&>);
+  static_assert(!std::is_copy_constructible_v<RowView>);
+  static_assert(!std::is_copy_assignable_v<RowView>);
+  static_assert(!std::is_move_constructible_v<RowView>);
 }
 
 TEST(Vector, Basics) {
@@ -779,6 +845,16 @@ TEST(GemmEpilogue, RejectsBadOperands) {
       util::Error);
   EXPECT_THROW(gemm_nn(1.0f, a, b, 0.0f, c, GemmEpilogue::dsigmoid_mul(c)),
                util::Error);  // act must not alias C
+  // Nor share C's storage through a view: the ranges are compared, since a
+  // view is a distinct object.
+  const RowView c_itself(c, 0, 4);
+  EXPECT_THROW(gemm_nn(1.0f, a, b, 0.0f, c,
+                       GemmEpilogue::dsigmoid_mul(c_itself.matrix())),
+               util::Error);
+  const Matrix other = random_matrix(9, 5, 414);
+  const RowView disjoint(other, 5, 4);
+  EXPECT_NO_THROW(gemm_nn(1.0f, a, b, 0.0f, c,
+                          GemmEpilogue::dsigmoid_mul(disjoint.matrix())));
 }
 
 // Fused epilogues and workspace reuse must not perturb bit-stability: the

@@ -33,6 +33,7 @@
 #include "la/simd/dispatch.hpp"
 #include "phi/kernel_stats.hpp"
 #include "pinned_hash.hpp"
+#include "scratch_dir.hpp"
 #include "serve/inference_server.hpp"
 #include "serve/model_registry.hpp"
 #include "util/error.hpp"
@@ -568,15 +569,15 @@ TEST(QuantizedServing, Fp32ServerReportsFp32) {
 
 class QuantIoTest : public ::testing::Test {
  protected:
-  std::string path(const std::string& name) {
-    return testing::TempDir() + "/" + name;
-  }
+  std::string path(const std::string& name) { return scratch_.file(name); }
   static std::string slurp(const std::string& p) {
     std::ifstream in(p, std::ios::binary);
     std::ostringstream os;
     os << in.rdbuf();
     return os.str();
   }
+
+  const test::ScratchDir scratch_;
 };
 
 TEST_F(QuantIoTest, RoundTripsByteForByte) {

@@ -35,6 +35,7 @@
 #include "util/http_listener.hpp"
 #include "util/json_reader.hpp"
 #include "util/rng.hpp"
+#include "scratch_dir.hpp"
 
 namespace {
 
@@ -512,7 +513,8 @@ TEST(MultiModelServer, MixedPrecisionReportsMixed) {
 // ------------------------------------------------------- admin control plane
 
 TEST(AdminEndpoint, ListsModelsAndHotSwapsThroughHttp) {
-  const std::string dir = testing::TempDir();
+  const test::ScratchDir scratch;
+  const std::string& dir = scratch.path();
   const core::StackedAutoencoder v1({10, 5}, core::SaeConfig{}, 51);
   const core::StackedAutoencoder v2({10, 5}, core::SaeConfig{}, 52);
   const std::string v2_path = dir + "/admin_v2.dpsa";
@@ -600,7 +602,8 @@ TEST(AdminEndpoint, RoutesAre404WithoutAnAttachedServer) {
 // ------------------------------------------------------- LoadedModel metadata
 
 TEST(LoadedModel, CarriesMagicPrecisionAndFileBytes) {
-  const std::string dir = testing::TempDir();
+  const test::ScratchDir scratch;
+  const std::string& dir = scratch.path();
   const core::StackedAutoencoder stack({14, 7}, core::SaeConfig{}, 61);
   const std::string path = dir + "/loaded_meta.dpsa";
   core::save_model(stack, path);

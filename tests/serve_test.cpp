@@ -34,6 +34,7 @@
 #include "util/http_listener.hpp"
 #include "util/json_reader.hpp"
 #include "util/rng.hpp"
+#include "scratch_dir.hpp"
 
 namespace {
 
@@ -244,9 +245,9 @@ TEST(Serve, RegistryPacksOnlySigmoidChains) {
 
 class LoadAnyTest : public ::testing::Test {
  protected:
-  std::string path(const std::string& name) {
-    return testing::TempDir() + "/" + name;
-  }
+  std::string path(const std::string& name) { return scratch_.file(name); }
+
+  const test::ScratchDir scratch_;
 };
 
 TEST_F(LoadAnyTest, SniffsAllFourMagics) {
@@ -465,7 +466,8 @@ TEST(InferenceServer, ServedRowsAreBitwiseIdenticalToSingleRowEncode) {
 }
 
 TEST(InferenceServer, AllFourModelTypesServeThroughOneCodePath) {
-  const std::string dir = testing::TempDir();
+  const test::ScratchDir scratch;
+  const std::string& dir = scratch.path();
   const core::SparseAutoencoder sae(core::SaeConfig{8, 5}, 1);
   const core::Rbm rbm(core::RbmConfig{8, 5}, 2);
   const core::StackedAutoencoder stack({8, 6, 4}, core::SaeConfig{}, 3);

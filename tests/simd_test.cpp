@@ -16,6 +16,7 @@
 #include <omp.h>
 #endif
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -117,6 +118,7 @@ TEST(SimdDispatch, AvailableTablesAreFullyPopulated) {
     EXPECT_NE(tab.dsigmoid_mul, nullptr);
     EXPECT_NE(tab.axpy, nullptr);
     EXPECT_NE(tab.dot8, nullptr);
+    EXPECT_NE(tab.sq_diff8, nullptr);
     EXPECT_NE(tab.col_sum, nullptr);
     EXPECT_NE(tab.pack_along_k, nullptr);
     EXPECT_NE(tab.decode_u8, nullptr);
@@ -438,6 +440,51 @@ TEST(SimdBlas1Parity, AxpyBitwiseAndDotExactAcrossTiers) {
     for (Index i = 0; i < n; ++i)
       ASSERT_EQ(axpy_ref[i], y[i]) << simd::tier_name(tier) << " i=" << i;
     EXPECT_EQ(dot_ref, d) << simd::tier_name(tier);
+  }
+}
+
+TEST(SimdSqDiffParity, LaneFoldMatchesTheReferenceOnEveryTier) {
+  // Lengths around one vector, one ordered_sum chunk (2¹⁵) and rbm_stream's
+  // (200×576) and sae_fig7's (1000×576) reconstructions. The reference is
+  // the 8-lane rule written out: d = a − b in double, d·d into lane i % 8,
+  // then the pairwise fold.
+  const auto reference = [](const float* a, const float* b, Index n) {
+    double lanes[8] = {};
+    for (Index i = 0; i < n; ++i) {
+      const double d = static_cast<double>(a[i]) - static_cast<double>(b[i]);
+      lanes[i % 8] += d * d;
+    }
+    return ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
+           ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
+  };
+  for (Index n : {Index{1}, Index{7}, Index{32767}, Index{32768},
+                  Index{115200}, Index{576000}}) {
+    const Matrix a = random_matrix(1, n, 90, -2.0f, 2.0f);
+    const Matrix b = random_matrix(1, n, 91, -2.0f, 2.0f);
+    const double want = reference(a.data(), b.data(), n);
+    // la::sum_sq_diff folds each 2¹⁵-element ordered_sum chunk the same
+    // way and adds the chunks in order.
+    double want_sum = 0.0;
+    for (Index c = 0; c < n; c += Index{1} << 15)
+      want_sum += reference(a.data() + c, b.data() + c,
+                            std::min(Index{1} << 15, n - c));
+    for (simd::Tier tier : available_tiers()) {
+      ForcedTier forced(tier);
+      EXPECT_EQ(simd::active().sq_diff8(a.data(), b.data(), n), want)
+          << simd::tier_name(tier) << ", n=" << n;
+      for (int threads : {1, 4}) {
+#ifdef _OPENMP
+        const int prev = omp_get_max_threads();
+        omp_set_num_threads(threads);
+#endif
+        const double got = sum_sq_diff(a, b);
+#ifdef _OPENMP
+        omp_set_num_threads(prev);
+#endif
+        EXPECT_EQ(got, want_sum) << simd::tier_name(tier) << ", " << threads
+                                 << " threads, n=" << n;
+      }
+    }
   }
 }
 

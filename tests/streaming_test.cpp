@@ -34,18 +34,12 @@
 #include "data/shuffle.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
+#include "scratch_dir.hpp"
 
 namespace deepphi::data {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = testing::TempDir() + "deepphi_stream_" + name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
 
 Dataset numbered_dataset(Index n, Index dim) {
   Dataset d(n, dim);
@@ -58,7 +52,8 @@ Dataset numbered_dataset(Index n, Index dim) {
 // --- manifest IO ---
 
 TEST(Manifest, WriteReadRoundTrip) {
-  const std::string dir = fresh_dir("manifest_rt");
+  const test::ScratchDir scratch;
+  const std::string& dir = scratch.path();
   Manifest m;
   m.rows = 10;
   m.dim = 4;
@@ -80,7 +75,8 @@ TEST(Manifest, WriteReadRoundTrip) {
 }
 
 TEST(Manifest, RejectsWrongSchemaAndMalformedFiles) {
-  const std::string dir = fresh_dir("manifest_bad");
+  const test::ScratchDir scratch;
+  const std::string& dir = scratch.path();
   const std::string path = dir + "/manifest.json";
   {
     std::ofstream(path) << "{\"schema\":\"something.else.v9\"}";
@@ -99,7 +95,8 @@ TEST(Manifest, RejectsWrongSchemaAndMalformedFiles) {
 }
 
 TEST(Manifest, RejectsRowCoverageMismatch) {
-  const std::string dir = fresh_dir("manifest_cover");
+  const test::ScratchDir scratch;
+  const std::string& dir = scratch.path();
   Manifest m;
   m.rows = 10;  // but the single shard only covers 6
   m.dim = 2;
@@ -116,7 +113,8 @@ TEST(Manifest, RejectsRowCoverageMismatch) {
 }
 
 TEST(Manifest, RejectsByteCountMismatch) {
-  const std::string dir = fresh_dir("manifest_bytes");
+  const test::ScratchDir scratch;
+  const std::string& dir = scratch.path();
   Manifest m;
   m.rows = 6;
   m.dim = 2;
@@ -136,7 +134,8 @@ TEST(Manifest, RejectsByteCountMismatch) {
 // --- write_sharded + ShardedDataset decode parity ---
 
 TEST(ShardedDataset, F32RoundTripMatchesSource) {
-  const std::string dir = fresh_dir("f32_rt");
+  const test::ScratchDir scratch;
+  const std::string& dir = scratch.path();
   const Dataset d = numbered_dataset(103, 5);
   ShardWriteOptions opts;
   opts.rows_per_shard = 17;  // ragged: 7 shards, last one short
@@ -180,7 +179,8 @@ TEST(ShardedDataset, U8RoundTripMatchesIdxDecode) {
     for (Index j = 0; j < d.dim(); ++j)
       d.example(i)[j] =
           static_cast<float>((i * d.dim() + j) % 256) / 255.0f;
-  const std::string dir = fresh_dir("u8_rt");
+  const test::ScratchDir scratch;
+  const std::string& dir = scratch.path();
   ShardWriteOptions opts;
   opts.rows_per_shard = 10;
   opts.dtype = ShardDtype::kU8;
@@ -194,7 +194,8 @@ TEST(ShardedDataset, U8RoundTripMatchesIdxDecode) {
 }
 
 TEST(ShardedDataset, ChecksumVerifyDetectsCorruption) {
-  const std::string dir = fresh_dir("corrupt");
+  const test::ScratchDir scratch;
+  const std::string& dir = scratch.path();
   const Dataset d = numbered_dataset(20, 2);
   ShardWriteOptions opts;
   opts.rows_per_shard = 10;
@@ -228,7 +229,8 @@ TEST(ShardedDataset, ChecksumVerifyDetectsCorruption) {
 }
 
 TEST(ShardedDataset, TruncatedShardNamesExpectedAndActualBytes) {
-  const std::string dir = fresh_dir("trunc");
+  const test::ScratchDir scratch;
+  const std::string& dir = scratch.path();
   const Dataset d = numbered_dataset(20, 2);
   ShardWriteOptions opts;
   opts.rows_per_shard = 10;
@@ -246,7 +248,8 @@ TEST(ShardedDataset, TruncatedShardNamesExpectedAndActualBytes) {
 }
 
 TEST(ShardedDataset, MissingShardFileThrows) {
-  const std::string dir = fresh_dir("missing");
+  const test::ScratchDir scratch;
+  const std::string& dir = scratch.path();
   const Dataset d = numbered_dataset(20, 2);
   ShardWriteOptions opts;
   opts.rows_per_shard = 10;
@@ -261,7 +264,8 @@ TEST(ShardedDataset, MissingShardFileThrows) {
 }
 
 TEST(ShardedDataset, EmptySourceWritesEmptyManifest) {
-  const std::string dir = fresh_dir("empty");
+  const test::ScratchDir scratch;
+  const std::string& dir = scratch.path();
   const Dataset d(0, 4);
   const std::string manifest = write_sharded(d, dir);
   const ShardedDataset s = ShardedDataset::open(manifest);
@@ -353,7 +357,8 @@ TEST(ChunkStream, ShuffledStreamDeliversEveryRowOnce) {
 }
 
 TEST(ChunkStream, ShuffledOrderIdenticalAcrossBackings) {
-  const std::string dir = fresh_dir("order_parity");
+  const test::ScratchDir scratch;
+  const std::string& dir = scratch.path();
   Dataset d(128, 2);
   for (Index i = 0; i < d.size(); ++i) {
     d.example(i)[0] = static_cast<float>(i);
@@ -586,7 +591,8 @@ TEST(ChunkStream, ShuffledPrefetchHintsAreWindowAligned) {
 // --- typed IoError paths of the flat-file loaders ---
 
 TEST(IoErrors, TruncatedDpdsNamesExpectedAndActualBytes) {
-  const std::string path = testing::TempDir() + "deepphi_trunc.dpds";
+  const test::ScratchDir scratch;
+  const std::string path = scratch.file("trunc.dpds");
   const Dataset d = numbered_dataset(10, 4);
   save_dataset(d, path);
   fs::resize_file(path, fs::file_size(path) - 60);
@@ -603,7 +609,8 @@ TEST(IoErrors, TruncatedDpdsNamesExpectedAndActualBytes) {
 }
 
 TEST(IoErrors, TruncatedDpdsHeaderIsTyped) {
-  const std::string path = testing::TempDir() + "deepphi_hdr.dpds";
+  const test::ScratchDir scratch;
+  const std::string path = scratch.file("hdr.dpds");
   std::ofstream(path, std::ios::binary) << "DPDS";  // magic only, no header
   try {
     load_dataset(path);
@@ -617,7 +624,8 @@ TEST(IoErrors, TruncatedDpdsHeaderIsTyped) {
 }
 
 TEST(IoErrors, TruncatedIdxImageNamesImageAndCounts) {
-  const std::string path = testing::TempDir() + "deepphi_trunc_idx";
+  const test::ScratchDir scratch;
+  const std::string path = scratch.file("trunc.idx3");
   Dataset images(3, 4);
   save_idx_images(images, 2, path);
   fs::resize_file(path, fs::file_size(path) - 6);  // cuts into image 2
@@ -633,7 +641,8 @@ TEST(IoErrors, TruncatedIdxImageNamesImageAndCounts) {
 }
 
 TEST(IoErrors, TruncatedIdxLabelsIsTyped) {
-  const std::string path = testing::TempDir() + "deepphi_trunc_lbl";
+  const test::ScratchDir scratch;
+  const std::string path = scratch.file("trunc.idx1");
   save_idx_labels({1, 2, 3, 4}, path);
   fs::resize_file(path, fs::file_size(path) - 2);
   try {
@@ -665,7 +674,8 @@ core::TrainerConfig parity_config(Index shuffle_window, int replicas,
 
 TEST(StreamingParity, SaeTrainsBitwiseIdenticalFromShards) {
   const Dataset d = make_digit_patch_dataset(256, 4, /*seed=*/7);
-  const std::string dir = fresh_dir("parity_sae");
+  const test::ScratchDir scratch;
+  const std::string& dir = scratch.path();
   const ShardedDataset s =
       ShardedDataset::open(write_sharded(d, dir, {37, ShardDtype::kF32}));
 
@@ -686,7 +696,8 @@ TEST(StreamingParity, SaeTrainsBitwiseIdenticalFromShards) {
 
 TEST(StreamingParity, RbmTrainsBitwiseIdenticalFromShards) {
   const Dataset d = make_digit_patch_dataset(256, 4, /*seed=*/7);
-  const std::string dir = fresh_dir("parity_rbm");
+  const test::ScratchDir scratch;
+  const std::string& dir = scratch.path();
   const ShardedDataset s =
       ShardedDataset::open(write_sharded(d, dir, {50, ShardDtype::kF32}));
 
@@ -704,7 +715,8 @@ TEST(StreamingParity, DataParallelFactorizationsMatchAcrossBackings) {
   // S = 4 under every factorization, memory and shards, shuffled: all eight
   // runs must produce the same bits.
   const Dataset d = make_digit_patch_dataset(256, 4, /*seed=*/7);
-  const std::string dir = fresh_dir("parity_dp");
+  const test::ScratchDir scratch;
+  const std::string& dir = scratch.path();
   const ShardedDataset s =
       ShardedDataset::open(write_sharded(d, dir, {41, ShardDtype::kF32}));
 

@@ -21,6 +21,7 @@
 #include "util/rng.hpp"
 #include "util/string_util.hpp"
 #include "util/timer.hpp"
+#include "scratch_dir.hpp"
 
 namespace deepphi::util {
 namespace {
@@ -318,13 +319,13 @@ TEST(Table, RejectsCommaInCsvCell) {
 TEST(Table, WriteCsvRoundTrip) {
   Table t({"k", "v"});
   t.add_row({"alpha", "3.5"});
-  const std::string path = testing::TempDir() + "/deepphi_table.csv";
+  const test::ScratchDir scratch;
+  const std::string path = scratch.file("table.csv");
   t.write_csv(path);
   std::ifstream in(path);
   std::string line;
   std::getline(in, line);
   EXPECT_EQ(line, "k,v");
-  std::remove(path.c_str());
 }
 
 TEST(Table, CellFormatting) {
